@@ -239,10 +239,7 @@ def cmd_simulate(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int, 
         if t_stop <= sim.t:
             continue
         outcome, series = solver.run(sim, t_stop, series_cadence=cfg.series_cadence)
-        for name in ("t", "dt", "F", "dM", "G", "max_grad_u", "max_grad_rho"):
-            getattr(full_series, name).extend(getattr(series, name)[1:])
-        if series.breakdown_time is not None:
-            full_series.mark_breakdown(series.breakdown_time, series.verdict)
+        full_series.extend(series)
         if outcome.status != "ok":
             break
         if t_stop != cfg.t_end or t_stop in snap_times:

@@ -16,6 +16,7 @@ conserved discrete quantities are conserved here too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -69,8 +70,8 @@ def radial_momentum(sim) -> float:
     int (x - center) rho u dx in planar geometry (test analog, not the
     theorem's geometry)."""
     w = quad_weights(sim.grid)
-    rho = sim.fields.get("rho")
-    u = sim.fields.get("u" if sim.system == "bulk" else "v1")
+    inner = sim.fields.interior()
+    rho, u = inner[0], inner[sim.layout.velocity[0]]
     return float(np.sum(w * _moment_arm(sim) * rho * u))
 
 
@@ -83,20 +84,17 @@ def relative_mass(sim) -> float:
 def stress_integral(sim) -> float:
     """G = integral of Pi (bulk) or of the stress trace Pi_ii (shear)."""
     w = quad_weights(sim.grid)
-    if sim.system == "bulk":
-        return float(np.sum(w * sim.fields.get("Pi")))
-    trace = sim.fields.get("Pi11") + sim.fields.get("Pi22") + sim.fields.get("Pi33")
-    return float(np.sum(w * trace))
+    first, *rest = (sim.fields.interior()[f] for f in sim.layout.normal)
+    return float(np.sum(w * sum(rest, first)))  # (Pi11 + Pi22) + Pi33 for shear
 
 
 def max_gradients(sim) -> tuple[float, float]:
     """(max |du/dx|, max |drho/dx|) over adjacent interior cells; all velocity
     components participate for the 10-field system."""
     dx = sim.grid.dx
-    names = ("u",) if sim.system == "bulk" else ("v1", "v2", "v3")
-    gu = max(float(np.max(np.abs(np.diff(sim.fields.get(n))))) if sim.grid.n_cells > 1 else 0.0
-             for n in names) / dx
-    grho = float(np.max(np.abs(np.diff(sim.fields.get("rho"))))) / dx
+    inner = sim.fields.interior()
+    gu = max(float(np.max(np.abs(np.diff(inner[f])))) for f in sim.layout.velocity) / dx
+    grho = float(np.max(np.abs(np.diff(inner[0])))) / dx
     return gu, grho
 
 
@@ -105,7 +103,8 @@ def monitor_c1(sim) -> tuple[float, bool]:
     grad_factor * (initial max gradient + c_v / R)."""
     gu, grho = max_gradients(sim)
     max_grad = max(gu, grho)
-    threshold = sim.monitor.grad_factor * (sim.initial.max_grad0 + sim.cv_bar / sim.reference.R)
+    threshold = sim.tolerances["grad_factor"] * (sim.initial.max_grad0
+                                                 + sim.cv_bar / sim.reference.R)
     return max_grad, bool(max_grad > threshold)
 
 
@@ -171,6 +170,9 @@ def certificate(sim, exterior_tol: float = 1e-12) -> BlowupCertificate:
 class DiagnosticSeries:
     """Per-step functional series recorded during a run."""
 
+    COLUMNS: ClassVar[tuple[str, ...]] = ("t", "dt", "F", "dM", "G",
+                                          "max_grad_u", "max_grad_rho")
+
     t: list[float] = field(default_factory=list)
     dt: list[float] = field(default_factory=list)
     F: list[float] = field(default_factory=list)
@@ -195,19 +197,25 @@ class DiagnosticSeries:
         self.breakdown_time = t
         self.verdict = verdict
 
+    def extend(self, segment: "DiagnosticSeries") -> None:
+        """Append a later run segment: its samples after the first (which
+        repeats this series' last) and its breakdown mark."""
+        for name in self.COLUMNS:
+            getattr(self, name).extend(getattr(segment, name)[1:])
+        if segment.breakdown_time is not None:
+            self.mark_breakdown(segment.breakdown_time, segment.verdict)
+
     def arrays(self) -> dict[str, np.ndarray]:
-        return {name: np.asarray(getattr(self, name))
-                for name in ("t", "dt", "F", "dM", "G", "max_grad_u", "max_grad_rho")}
+        return {name: np.asarray(getattr(self, name)) for name in self.COLUMNS}
 
     @property
     def max_grad(self) -> np.ndarray:
         return np.maximum(np.asarray(self.max_grad_u), np.asarray(self.max_grad_rho))
 
     def csv_rows(self):
-        header = ("t", "dt", "F", "dM", "G", "max_grad_u", "max_grad_rho")
-        yield header
+        yield self.COLUMNS
         for i in range(len(self.t)):
-            yield tuple(getattr(self, name)[i] for name in header)
+            yield tuple(getattr(self, name)[i] for name in self.COLUMNS)
 
 
 @dataclass

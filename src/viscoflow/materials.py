@@ -23,6 +23,8 @@ __all__ = [
     "BulkState",
     "ShearState",
     "ReferenceState",
+    "FieldLayout",
+    "LAYOUTS",
     "pressure",
     "sound_speed",
     "eval_transport",
@@ -132,9 +134,15 @@ def eval_transport(law: MaterialLaw, rho, pi=0.0, pi2=0.0):
     for name in ("zeta", "eta", "tau"):
         val = getattr(law, name)(rho, pi, pi2)
         arr = np.asarray(val, dtype=float)
-        if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
-            raise MaterialLawError(f"transport coefficient {name} evaluated non-positive "
-                                   f"or non-finite at rho={rho}, pi={pi}")
+        bad = ~(np.isfinite(arr) & (arr > 0.0))
+        if np.any(bad):
+            # report the first offending point, never whole arrays
+            bad, val, r, p = np.broadcast_arrays(bad, arr, rho, pi)
+            i = int(np.argmax(bad))
+            where = f" at index {i}" if bad.ndim else ""
+            raise MaterialLawError(
+                f"transport coefficient {name} = {val.flat[i]:.6g} is non-positive or "
+                f"non-finite{where} (rho={r.flat[i]:.6g}, pi={p.flat[i]:.6g})")
         out.append(float(arr) if arr.ndim == 0 else arr)
     return tuple(out)
 
@@ -172,6 +180,47 @@ _SYM_POS = {(i, j): n for n, (i, j) in enumerate(SYM_INDEX)}
 def sym_position(i: int, j: int) -> int:
     """Storage slot of tensor component (i, j); symmetry is built in."""
     return _SYM_POS[(min(i, j), max(i, j))]
+
+
+@dataclass(frozen=True)
+class FieldLayout:
+    """Row layout of one system's solver fields.
+
+    Row 0 is the density and row 1 the x-velocity in every layout. `drive`
+    holds, per velocity row, the stress row Pi_1i whose x-derivative drives
+    it; `normal` holds the diagonal stress rows, whose sum is the trace.
+    `parity` is the sign each row takes under the mirror x -> -x.
+    """
+
+    names: tuple[str, ...]
+    velocity: tuple[int, ...]
+    stress: tuple[int, ...]
+    normal: tuple[int, ...]
+    drive: tuple[int, ...]
+    parity: tuple[float, ...]
+
+    def reference(self, ref: ReferenceState) -> np.ndarray:
+        """The field vector of the constant reference state."""
+        out = np.zeros(len(self.names))
+        out[0] = ref.rho_bar
+        out[list(self.velocity)] = ref.v_bar[:len(self.velocity)]
+        out[list(self.normal)] = ref.Pi_bar
+        return out
+
+
+_SHEAR_STRESS = tuple(range(4, 10))
+LAYOUTS = {
+    "bulk": FieldLayout(names=("rho", "u", "Pi"), velocity=(1,), stress=(2,), normal=(2,),
+                        drive=(2,), parity=(1.0, -1.0, 1.0)),
+    "shear": FieldLayout(
+        names=("rho", "v1", "v2", "v3") + tuple(f"Pi{i + 1}{j + 1}" for i, j in SYM_INDEX),
+        velocity=(1, 2, 3), stress=_SHEAR_STRESS,
+        normal=tuple(_SHEAR_STRESS[sym_position(i, i)] for i in range(3)),
+        drive=tuple(_SHEAR_STRESS[sym_position(0, i)] for i in range(3)),
+        # v1 and the stresses Pi_1j with exactly one index 1 flip sign
+        parity=(1.0, -1.0, 1.0, 1.0) + tuple(-1.0 if (i == 0) != (j == 0) else 1.0
+                                             for i, j in SYM_INDEX)),
+}
 
 
 @dataclass(frozen=True)

@@ -24,13 +24,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .materials import BulkState, ShearState, MaterialLaw, SYM_INDEX, eval_transport, sound_speed, sym_position
+from .materials import (BulkState, MaterialLaw, ReferenceState, ShearState, SYM_INDEX,
+                        eval_transport, sound_speed, sym_position)
 
 __all__ = [
     "AssemblyError",
     "QuasilinearSystem",
     "CharacteristicReport",
     "bulk_signal_speed",
+    "reference_signal_speed",
     "shear_signal_speeds",
     "assemble_bulk",
     "assemble_shear",
@@ -39,11 +41,7 @@ __all__ = [
     "characteristic_speeds_numeric",
     "det_principal_symbol",
     "det_bulk_closed_form",
-    "SHEAR_ORDER",
 ]
-
-# variable ordering of the 10-field system; stress slots follow SYM_INDEX
-SHEAR_ORDER = ("rho", "v1", "v2", "v3", "Pi11", "Pi12", "Pi13", "Pi22", "Pi23", "Pi33")
 
 OFFDIAG_WEIGHT = np.sqrt(2.0)
 
@@ -93,7 +91,20 @@ def shear_signal_speeds(cs2, zeta, eta, rho, tau):
     return slow, fast
 
 
-def _bulk_coefficients(state: BulkState, law: MaterialLaw):
+def reference_signal_speed(law: MaterialLaw, system: str, reference: ReferenceState) -> float:
+    """The front speed c_v at the reference state: the bulk signal speed, or
+    the fast shear speed. cs^2 = A gamma rho^(gamma-1) is formed directly, as
+    the solver does, so the value matches the solver's speeds bit for bit."""
+    rho, pi_bar = reference.rho_bar, reference.Pi_bar
+    zeta, eta, tau = eval_transport(law, rho, pi_bar, 3.0 * pi_bar**2)
+    cs2 = law.A * law.gamma * rho ** (law.gamma - 1.0)
+    if system == "bulk":
+        return float(bulk_signal_speed(cs2, zeta, rho, tau))
+    return float(shear_signal_speeds(cs2, zeta, eta, rho, tau)[1])
+
+
+def _coefficients(state: BulkState | ShearState, law: MaterialLaw):
+    """(cs, zeta, eta, tau) at a state point; AssemblyError where invalid."""
     try:
         cs = sound_speed(law, state.rho)
         zeta, eta, tau = eval_transport(law, *state.invariants)
@@ -104,7 +115,7 @@ def _bulk_coefficients(state: BulkState, law: MaterialLaw):
 
 def assemble_bulk(state: BulkState, law: MaterialLaw) -> QuasilinearSystem:
     """5x5 symmetric matrices of the bulk-viscous system at a state point."""
-    cs, zeta, _, tau = _bulk_coefficients(state, law)
+    cs, zeta, _, tau = _coefficients(state, law)
     rho = state.rho
     v = state.v
     cs2 = cs * cs
@@ -134,11 +145,7 @@ def assemble_shear(state: ShearState, law: MaterialLaw) -> QuasilinearSystem:
     sqrt(2) weight and stress rows the 1/(2 eta cs^2) scale (see module
     docstring); characteristic speeds are invariant under both.
     """
-    try:
-        cs = sound_speed(law, state.rho)
-        zeta, eta, tau = eval_transport(law, *state.invariants)
-    except ValueError as exc:
-        raise AssemblyError(str(exc)) from exc
+    cs, zeta, eta, tau = _coefficients(state, law)
     rho = state.rho
     v = state.v
     cs2 = cs * cs
@@ -192,7 +199,7 @@ def _unit(direction) -> np.ndarray:
 
 def characteristic_speeds_bulk_closed(state: BulkState, law: MaterialLaw, direction) -> np.ndarray:
     """Sorted speeds {v.n (x3), v.n +- c_v} with c_v = sqrt(cs^2 + zeta/(rho tau))."""
-    cs, zeta, _, tau = _bulk_coefficients(state, law)
+    cs, zeta, _, tau = _coefficients(state, law)
     n = _unit(direction)
     vn = float(np.dot(state.v, n))
     cv = bulk_signal_speed(cs * cs, zeta, state.rho, tau)
@@ -205,11 +212,7 @@ def characteristic_speeds_shear_closed(state: ShearState, law: MaterialLaw, dire
     Returns the five distinct values only; multiplicities (which bring the
     count to the system dimension) come from the numeric eigensolver.
     """
-    try:
-        cs = sound_speed(law, state.rho)
-        zeta, eta, tau = eval_transport(law, *state.invariants)
-    except ValueError as exc:
-        raise AssemblyError(str(exc)) from exc
+    cs, zeta, eta, tau = _coefficients(state, law)
     n = _unit(direction)
     vn = float(np.dot(state.v, n))
     slow, fast = shear_signal_speeds(cs * cs, zeta, eta, state.rho, tau)
@@ -294,7 +297,7 @@ def det_bulk_closed_form(state: BulkState, law: MaterialLaw, xi0: float, xi_vec)
     alpha = xi0 + v.xi. The rho^2 prefactor is fixed by the a0 diagonal,
     (1/rho)(rho/cs^2)^3 tau/(zeta cs^2); it does not move the roots.
     """
-    cs, zeta, _, tau = _bulk_coefficients(state, law)
+    cs, zeta, _, tau = _coefficients(state, law)
     xi = np.asarray(xi_vec, dtype=float)
     alpha = xi0 + float(np.dot(state.v, xi))
     cv2 = cs * cs + zeta / (state.rho * tau)

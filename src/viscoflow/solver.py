@@ -20,16 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diagnostics
-from .config import ScenarioConfig, material_law, reference_state
-from .materials import MaterialLaw, ReferenceState, eval_transport
-from .quasilinear import bulk_signal_speed, shear_signal_speeds
+from .config import ScenarioConfig, default_tolerances, material_law, reference_state
+from .materials import LAYOUTS, MaterialLaw, ReferenceState, eval_transport
+from .quasilinear import bulk_signal_speed, reference_signal_speed, shear_signal_speeds
 
 __all__ = [
     "SolverError",
     "InvalidStateError",
     "Grid1D",
     "FluidFields",
-    "MonitorParams",
     "InitialReport",
     "StepOutcome",
     "Simulation",
@@ -38,14 +37,7 @@ __all__ = [
     "cfl_dt",
     "step",
     "run",
-    "BULK_FIELDS",
-    "SHEAR_FIELDS",
 ]
-
-BULK_FIELDS = ("rho", "u", "Pi")
-SHEAR_FIELDS = ("rho", "v1", "v2", "v3",
-                "Pi11", "Pi12", "Pi13", "Pi22", "Pi23", "Pi33")
-_ODD_FIELDS = {"u", "v1"}  # reflected with a sign flip at the spherical origin
 
 
 class SolverError(RuntimeError):
@@ -133,44 +125,18 @@ class FluidFields:
 
     def __init__(self, names: tuple[str, ...], grid: Grid1D):
         self.names = names
-        self._grid = grid
         self.data = np.zeros((len(names), grid.n_padded))
         self._index = {n: i for i, n in enumerate(names)}
-
-    def idx(self, name: str) -> int:
-        return self._index[name]
+        self._inner = slice(grid.n_ghost, grid.n_ghost + grid.n_cells)
 
     def get(self, name: str) -> np.ndarray:
-        g, n = self._grid.n_ghost, self._grid.n_cells
-        return self.data[self._index[name], g:g + n]
+        return self.data[self._index[name], self._inner]
 
     def set(self, name: str, values) -> None:
-        g, n = self._grid.n_ghost, self._grid.n_cells
-        self.data[self._index[name], g:g + n] = values
+        self.data[self._index[name], self._inner] = values
 
     def interior(self) -> np.ndarray:
-        g, n = self._grid.n_ghost, self._grid.n_cells
-        return self.data[:, g:g + n]
-
-    def copy(self) -> np.ndarray:
-        return self.data.copy()
-
-
-@dataclass
-class MonitorParams:
-    grad_factor: float = 1e3
-    dt_floor: float = 1e-12
-    rho_floor_frac: float = 1e-12
-    front_tol: float = 1e-8
-    front_slack_cells: int = 2
-    check_front: bool = True
-
-    @classmethod
-    def from_tolerances(cls, tol: dict[str, float]) -> "MonitorParams":
-        return cls(grad_factor=tol["grad_factor"], dt_floor=tol["dt_floor"],
-                   rho_floor_frac=tol["rho_floor_frac"], front_tol=tol["front_tol"],
-                   front_slack_cells=int(tol["front_slack_cells"]),
-                   check_front=bool(tol["check_front"]))
+        return self.data[:, self._inner]
 
 
 @dataclass
@@ -192,12 +158,16 @@ class StepOutcome:
 
 
 class Simulation:
-    """Mutable evolution state: one writer, no shared mutation."""
+    """Mutable evolution state: one writer, no shared mutation.
+
+    `tolerances` overrides entries of `config.default_tolerances()`; the
+    monitors read the merged dict.
+    """
 
     def __init__(self, grid: Grid1D, system: str, law: MaterialLaw,
                  reference: ReferenceState, cfl: float = 0.4,
                  integrator: str = "ssprk2",
-                 monitor: MonitorParams | None = None):
+                 tolerances: dict[str, float] | None = None):
         if system not in ("bulk", "shear"):
             raise ValueError(f"system must be bulk or shear, got {system!r}")
         if system == "shear" and grid.geometry == "spherical":
@@ -210,37 +180,26 @@ class Simulation:
         self.reference = reference
         self.cfl = float(cfl)
         self.integrator = integrator
-        self.monitor = monitor or MonitorParams()
-        self.fields = FluidFields(BULK_FIELDS if system == "bulk" else SHEAR_FIELDS, grid)
+        self.tolerances = {**default_tolerances(), **(tolerances or {})}
+        self.layout = LAYOUTS[system]
+        self.fields = FluidFields(self.layout.names, grid)
         self.t = 0.0
         self.step_count = 0
         self.initial = InitialReport(reference.rho_bar, 0.0, 0.0, 0.0, 0.0)
-
-        zeta, eta, tau = eval_transport(law, reference.rho_bar, reference.Pi_bar,
-                                        3.0 * reference.Pi_bar**2)
-        cs2 = law.A * law.gamma * reference.rho_bar ** (law.gamma - 1.0)
-        if system == "bulk":
-            self.cv_bar = float(bulk_signal_speed(cs2, zeta, reference.rho_bar, tau))
-        else:
-            self.cv_bar = float(shear_signal_speeds(cs2, zeta, eta,
-                                                    reference.rho_bar, tau)[1])
+        self.cv_bar = reference_signal_speed(law, system, reference)
+        self.reference_vector = self.layout.reference(reference)
+        # front-check normalisation per row: rho_bar, c_v for velocities,
+        # rho_bar c_v^2 for stresses
+        self.front_scales = np.full(len(self.layout.names), self.cv_bar)
+        self.front_scales[0] = reference.rho_bar
+        self.front_scales[list(self.layout.stress)] = reference.rho_bar * self.cv_bar**2
 
     @classmethod
     def uniform(cls, grid: Grid1D, system: str, law: MaterialLaw,
                 reference: ReferenceState, **kwargs) -> "Simulation":
         sim = cls(grid, system, law, reference, **kwargs)
-        sim.fields.data[:] = sim.reference_values()[:, None]
+        sim.fields.data[:] = sim.reference_vector[:, None]
         return sim
-
-    def reference_values(self) -> np.ndarray:
-        ref = self.reference
-        if self.system == "bulk":
-            return np.array([ref.rho_bar, ref.v_bar[0], ref.Pi_bar])
-        vals = {name: 0.0 for name in SHEAR_FIELDS}
-        vals["rho"] = ref.rho_bar
-        vals["v1"], vals["v2"], vals["v3"] = ref.v_bar
-        vals["Pi11"] = vals["Pi22"] = vals["Pi33"] = ref.Pi_bar
-        return np.array([vals[n] for n in SHEAR_FIELDS])
 
     def refresh_initial_report(self) -> None:
         gu, grho = diagnostics.max_gradients(self)
@@ -263,14 +222,14 @@ def _fill_ghosts(sim: Simulation, data: np.ndarray) -> None:
         data[:, :g] = data[:, n:n + g]
         data[:, n + g:] = data[:, g:2 * g]
         return
-    ref = sim.reference_values()
-    data[:, n + g:] = ref[:, None]
+    ref = sim.reference_vector[:, None]
+    data[:, n + g:] = ref
     if sim.grid.geometry == "spherical":
-        for f, name in enumerate(sim.fields.names):
-            sign = -1.0 if name in _ODD_FIELDS else 1.0
+        # mirror at the origin: odd rows (the radial velocity) flip sign
+        for f, sign in enumerate(sim.layout.parity):
             data[f, :g] = sign * data[f, 2 * g - 1:g - 1:-1]
     else:
-        data[:, :g] = ref[:, None]
+        data[:, :g] = ref
 
 
 def _minmod_slopes(w: np.ndarray) -> np.ndarray:
@@ -298,7 +257,7 @@ def _cell_coefficients(sim: Simulation, data: np.ndarray):
         pi = data[2]
         pi2 = 3.0 * pi * pi
     else:
-        p11, p12, p13, p22, p23, p33 = data[4:]
+        p11, p12, p13, p22, p23, p33 = (data[f] for f in sim.layout.stress)
         pi = (p11 + p22 + p33) / 3.0
         pi2 = p11**2 + p22**2 + p33**2 + 2.0 * (p12**2 + p13**2 + p23**2)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
@@ -377,22 +336,17 @@ def _hyperbolic_rhs(sim: Simulation, data: np.ndarray):
     rhs[0] = -_conservative_divergence(sim, f_mass)
 
     # velocities: primitive quasilinear form with Rusanov dissipation
-    n_vel = 1 if sim.system == "bulk" else 3
+    layout = sim.layout
     d_rho = _central_derivative(sim, hat[0])
-    for comp in range(n_vel):
-        fld = 1 + comp
+    for comp, (fld, drive) in enumerate(zip(layout.velocity, layout.drive)):
         du = _central_derivative(sim, hat[fld])
-        if sim.system == "bulk":
-            stress_idx = 2
-        else:
-            stress_idx = 4 + (0, 1, 2)[comp]  # Pi11, Pi12, Pi13 columns
-        d_stress = _central_derivative(sim, hat[stress_idx])
+        d_stress = _central_derivative(sim, hat[drive])
         adv = data[1, g:g + n] * du
         press = (cs2_i / rho_i) * d_rho if comp == 0 else 0.0
         rhs[fld] = -(adv + press + d_stress / rho_i) + _dissipation(sim, s_face, jump[fld])
 
     # stress transport: conservative Rusanov flux of u * Pi
-    for fld in range(1 + n_vel, data.shape[0]):
+    for fld in layout.stress:
         f = 0.5 * (left[1] * left[fld] + right[1] * right[fld]) - 0.5 * s_face * jump[fld]
         rhs[fld] = -_conservative_divergence(sim, f)
 
@@ -403,10 +357,9 @@ def _hyperbolic_rhs(sim: Simulation, data: np.ndarray):
 def _velocity_gradients(sim: Simulation, data: np.ndarray) -> list[np.ndarray]:
     """Face-consistent velocity derivatives on the interior: the divergence
     uses the conservative face average so its volume-weighted sum telescopes."""
-    n_vel = 1 if sim.system == "bulk" else 3
     grads = []
-    for comp in range(n_vel):
-        left, right = _face_states(data[1 + comp])
+    for comp, fld in enumerate(sim.layout.velocity):
+        left, right = _face_states(data[fld])
         hat = 0.5 * (left + right)
         if comp == 0:
             grads.append(_conservative_divergence(sim, hat))
@@ -433,16 +386,17 @@ def _relax(sim: Simulation, data: np.ndarray, delta: float) -> None:
 
     if sim.system == "bulk":
         div = grads[0]
-        update(2, -zeta_i * div)
+        update(sim.layout.stress[0], -zeta_i * div)
         return
     dv1, dv2, dv3 = grads
+    p11, p12, p13, p22, p23, p33 = sim.layout.stress
     trace_part = (zeta_i - 2.0 * eta_i / 3.0) * dv1
-    update(4, -(2.0 * eta_i * dv1 + trace_part))   # Pi11
-    update(5, -eta_i * dv2)                        # Pi12
-    update(6, -eta_i * dv3)                        # Pi13
-    update(7, -trace_part)                         # Pi22
-    update(8, np.zeros(n))                         # Pi23
-    update(9, -trace_part)                         # Pi33
+    update(p11, -(2.0 * eta_i * dv1 + trace_part))
+    update(p12, -eta_i * dv2)
+    update(p13, -eta_i * dv3)
+    update(p22, -trace_part)
+    update(p23, np.zeros(n))
+    update(p33, -trace_part)
 
 
 # ---------------------------------------------------------------------------
@@ -490,74 +444,71 @@ def _advance_hyperbolic(sim: Simulation, data: np.ndarray, dt: float) -> float:
 
 
 def _front_violation(sim: Simulation) -> str | None:
-    mon = sim.monitor
-    if not mon.check_front or sim.grid.bc == "periodic":
+    tol = sim.tolerances
+    if not tol["check_front"] or sim.grid.bc == "periodic":
         return None
     grid = sim.grid
     x = grid.centers_interior
     arm = x if grid.geometry == "spherical" else np.abs(x - grid.center)
-    radius = sim.reference.R + sim.cv_bar * sim.t + mon.front_slack_cells * grid.dx
+    radius = sim.reference.R + sim.cv_bar * sim.t + int(tol["front_slack_cells"]) * grid.dx
     outside = arm > radius
     if not np.any(outside):
         return None
-    ref = sim.reference_values()
-    scales = np.empty(len(sim.fields.names))
-    for f, name in enumerate(sim.fields.names):
-        if name == "rho":
-            scales[f] = sim.reference.rho_bar
-        elif name.startswith("Pi"):
-            scales[f] = sim.reference.rho_bar * sim.cv_bar**2
-        else:
-            scales[f] = sim.cv_bar
-    dev = np.abs(sim.fields.interior()[:, outside] - ref[:, None]) / scales[:, None]
+    dev = (np.abs(sim.fields.interior()[:, outside] - sim.reference_vector[:, None])
+           / sim.front_scales[:, None])
     worst = float(np.max(dev))
-    if worst > mon.front_tol:
+    if worst > tol["front_tol"]:
         f, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
         cell = int(np.flatnonzero(outside)[j])
         return (f"finite-propagation check failed: field {sim.fields.names[f]} deviates "
-                f"{worst:.3e} (> {mon.front_tol:.1e}) at cell {cell} beyond the front")
+                f"{worst:.3e} (> {tol['front_tol']:.1e}) at cell {cell} beyond the front")
+    return None
+
+
+def _state_problem(sim: Simulation) -> str | None:
+    """The first non-finite field value, else the lowest density below the
+    floor, with its field and cell; None for a valid state."""
+    interior = sim.fields.interior()
+    finite = np.isfinite(interior)
+    if not np.all(finite):
+        f, j = np.unravel_index(int(np.argmin(finite)), interior.shape)
+        return f"field {sim.fields.names[f]} non-finite at cell {j}"
+    rho = interior[0]
+    floor = sim.tolerances["rho_floor_frac"] * sim.reference.rho_bar
+    if np.any(rho < floor):
+        cell = int(np.argmin(rho))
+        return f"density {rho[cell]:.3e} below floor {floor:.1e} at cell {cell}"
     return None
 
 
 def step(sim: Simulation, dt: float | None = None) -> StepOutcome:
     """One Strang-split SSP step; never raises on physical breakdown, instead
     reporting it (with the failing check and cell) in the outcome."""
-    mon = sim.monitor
     data = sim.fields.data
-    rho = sim.fields.get("rho")
-    floor = mon.rho_floor_frac * sim.reference.rho_bar
-    if np.any(rho < floor) or not np.all(np.isfinite(sim.fields.interior())):
-        cell = int(np.argmin(rho))
+    problem = _state_problem(sim)
+    if problem is not None:
         return StepOutcome("invalid_state", 0.0, np.nan, np.nan,
-                           f"state invalid before the step (density {rho[cell]:.3e} "
-                           f"at cell {cell}); refusing to advance")
+                           f"state invalid before the step ({problem}); refusing to advance")
+    dt_floor = sim.tolerances["dt_floor"]
     try:
         if dt is None:
             dt = cfl_dt(sim)
-        if dt < mon.dt_floor:
+        if dt < dt_floor:
             return StepOutcome("breakdown", dt, np.nan, np.nan,
-                               f"time step {dt:.3e} collapsed below the floor {mon.dt_floor:.1e}")
+                               f"time step {dt:.3e} collapsed below the floor {dt_floor:.1e}")
         _relax(sim, data, 0.5 * dt)
         max_speed = _advance_hyperbolic(sim, data, dt)
         _relax(sim, data, 0.5 * dt)
-    except ValueError as exc:
+    except (ValueError, InvalidStateError) as exc:
         return StepOutcome("invalid_state", dt or np.nan, np.nan, np.nan,
                            f"state became invalid during the update: {exc}")
 
     sim.t += dt
     sim.step_count += 1
 
-    interior = sim.fields.interior()
-    if not np.all(np.isfinite(interior)):
-        f, j = np.unravel_index(int(np.argmin(np.isfinite(interior))), interior.shape)
-        return StepOutcome("invalid_state", dt, max_speed, np.nan,
-                           f"field {sim.fields.names[f]} non-finite at cell {j}")
-    rho = sim.fields.get("rho")
-    floor = mon.rho_floor_frac * sim.reference.rho_bar
-    if np.any(rho < floor):
-        cell = int(np.argmin(rho))
-        return StepOutcome("invalid_state", dt, max_speed, np.nan,
-                           f"density {rho[cell]:.3e} below floor {floor:.1e} at cell {cell}")
+    problem = _state_problem(sim)
+    if problem is not None:
+        return StepOutcome("invalid_state", dt, max_speed, np.nan, problem)
 
     max_grad, crossed = diagnostics.monitor_c1(sim)
     if crossed:
@@ -618,14 +569,11 @@ def _apply_profiles(sim: Simulation, a: float, b: float, c: float) -> None:
     s = (x / R) if grid.geometry == "spherical" else (x - grid.center) / R
     w = bump(s)
     ref = sim.reference
-    sim.fields.set("rho", ref.rho_bar + a * w)
-    vel = "u" if sim.system == "bulk" else "v1"
-    sim.fields.set(vel, ref.v_bar[0] + b * s * w)
-    if sim.system == "bulk":
-        sim.fields.set("Pi", ref.Pi_bar + c * w)
-    else:
-        for name in ("Pi11", "Pi22", "Pi33"):
-            sim.fields.set(name, ref.Pi_bar + c * w)
+    inner = sim.fields.interior()
+    inner[0] = ref.rho_bar + a * w
+    inner[sim.layout.velocity[0]] = ref.v_bar[0] + b * s * w
+    for f in sim.layout.normal:
+        inner[f] = ref.Pi_bar + c * w
 
 
 def init_scenario(cfg: ScenarioConfig) -> Simulation:
@@ -644,8 +592,7 @@ def init_scenario(cfg: ScenarioConfig) -> Simulation:
     ref = reference_state(cfg)
     grid = Grid1D(cfg.geometry, cfg.n_cells, cfg.x_min, cfg.x_max, bc=cfg.bc)
     sim = Simulation.uniform(grid, cfg.system, law, ref, cfl=cfg.cfl,
-                             integrator=cfg.integrator,
-                             monitor=MonitorParams.from_tolerances(cfg.tolerances))
+                             integrator=cfg.integrator, tolerances=cfg.tolerances)
     b = cfg.b
     if cfg.b_from_f0 is not None:
         _apply_profiles(sim, cfg.a, 1.0, cfg.c)

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from viscoflow.cli import main
 from viscoflow.config import (ConfigError, ScenarioConfig, apply_overrides,
                               default_tolerances, format_config, material_law,
                               parse_config)
@@ -231,6 +232,17 @@ class TestCli:
         assert cp.returncode == 2
         assert "system must be" in cp.stderr
 
+    @pytest.mark.parametrize("section,entry", [("reference", "rho_bar = inf"),
+                                               ("reference", "Pi_bar = inf"),
+                                               ("reference", "v_bar = inf"),
+                                               ("profile", "a = nan"),
+                                               ("run", "snapshot_times = 0.1, nan")])
+    def test_nonfinite_number_exit_code(self, tmp_path, capsys, section, entry):
+        path = tmp_path / "nonfinite.cfg"
+        path.write_text(MINIMAL + f"\n[{section}]\n{entry}\n", encoding="utf-8")
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert f"{entry.split()[0]} must be finite" in capsys.readouterr().err
+
     def test_missing_config_exit_code(self):
         cp = run_cli("speeds", "--config", "/nonexistent/nope.cfg")
         assert cp.returncode == 2
@@ -244,3 +256,14 @@ class TestCli:
         assert "relaxation factor" in cp.stdout
         assert "acoustic factor" in cp.stdout
         assert "overall verdict: stable" in cp.stdout
+
+
+def test_every_tolerance_has_a_reader():
+    """A [tolerances] key that no module outside config.py quotes is a knob
+    nothing reads."""
+    package = Path(__file__).resolve().parents[1] / "src" / "viscoflow"
+    sources = "\n".join(p.read_text(encoding="utf-8") for p in sorted(package.glob("*.py"))
+                        if p.name != "config.py")
+    unread = [key for key in default_tolerances()
+              if f'"{key}"' not in sources and f"'{key}'" not in sources]
+    assert unread == []

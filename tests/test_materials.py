@@ -75,6 +75,15 @@ class TestTransportLaws:
         with pytest.raises(MaterialLawError, match="eta"):
             eval_transport(law, 1.0)
 
+    def test_violation_names_first_offending_index(self):
+        law = MaterialLaw(A=1.0, gamma=2.0, tau=lambda rho, pi, pi2: 2.0 - rho)
+        rho = np.linspace(1.0, 3.0, 64)
+        with pytest.raises(MaterialLawError) as err:
+            eval_transport(law, rho)
+        msg = str(err.value)
+        assert "tau" in msg and "at index 32" in msg and "rho=2.01587" in msg
+        assert len(msg) < 200
+
     def test_nonfinite_evaluation_raises(self):
         law = MaterialLaw(A=1.0, gamma=2.0, zeta=lambda rho, pi, pi2: np.inf)
         with pytest.raises(MaterialLawError, match="zeta"):

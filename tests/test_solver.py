@@ -3,8 +3,8 @@ import pytest
 
 from viscoflow import diagnostics, solver
 from viscoflow.config import ScenarioConfig, default_tolerances
-from viscoflow.materials import MaterialLaw, ReferenceState
-from viscoflow.solver import Grid1D, MonitorParams, Simulation, bump
+from viscoflow.materials import CoefficientFunction, MaterialLaw, ReferenceState
+from viscoflow.solver import Grid1D, Simulation, bump
 
 
 def periodic_wave_sim(unit_law, n=256, amp=1e-3, zeta=None, tau=None, length=2 * np.pi):
@@ -326,22 +326,46 @@ class TestMonitorsAndOutcomes:
 
     def test_dt_floor_trips_breakdown(self, unit_law, unit_reference):
         grid = Grid1D("planar", 64, -2.0, 2.0, bc="periodic")
-        monitor = MonitorParams(dt_floor=1.0)
-        sim = Simulation.uniform(grid, "bulk", unit_law, unit_reference, monitor=monitor)
+        sim = Simulation.uniform(grid, "bulk", unit_law, unit_reference,
+                                 tolerances={"dt_floor": 1.0})
         out = solver.step(sim)
         assert out.status == "breakdown"
         assert "collapsed" in out.message
 
     def test_gradient_threshold_trips_breakdown(self, unit_law, unit_reference):
         grid = Grid1D("planar", 256, 0.0, 2 * np.pi, bc="periodic")
-        monitor = MonitorParams(grad_factor=1e-6)
-        sim = Simulation.uniform(grid, "bulk", unit_law, unit_reference, monitor=monitor)
+        sim = Simulation.uniform(grid, "bulk", unit_law, unit_reference,
+                                 tolerances={"grad_factor": 1e-6})
         x = grid.centers_interior
         sim.fields.set("u", 0.01 * np.sin(x))
         sim.refresh_initial_report()
         out = solver.step(sim)
         assert out.status == "breakdown"
         assert "gradient" in out.message
+
+    def test_nonfinite_state_named_before_the_step(self, unit_law, unit_reference):
+        grid = Grid1D("planar", 64, -2.0, 2.0, bc="periodic")
+        sim = Simulation.uniform(grid, "bulk", unit_law, unit_reference)
+        u = sim.fields.get("u").copy()
+        u[17] = np.nan
+        sim.fields.set("u", u)
+        out = solver.step(sim, 1e-3)
+        assert out.status == "invalid_state"
+        assert "field u non-finite at cell 17" in out.message
+        assert sim.step_count == 0
+
+    @pytest.mark.parametrize("dt", [None, 1e-3])
+    def test_law_turning_negative_is_a_short_outcome(self, dt):
+        # zeta = 1.5 - rho is positive at rho_bar = 1 but not on top of the bump
+        law = MaterialLaw(A=1.0, gamma=2.0,
+                          zeta=CoefficientFunction(lambda rho, pi, pi2: 1.5 - rho))
+        grid = Grid1D("planar", 64, -2.0, 2.0, bc="periodic")
+        sim = Simulation.uniform(grid, "bulk", law, ReferenceState(rho_bar=1.0, R=1.0))
+        sim.fields.set("rho", 1.0 + 0.8 * bump(grid.centers_interior))
+        out = solver.step(sim, dt)
+        assert out.status == "invalid_state"
+        assert "zeta" in out.message and "at index" in out.message
+        assert len(out.message) < 200
 
     def test_run_requires_forward_time(self, unit_law, unit_reference):
         grid = Grid1D("planar", 64, -2.0, 2.0)
