@@ -26,7 +26,6 @@ __all__ = [
     "BlowupCertificate",
     "DiagnosticSeries",
     "GrowthCheck",
-    "quad_weights",
     "radial_momentum",
     "relative_mass",
     "stress_integral",
@@ -51,15 +50,6 @@ def blowup_threshold(c_v: float, R: float, max_rho0: float) -> float:
     return 16.0 * np.pi / 3.0 * c_v * R**4 * max_rho0
 
 
-def quad_weights(grid) -> np.ndarray:
-    """Cell integration weights: dx for planar (per unit cross-section),
-    4 pi (r+^3 - r-^3)/3 for spherical shells."""
-    if grid.geometry == "spherical":
-        faces = grid.faces_interior
-        return 4.0 * np.pi * (faces[1:] ** 3 - faces[:-1] ** 3) / 3.0
-    return np.full(grid.n_cells, grid.dx)
-
-
 def _moment_arm(sim) -> np.ndarray:
     x = sim.grid.centers_interior
     return x if sim.grid.geometry == "spherical" else x - sim.grid.center
@@ -69,7 +59,7 @@ def radial_momentum(sim) -> float:
     """F = integral of x . rho v: 4 pi int r^3 rho u dr in spherical symmetry,
     int (x - center) rho u dx in planar geometry (test analog, not the
     theorem's geometry)."""
-    w = quad_weights(sim.grid)
+    w = sim.grid.quad_weights
     inner = sim.fields.interior()
     rho, u = inner[0], inner[sim.layout.velocity[0]]
     return float(np.sum(w * _moment_arm(sim) * rho * u))
@@ -77,13 +67,13 @@ def radial_momentum(sim) -> float:
 
 def relative_mass(sim) -> float:
     """Delta M = integral of (rho - rho_bar); constant in time for the exact flow."""
-    w = quad_weights(sim.grid)
+    w = sim.grid.quad_weights
     return float(np.sum(w * (sim.fields.get("rho") - sim.reference.rho_bar)))
 
 
 def stress_integral(sim) -> float:
     """G = integral of Pi (bulk) or of the stress trace Pi_ii (shear)."""
-    w = quad_weights(sim.grid)
+    w = sim.grid.quad_weights
     first, *rest = (sim.fields.interior()[f] for f in sim.layout.normal)
     return float(np.sum(w * sum(rest, first)))  # (Pi11 + Pi22) + Pi33 for shear
 
@@ -146,9 +136,7 @@ def certificate(sim, exterior_tol: float = 1e-12) -> BlowupCertificate:
         raise CertificateError("certificate requires v_bar = 0 and Pi_bar = 0")
 
     ref = sim.reference
-    x = sim.grid.centers_interior
-    outside = (np.abs(_moment_arm(sim)) >= ref.R) if sim.grid.geometry == "planar" \
-        else (x >= ref.R)
+    outside = sim.grid.radii >= ref.R
     if np.any(outside):
         rho = sim.fields.get("rho")
         dev = np.abs(rho[outside] - ref.rho_bar) / ref.rho_bar

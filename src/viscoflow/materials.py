@@ -11,6 +11,7 @@ contraction pi2 = Pi_ij Pi_ij.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -105,6 +106,13 @@ class MaterialLaw:
     def has_constant_transport(self) -> bool:
         return self.zeta.is_constant and self.eta.is_constant and self.tau.is_constant
 
+    @cached_property
+    def transport_constants(self) -> tuple[float, float, float] | None:
+        """(zeta, eta, tau) as floats when all three are constant, else None."""
+        if not self.has_constant_transport:
+            return None
+        return tuple(float(c.value) for c in (self.zeta, self.eta, self.tau))
+
 
 def pressure(law: MaterialLaw, rho):
     """Pressure P = A rho**gamma. Raises ValueError for non-positive rho."""
@@ -189,7 +197,9 @@ class FieldLayout:
     Row 0 is the density and row 1 the x-velocity in every layout. `drive`
     holds, per velocity row, the stress row Pi_1i whose x-derivative drives
     it; `normal` holds the diagonal stress rows, whose sum is the trace.
-    `parity` is the sign each row takes under the mirror x -> -x.
+    `parity` is the sign each row takes under the mirror x -> -x. The
+    velocity, driving-stress and stress rows are contiguous, so the `*_rows`
+    slices select each group as a view.
     """
 
     names: tuple[str, ...]
@@ -199,6 +209,18 @@ class FieldLayout:
     drive: tuple[int, ...]
     parity: tuple[float, ...]
 
+    @cached_property
+    def velocity_rows(self) -> slice:
+        return _block(self.velocity)
+
+    @cached_property
+    def drive_rows(self) -> slice:
+        return _block(self.drive)
+
+    @cached_property
+    def stress_rows(self) -> slice:
+        return _block(self.stress)
+
     def reference(self, ref: ReferenceState) -> np.ndarray:
         """The field vector of the constant reference state."""
         out = np.zeros(len(self.names))
@@ -206,6 +228,12 @@ class FieldLayout:
         out[list(self.velocity)] = ref.v_bar[:len(self.velocity)]
         out[list(self.normal)] = ref.Pi_bar
         return out
+
+
+def _block(rows: tuple[int, ...]) -> slice:
+    if rows != tuple(range(rows[0], rows[-1] + 1)):
+        raise ValueError(f"rows {rows} are not contiguous")
+    return slice(rows[0], rows[-1] + 1)
 
 
 _SHEAR_STRESS = tuple(range(4, 10))

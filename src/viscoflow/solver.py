@@ -11,17 +11,33 @@ a conservation law in the velocity and stress variables. The relaxation
 source is integrated by Strang splitting with an exact exponential update
 toward the local Navier-Stokes value, stable for arbitrarily small
 relaxation time. Time integration is SSP-RK2 (SSP-RK3 optional).
+
+Cost of a step. The transport coefficients are evaluated in three places:
+`cfl_dt` (interior cells), each relaxation half-step (interior cells) and
+each SSP stage of the hyperbolic update (the interior plus one cell on
+either side) -- five evaluations per SSP-RK2 step. A law with constant zeta,
+eta and tau (`MaterialLaw.has_constant_transport`) takes a scalar path
+instead: its floats enter the arithmetic directly, with no call to
+`eval_transport` and no per-cell positivity check, which the constants
+passed when they were built. Either path gives the same bits. The field
+rows of each group (velocities, driving stresses, stresses) are contiguous
+and are updated as one block. A step allocates little: the SSP stage, the
+right-hand side, the MUSCL slopes and face states, the fluxes and the
+derivatives live in one `_Workspace` per Simulation, made at its first step
+and filled in place; the grid's face areas, cell volumes and quadrature
+weights are computed once per `Grid1D`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import diagnostics
 from .config import ScenarioConfig, default_tolerances, material_law, reference_state
-from .materials import LAYOUTS, MaterialLaw, ReferenceState, eval_transport
+from .materials import LAYOUTS, MaterialLaw, MaterialLawError, ReferenceState, eval_transport
 from .quasilinear import bulk_signal_speed, reference_signal_speed, shear_signal_speeds
 
 __all__ = [
@@ -64,7 +80,8 @@ class Grid1D:
 
     Spherical geometry requires x_min = 0; the inner boundary is reflective
     and the outer boundary is held at the reference state. Planar grids are
-    either periodic or held at the reference state on both sides.
+    either periodic or held at the reference state on both sides. The
+    geometry arrays are computed once per grid and are read-only.
     """
 
     geometry: str
@@ -86,10 +103,12 @@ class Grid1D:
                 raise ValueError("spherical geometry cannot be periodic")
         if self.n_cells < 4:
             raise ValueError("need at least 4 cells")
+        if self.n_ghost < 2:
+            raise ValueError("need at least 2 ghost cells")
         if not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
 
-    @property
+    @cached_property
     def dx(self) -> float:
         return (self.x_max - self.x_min) / self.n_cells
 
@@ -97,27 +116,69 @@ class Grid1D:
     def n_padded(self) -> int:
         return self.n_cells + 2 * self.n_ghost
 
-    @property
+    @cached_property
+    def interior(self) -> slice:
+        """The interior cells of a padded array."""
+        return slice(self.n_ghost, self.n_ghost + self.n_cells)
+
+    @cached_property
     def faces_padded(self) -> np.ndarray:
         """Positions of all faces of the padded array (n_padded + 1)."""
-        return self.x_min + (np.arange(self.n_padded + 1) - self.n_ghost) * self.dx
+        return _frozen(self.x_min + (np.arange(self.n_padded + 1) - self.n_ghost) * self.dx)
 
-    @property
+    @cached_property
     def centers_padded(self) -> np.ndarray:
         f = self.faces_padded
-        return 0.5 * (f[:-1] + f[1:])
+        return _frozen(0.5 * (f[:-1] + f[1:]))
 
-    @property
+    @cached_property
     def centers_interior(self) -> np.ndarray:
-        return self.centers_padded[self.n_ghost:self.n_ghost + self.n_cells]
+        return self.centers_padded[self.interior]
 
-    @property
+    @cached_property
     def faces_interior(self) -> np.ndarray:
         return self.faces_padded[self.n_ghost:self.n_ghost + self.n_cells + 1]
 
     @property
     def center(self) -> float:
         return 0.5 * (self.x_min + self.x_max)
+
+    @cached_property
+    def radii(self) -> np.ndarray:
+        """Distance of each interior cell centre from the centre of symmetry:
+        the origin (spherical) or the middle of the domain (planar)."""
+        x = self.centers_interior
+        return x if self.geometry == "spherical" else _frozen(np.abs(x - self.center))
+
+    @cached_property
+    def face_areas(self) -> np.ndarray:
+        """Areas of the n_cells + 1 interior faces: 1 planar, r^2 spherical."""
+        if self.geometry == "planar":
+            return _frozen(np.ones(self.n_cells + 1))
+        return _frozen(self.faces_interior ** 2)
+
+    @cached_property
+    def cell_volumes(self) -> np.ndarray:
+        """Interior cell volumes of the finite-volume update: dx planar,
+        (r+^3 - r-^3)/3 spherical, so that sum(V_i * div_i) telescopes."""
+        if self.geometry == "planar":
+            return _frozen(np.full(self.n_cells, self.dx))
+        xf = self.faces_interior
+        return _frozen((xf[1:] ** 3 - xf[:-1] ** 3) / 3.0)
+
+    @cached_property
+    def quad_weights(self) -> np.ndarray:
+        """Cell integration weights of the diagnostics: dx for planar (per
+        unit cross-section), 4 pi (r+^3 - r-^3)/3 for spherical shells."""
+        if self.geometry == "spherical":
+            faces = self.faces_interior
+            return _frozen(4.0 * np.pi * (faces[1:] ** 3 - faces[:-1] ** 3) / 3.0)
+        return _frozen(np.full(self.n_cells, self.dx))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 class FluidFields:
@@ -127,7 +188,7 @@ class FluidFields:
         self.names = names
         self.data = np.zeros((len(names), grid.n_padded))
         self._index = {n: i for i, n in enumerate(names)}
-        self._inner = slice(grid.n_ghost, grid.n_ghost + grid.n_cells)
+        self._inner = grid.interior
 
     def get(self, name: str) -> np.ndarray:
         return self.data[self._index[name], self._inner]
@@ -137,6 +198,56 @@ class FluidFields:
 
     def interior(self) -> np.ndarray:
         return self.data[:, self._inner]
+
+
+class _FaceViews:
+    """Views, for `rows` field rows, into the pool buffers of a _Workspace:
+    the MUSCL differences and slopes, then the face states, jump and average."""
+
+    def __init__(self, pool, masks, rows: int, n: int):
+        def view(buf, cols):
+            return buf[:rows * cols].reshape(rows, cols)
+
+        self.diff, self.adiff, self.slope = view(pool[0], n + 3), view(pool[1], n + 3), \
+            view(pool[2], n + 2)
+        self.flat, self.pick = view(masks[0], n + 2), view(masks[1], n + 2)
+        self.left, self.right = view(pool[0], n + 1), view(pool[1], n + 1)
+        self.jump, self.hat = view(pool[2], n + 1), view(pool[3], n + 1)
+
+
+class _Workspace:
+    """The arrays a step of one Simulation reuses on every call.
+
+    `stage` holds the SSP stages and `rhs` the right-hand side. Four pool
+    buffers hold, in turn, the MUSCL slopes, the face states, the fluxes and
+    the derivatives: `all` views them for every field row (the hyperbolic
+    right-hand side) and `vel` for the velocity rows (the relaxation). All
+    are cut from one allocation: as separate arrays of a large grid, their
+    release at the end of a run shrank the heap, and the next run's set-up
+    page-faulted its fields back in.
+    """
+
+    def __init__(self, layout, grid: Grid1D):
+        nf, n = len(layout.names), grid.n_cells
+        nv = len(layout.velocity)
+        sizes = [nf * (n + 3)] * 4 + [nf * grid.n_padded, nf * n, n + 1, n + 1]
+        block = np.empty(sum(sizes))
+        parts = np.split(block, np.cumsum(sizes)[:-1])
+        pool = parts[:4]
+        self.stage = parts[4].reshape(nf, grid.n_padded)
+        self.rhs = parts[5].reshape(nf, n)
+        self.u_left, self.u_right = parts[6], parts[7]
+        masks = np.split(np.empty(2 * nf * (n + 2), dtype=bool), 2)
+        self.all = _FaceViews(pool, masks, nf, n)
+        self.vel = _FaceViews(pool, masks, nv, n)
+        # right-hand side, after the fluxes: derivatives of rows up to the
+        # last driving stress, then the velocity dissipation
+        self.deriv = pool[0][:layout.drive_rows.stop * n].reshape(-1, n)
+        self.diss_faces = pool[1][:nv * (n + 1)].reshape(nv, n + 1)
+        self.diss = pool[3][:nv * n].reshape(nv, n)
+        # relaxation: velocity gradients and the Navier-Stokes stresses
+        self.grads = pool[0][:nv * n].reshape(nv, n)
+        self.eq = pool[1][:len(layout.stress) * n].reshape(-1, n)
 
 
 @dataclass
@@ -193,6 +304,12 @@ class Simulation:
         self.front_scales = np.full(len(self.layout.names), self.cv_bar)
         self.front_scales[0] = reference.rho_bar
         self.front_scales[list(self.layout.stress)] = reference.rho_bar * self.cv_bar**2
+        self.parity = np.array(self.layout.parity)[:, None]
+
+    @cached_property
+    def work(self) -> _Workspace:
+        """The step's reused buffers, allocated at the first step."""
+        return _Workspace(self.layout, self.grid)
 
     @classmethod
     def uniform(cls, grid: Grid1D, system: str, law: MaterialLaw,
@@ -226,177 +343,168 @@ def _fill_ghosts(sim: Simulation, data: np.ndarray) -> None:
     data[:, n + g:] = ref
     if sim.grid.geometry == "spherical":
         # mirror at the origin: odd rows (the radial velocity) flip sign
-        for f, sign in enumerate(sim.layout.parity):
-            data[f, :g] = sign * data[f, 2 * g - 1:g - 1:-1]
+        np.multiply(data[:, 2 * g - 1:g - 1:-1], sim.parity, out=data[:, :g])
     else:
         data[:, :g] = ref
 
 
-def _minmod_slopes(w: np.ndarray) -> np.ndarray:
-    """Limited slopes per cell along the last axis; zero in the outermost cells."""
-    s = np.zeros_like(w)
-    dl = w[..., 1:-1] - w[..., :-2]
-    dr = w[..., 2:] - w[..., 1:-1]
-    s[..., 1:-1] = np.where(dl * dr > 0.0, np.sign(dl) * np.minimum(np.abs(dl), np.abs(dr)), 0.0)
-    return s
+def _face_states(w: np.ndarray, v: _FaceViews) -> None:
+    """MUSCL minmod-limited left/right states at the n + 1 interior faces, into
+    v.left and v.right, from the rows `w` over the interior and two cells on
+    each side. The minmod slope is where(dl dr > 0, the one of dl, dr of least
+    magnitude, 0)."""
+    d = np.subtract(w[:, 1:], w[:, :-1], out=v.diff)
+    np.abs(d, out=v.adiff)
+    dl, dr = d[:, :-1], d[:, 1:]
+    s = np.multiply(dl, dr, out=v.slope)
+    flat = np.greater(s, 0.0, out=v.flat)
+    np.logical_not(flat, out=flat)
+    np.less_equal(v.adiff[:, :-1], v.adiff[:, 1:], out=v.pick)
+    np.copyto(s, dr)
+    np.copyto(s, dl, where=v.pick)
+    np.copyto(s, 0.0, where=flat)
+    s *= 0.5
+    np.add(w[:, 1:-2], s[:, :-1], out=v.left)
+    np.subtract(w[:, 2:-1], s[:, 1:], out=v.right)
 
 
-def _face_states(w: np.ndarray):
-    """MUSCL left/right states at the faces between consecutive padded cells."""
-    s = _minmod_slopes(w)
-    left = w[..., :-1] + 0.5 * s[..., :-1]
-    right = w[..., 1:] - 0.5 * s[..., 1:]
-    return left, right
-
-
-def _cell_coefficients(sim: Simulation, data: np.ndarray):
-    """(cs2, zeta, eta, tau, fast_speed) on the padded grid."""
-    law = sim.law
-    rho = data[0]
+def _transport(sim: Simulation, data: np.ndarray, cells: slice):
+    """(zeta, eta, tau) on the padded cells `cells`; the law's floats when it
+    is constant. A law violation is reported at its interior cell."""
+    constants = sim.law.transport_constants
+    if constants is not None:
+        return constants
+    rho = data[0, cells]
     if sim.system == "bulk":
-        pi = data[2]
+        pi = data[sim.layout.stress[0], cells]
         pi2 = 3.0 * pi * pi
     else:
-        p11, p12, p13, p22, p23, p33 = (data[f] for f in sim.layout.stress)
+        p11, p12, p13, p22, p23, p33 = data[sim.layout.stress_rows, cells]
         pi = (p11 + p22 + p33) / 3.0
         pi2 = p11**2 + p22**2 + p33**2 + 2.0 * (p12**2 + p13**2 + p23**2)
+    try:
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            return eval_transport(sim.law, rho, pi, pi2)
+    except MaterialLawError:
+        if cells != sim.grid.interior:
+            _transport(sim, data, sim.grid.interior)  # raises, naming the interior cell
+        raise
+
+
+def _signal_speed(sim: Simulation, data: np.ndarray, cells: slice, transport):
+    """(cs2, fastest characteristic speed) on the padded cells `cells`."""
+    law = sim.law
+    rho = data[0, cells]
+    zeta, eta, tau = transport
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         cs2 = law.A * law.gamma * rho ** (law.gamma - 1.0)
-        zeta, eta, tau = eval_transport(law, rho, pi, pi2)
-        zeta = np.broadcast_to(np.asarray(zeta, float), rho.shape)
-        eta = np.broadcast_to(np.asarray(eta, float), rho.shape)
-        tau = np.broadcast_to(np.asarray(tau, float), rho.shape)
         if sim.system == "bulk":
-            fast = bulk_signal_speed(cs2, zeta, rho, tau)
-        else:
-            fast = shear_signal_speeds(cs2, zeta, eta, rho, tau)[1]
-    return cs2, zeta, eta, tau, fast
+            return cs2, bulk_signal_speed(cs2, zeta, rho, tau)
+        return cs2, shear_signal_speeds(cs2, zeta, eta, rho, tau)[1]
 
 
-def _geometry_weights(sim: Simulation):
-    """(face areas, cell volumes) for the divergence of conservative fluxes.
-
-    Face j sits between padded cells j and j+1. Planar geometry uses unit
-    areas and dx volumes; spherical uses r^2 areas and shell volumes, making
-    sum(V_i * div_i) telescope exactly.
-    """
-    grid = sim.grid
-    if grid.geometry == "planar":
-        area = np.ones(grid.n_padded - 1)
-        vol = np.full(grid.n_padded, grid.dx)
-        return area, vol
-    xf = grid.faces_padded
-    area = xf[1:-1] ** 2
-    vol = (xf[1:] ** 3 - xf[:-1] ** 3) / 3.0
-    return area, vol
-
-
-def _conservative_divergence(sim: Simulation, flux: np.ndarray) -> np.ndarray:
-    """(A F)_+ - (A F)_- over cell volume, for the interior cells."""
-    g, n = sim.grid.n_ghost, sim.grid.n_cells
-    area, vol = _geometry_weights(sim)
-    lo, hi = g - 1, g + n
-    af = area[lo:hi] * flux[lo:hi]
-    return (af[1:] - af[:-1]) / vol[g:g + n]
-
-
-def _central_derivative(sim: Simulation, hat: np.ndarray) -> np.ndarray:
-    g, n = sim.grid.n_ghost, sim.grid.n_cells
-    lo, hi = g - 1, g + n
-    h = hat[lo:hi]
-    return (h[1:] - h[:-1]) / sim.grid.dx
-
-
-def _dissipation(sim: Simulation, s_face: np.ndarray, jump: np.ndarray) -> np.ndarray:
-    g, n = sim.grid.n_ghost, sim.grid.n_cells
-    lo, hi = g - 1, g + n
-    d = s_face[lo:hi] * jump[lo:hi]
-    return (d[1:] - d[:-1]) / (2.0 * sim.grid.dx)
+def _divergence(grid: Grid1D, faces: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """((A F)_+ - (A F)_-) / V per row of interior face values, into `out`;
+    `faces` is scaled by the areas in place."""
+    faces *= grid.face_areas
+    np.subtract(faces[:, 1:], faces[:, :-1], out=out)
+    out /= grid.cell_volumes
+    return out
 
 
 def _hyperbolic_rhs(sim: Simulation, data: np.ndarray):
-    """Method-of-lines right-hand side on the interior cells, plus the
-    maximum signal speed used for the CFL condition."""
-    g, n = sim.grid.n_ghost, sim.grid.n_cells
-    cs2, zeta, eta, tau, fast = _cell_coefficients(sim, data)
-    uvel = data[1]
-    spd = np.abs(uvel) + fast
+    """Method-of-lines right-hand side on the interior cells (a reused
+    buffer), plus the maximum signal speed used for the CFL condition.
+
+    Mass and stress rows take the conservative Rusanov flux of rho u and
+    u Pi; velocity rows the primitive quasilinear form with Rusanov
+    dissipation."""
+    grid, layout, ws = sim.grid, sim.layout, sim.work
+    g, n, dx = grid.n_ghost, grid.n_cells, grid.dx
+    near = slice(g - 1, g + n + 1)  # the cells on either side of an interior face
+    cs2, fast = _signal_speed(sim, data, near, _transport(sim, data, near))
+    spd = np.abs(data[1, near])
+    spd += fast
     s_face = np.maximum(spd[:-1], spd[1:])
+    max_speed = float(spd[1:-1].max())
 
-    left, right = _face_states(data)
-    hat = 0.5 * (left + right)
-    jump = right - left
+    v = ws.all
+    _face_states(data[:, g - 2:g + n + 2], v)
+    left, right = v.left, v.right
+    jump = np.subtract(right, left, out=v.jump)
+    top = layout.drive_rows.stop  # the velocity update reads the rows above it
+    hat = np.add(left[:top], right[:top], out=v.hat[:top])
+    hat *= 0.5
 
-    rho_i = data[0, g:g + n]
-    cs2_i = cs2[g:g + n]
-    rhs = np.zeros((data.shape[0], n))
+    # mass and stresses: flux 0.5 (uL wL + uR wR) - 0.5 s (wR - wL), formed
+    # for every row; the velocity rows of rhs are overwritten below
+    np.copyto(ws.u_left, left[1])
+    np.copyto(ws.u_right, right[1])
+    flux = left
+    flux *= ws.u_left
+    right *= ws.u_right
+    flux += right
+    flux *= 0.5
+    flux -= np.multiply(jump, 0.5 * s_face, out=right)
+    rhs = np.negative(_divergence(grid, flux, ws.rhs), out=ws.rhs)
 
-    # mass: conservative Rusanov flux
-    f_mass = 0.5 * (left[0] * left[1] + right[0] * right[1]) - 0.5 * s_face * jump[0]
-    rhs[0] = -_conservative_divergence(sim, f_mass)
-
-    # velocities: primitive quasilinear form with Rusanov dissipation
-    layout = sim.layout
-    d_rho = _central_derivative(sim, hat[0])
-    for comp, (fld, drive) in enumerate(zip(layout.velocity, layout.drive)):
-        du = _central_derivative(sim, hat[fld])
-        d_stress = _central_derivative(sim, hat[drive])
-        adv = data[1, g:g + n] * du
-        press = (cs2_i / rho_i) * d_rho if comp == 0 else 0.0
-        rhs[fld] = -(adv + press + d_stress / rho_i) + _dissipation(sim, s_face, jump[fld])
-
-    # stress transport: conservative Rusanov flux of u * Pi
-    for fld in layout.stress:
-        f = 0.5 * (left[1] * left[fld] + right[1] * right[fld]) - 0.5 * s_face * jump[fld]
-        rhs[fld] = -_conservative_divergence(sim, f)
-
-    max_speed = float(np.max(spd[g:g + n]))
+    # velocities: -(u du + (cs2/rho) drho + dPi_1i / rho) + dissipation
+    rho_i, u_i = data[0, grid.interior], data[1, grid.interior]
+    deriv = np.subtract(hat[:, 1:], hat[:, :-1], out=ws.deriv)
+    deriv /= dx
+    vel = np.multiply(deriv[layout.velocity_rows], u_i, out=rhs[layout.velocity_rows])
+    vel[0] += (cs2[1:-1] / rho_i) * deriv[0]
+    vel[1:] += 0.0  # no pressure term; keeps the signed zeros of u du + 0 + ...
+    d_stress = deriv[layout.drive_rows]
+    d_stress /= rho_i
+    vel += d_stress
+    np.negative(vel, out=vel)
+    d = np.multiply(jump[layout.velocity_rows], s_face, out=ws.diss_faces)
+    diss = np.subtract(d[:, 1:], d[:, :-1], out=ws.diss)
+    diss /= 2.0 * dx
+    vel += diss
     return rhs, max_speed
 
 
-def _velocity_gradients(sim: Simulation, data: np.ndarray) -> list[np.ndarray]:
-    """Face-consistent velocity derivatives on the interior: the divergence
-    uses the conservative face average so its volume-weighted sum telescopes."""
-    grads = []
-    for comp, fld in enumerate(sim.layout.velocity):
-        left, right = _face_states(data[fld])
-        hat = 0.5 * (left + right)
-        if comp == 0:
-            grads.append(_conservative_divergence(sim, hat))
-        else:
-            grads.append(_central_derivative(sim, hat))
-    return grads
+def _velocity_gradients(sim: Simulation, data: np.ndarray) -> np.ndarray:
+    """Face-consistent velocity derivatives on the interior (a reused buffer):
+    the divergence uses the conservative face average so its volume-weighted
+    sum telescopes. Transverse rows exist only in planar geometry, where this
+    is the central difference of the face averages."""
+    g, n = sim.grid.n_ghost, sim.grid.n_cells
+    v = sim.work.vel
+    _face_states(data[sim.layout.velocity_rows, g - 2:g + n + 2], v)
+    hat = np.add(v.left, v.right, out=v.hat)
+    hat *= 0.5
+    return _divergence(sim.grid, hat, sim.work.grads)
 
 
 def _relax(sim: Simulation, data: np.ndarray, delta: float) -> None:
     """Exact exponential update of the stress toward its Navier-Stokes value,
     with the velocity gradient frozen over the substep."""
-    g, n = sim.grid.n_ghost, sim.grid.n_cells
+    grid = sim.grid
     _fill_ghosts(sim, data)
-    cs2, zeta, eta, tau, _ = _cell_coefficients(sim, data)
-    zeta_i = zeta[g:g + n]
-    eta_i = eta[g:g + n]
-    tau_i = tau[g:g + n]
+    zeta, eta, tau = _transport(sim, data, grid.interior)
     grads = _velocity_gradients(sim, data)
-    factor = np.exp(-delta / tau_i)
-
-    def update(fld: int, eq: np.ndarray) -> None:
-        cur = data[fld, g:g + n]
-        data[fld, g:g + n] = eq + (cur - eq) * factor
-
+    factor = np.exp(-delta / tau)
+    eq = sim.work.eq  # rows in layout.stress order
     if sim.system == "bulk":
-        div = grads[0]
-        update(sim.layout.stress[0], -zeta_i * div)
-        return
-    dv1, dv2, dv3 = grads
-    p11, p12, p13, p22, p23, p33 = sim.layout.stress
-    trace_part = (zeta_i - 2.0 * eta_i / 3.0) * dv1
-    update(p11, -(2.0 * eta_i * dv1 + trace_part))
-    update(p12, -eta_i * dv2)
-    update(p13, -eta_i * dv3)
-    update(p22, -trace_part)
-    update(p23, np.zeros(n))
-    update(p33, -trace_part)
+        np.multiply(grads[0], -zeta, out=eq[0])
+    else:
+        # Pi11, Pi12, Pi13, Pi22, Pi23, Pi33
+        dv1 = grads[0]
+        trace_part = (zeta - 2.0 * eta / 3.0) * dv1
+        np.multiply(2.0 * eta, dv1, out=eq[0])
+        eq[0] += trace_part
+        np.negative(eq[0], out=eq[0])
+        np.multiply(grads[1:3], -eta, out=eq[1:3])
+        np.negative(trace_part, out=eq[3])
+        eq[4] = 0.0
+        eq[5] = eq[3]
+    cur = data[sim.layout.stress_rows, grid.interior]
+    cur -= eq
+    cur *= factor
+    cur += eq
 
 
 # ---------------------------------------------------------------------------
@@ -405,41 +513,45 @@ def _relax(sim: Simulation, data: np.ndarray, delta: float) -> None:
 
 def cfl_dt(sim: Simulation) -> float:
     """cfl * dx / max(|u| + fastest local characteristic speed)."""
-    g, n = sim.grid.n_ghost, sim.grid.n_cells
     data = sim.fields.data
-    _fill_ghosts(sim, data)
+    inner = sim.grid.interior
     try:
-        _, _, _, _, fast = _cell_coefficients(sim, data)
+        _, fast = _signal_speed(sim, data, inner, _transport(sim, data, inner))
     except ValueError as exc:
         raise InvalidStateError(str(exc)) from exc
-    spd = np.abs(data[1, g:g + n]) + fast[g:g + n]
-    smax = float(np.max(spd))
+    spd = np.abs(data[1, inner])
+    spd += fast
+    smax = float(spd.max())
     if not np.isfinite(smax) or smax <= 0.0:
         raise InvalidStateError(f"maximum signal speed is not finite: {smax}")
     return sim.cfl * sim.grid.dx / smax
 
 
 def _advance_hyperbolic(sim: Simulation, data: np.ndarray, dt: float) -> float:
-    g, n = sim.grid.n_ghost, sim.grid.n_cells
-    sl = np.s_[:, g:g + n]
+    """SSP-RK2 (or RK3) over the interior of `data`, in place. The stages live
+    in one reused buffer; `data` itself is the stage-0 state."""
+    inner = np.s_[:, sim.grid.interior]
+    stage = sim.work.stage
 
-    def euler(state: np.ndarray):
-        _fill_ghosts(sim, state)
-        rhs, smax = _hyperbolic_rhs(sim, state)
-        out = state.copy()
-        out[sl] += dt * rhs
-        return out, smax
+    def euler(src: np.ndarray) -> float:
+        # stage[inner] = src[inner] + dt * rhs(src)
+        _fill_ghosts(sim, src)
+        rhs, smax = _hyperbolic_rhs(sim, src)
+        rhs *= dt
+        np.add(src[inner], rhs, out=stage[inner])
+        return smax
 
-    u0 = data.copy()
-    u1, s1 = euler(u0)
+    s1 = euler(data)
+    s2 = euler(stage)
     if sim.integrator == "ssprk2":
-        u2, s2 = euler(u1)
-        data[sl] = 0.5 * u0[sl] + 0.5 * u2[sl]
+        u0, u2 = data[inner], stage[inner]  # views: data = 0.5 u0 + 0.5 u2
+        u0 *= 0.5
+        u2 *= 0.5
+        u0 += u2
         return max(s1, s2)
-    u2, s2 = euler(u1)
-    u2[sl] = 0.75 * u0[sl] + 0.25 * u2[sl]
-    u3, s3 = euler(u2)
-    data[sl] = u0[sl] / 3.0 + 2.0 / 3.0 * u3[sl]
+    stage[inner] = 0.75 * data[inner] + 0.25 * stage[inner]
+    s3 = euler(stage)
+    data[inner] = data[inner] / 3.0 + 2.0 / 3.0 * stage[inner]
     return max(s1, s2, s3)
 
 
@@ -448,16 +560,18 @@ def _front_violation(sim: Simulation) -> str | None:
     if not tol["check_front"] or sim.grid.bc == "periodic":
         return None
     grid = sim.grid
-    x = grid.centers_interior
-    arm = x if grid.geometry == "spherical" else np.abs(x - grid.center)
     radius = sim.reference.R + sim.cv_bar * sim.t + int(tol["front_slack_cells"]) * grid.dx
-    outside = arm > radius
-    if not np.any(outside):
+    outside = grid.radii > radius
+    if not outside.any():
         return None
-    dev = (np.abs(sim.fields.interior()[:, outside] - sim.reference_vector[:, None])
-           / sim.front_scales[:, None])
-    worst = float(np.max(dev))
+    inner, ref = sim.fields.interior(), sim.reference_vector
+    # max |w - ref| of each row from its extremes beyond the front, which
+    # copies nothing; the same bits as the maximum of the differences
+    hi = inner.max(axis=1, where=outside, initial=-np.inf)
+    lo = inner.min(axis=1, where=outside, initial=np.inf)
+    worst = float((np.maximum(hi - ref, ref - lo) / sim.front_scales).max())
     if worst > tol["front_tol"]:
+        dev = np.abs(inner[:, outside] - ref[:, None]) / sim.front_scales[:, None]
         f, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
         cell = int(np.flatnonzero(outside)[j])
         return (f"finite-propagation check failed: field {sim.fields.names[f]} deviates "
@@ -470,12 +584,12 @@ def _state_problem(sim: Simulation) -> str | None:
     floor, with its field and cell; None for a valid state."""
     interior = sim.fields.interior()
     finite = np.isfinite(interior)
-    if not np.all(finite):
+    if not finite.all():
         f, j = np.unravel_index(int(np.argmin(finite)), interior.shape)
         return f"field {sim.fields.names[f]} non-finite at cell {j}"
     rho = interior[0]
     floor = sim.tolerances["rho_floor_frac"] * sim.reference.rho_bar
-    if np.any(rho < floor):
+    if (rho < floor).any():
         cell = int(np.argmin(rho))
         return f"density {rho[cell]:.3e} below floor {floor:.1e} at cell {cell}"
     return None

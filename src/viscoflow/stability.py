@@ -325,11 +325,11 @@ def verify_against_simulation(background: Background, k: float,
     t_settle = settle_periods * period
     t_end = t_settle + fit_periods * period
     times, coeffs = [], []
+    kernel = np.exp(-1j * k * x_cells)
+    base = b.rho0 if probe == "rho" else 0.0
 
     def observer(s):
-        f = s.fields.get(probe)
-        base = b.rho0 if probe == "rho" else 0.0
-        c = np.sum((f - base) * np.exp(-1j * k * x_cells)) * grid.dx
+        c = np.sum((s.fields.get(probe) - base) * kernel) * grid.dx
         times.append(s.t)
         coeffs.append(c)
 

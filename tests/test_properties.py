@@ -1,0 +1,162 @@
+"""Invariants of the finite-volume evolution over randomized inputs.
+
+Each property holds exactly, or to rounding, for the discrete scheme itself,
+so an optimization of the step that changes the arithmetic shows up here:
+
+- planar mirror symmetry: data that is even in x (odd for the rows with
+  parity -1) stays so bit for bit;
+- discrete mass, sum(V_i rho_i), is conserved to rounding when no mass
+  crosses the boundary;
+- a constant law gives the same bits whether it is a ConstantCoefficient,
+  which takes the scalar path, or a CoefficientFunction returning the
+  constant as a float or as a per-cell array.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from viscoflow import solver
+from viscoflow.materials import CoefficientFunction, MaterialLaw, ReferenceState
+from viscoflow.solver import Grid1D, Simulation, bump
+
+PROPERTY = settings(max_examples=10, deadline=None, derandomize=True, database=None)
+UNTRIPPED = {"check_front": 0.0, "grad_factor": 1e9}
+coefficient = st.floats(0.5, 2.0)
+
+
+def amplitudes(rows):
+    return st.lists(st.floats(-0.1, 0.1), min_size=rows, max_size=rows)
+
+
+def state_dependent_law(z0, e0, t0):
+    # depends on rho, the trace and the contraction only: mirror-even
+    return MaterialLaw(
+        A=0.5, gamma=1.8,
+        zeta=CoefficientFunction(lambda rho, pi, pi2: z0 * rho**1.5 * (1.0 + pi2)),
+        eta=CoefficientFunction(lambda rho, pi, pi2: e0 * rho * (1.0 + pi2)),
+        tau=CoefficientFunction(lambda rho, pi, pi2: t0 * (0.5 + 0.5 * rho)))
+
+
+def mirror(sim, rows):
+    """Reflect x and flip the odd rows."""
+    return np.array(sim.layout.parity)[:, None] * rows[:, ::-1]
+
+
+def set_symmetric_bumps(sim, amps):
+    """Each row gets ref + a * bump (even rows) or a * s * bump (odd rows),
+    built on the left half of the grid and mirrored, so the data is exactly
+    symmetric whatever the rounding of the cell centres."""
+    grid = sim.grid
+    half = grid.n_cells // 2
+    s = (grid.centers_interior[:half] - grid.center) / sim.reference.R
+    w = bump(s)
+    inner = sim.fields.interior()
+    for f, (a, sign) in enumerate(zip(amps, sim.layout.parity)):
+        left = sim.reference_vector[f] + a * (w if sign > 0 else s * w)
+        inner[f, :half] = left
+        inner[f, half:] = sign * left[::-1] if sign < 0 else left[::-1]
+
+
+def evolve(sim, steps):
+    for _ in range(steps):
+        out = solver.step(sim)
+        assert out.status == "ok", out.message
+    return sim.fields.interior().copy()
+
+
+class TestMirrorSymmetry:
+    @PROPERTY
+    @given(amps=amplitudes(3), constant=st.booleans(), c=st.tuples(coefficient, coefficient,
+                                                                     coefficient))
+    def test_bulk(self, amps, constant, c):
+        law = MaterialLaw(A=0.5, gamma=1.8, zeta=c[0], eta=c[1], tau=c[2]) if constant \
+            else state_dependent_law(*c)
+        grid = Grid1D("planar", 48, -3.0, 3.0)
+        sim = Simulation.uniform(grid, "bulk", law, ReferenceState(rho_bar=1.0, R=1.5),
+                                 tolerances=UNTRIPPED)
+        set_symmetric_bumps(sim, amps)
+        final = evolve(sim, 15)
+        assert np.array_equal(final, mirror(sim, final))
+
+    @PROPERTY
+    @given(amps=amplitudes(10), constant=st.booleans(), c=st.tuples(coefficient, coefficient,
+                                                                      coefficient))
+    def test_shear(self, amps, constant, c):
+        law = MaterialLaw(A=0.5, gamma=1.8, zeta=c[0], eta=c[1], tau=c[2]) if constant \
+            else state_dependent_law(*c)
+        grid = Grid1D("planar", 48, -3.0, 3.0)
+        sim = Simulation.uniform(grid, "shear", law,
+                                 ReferenceState(rho_bar=1.0, R=1.5, Pi_bar=0.05),
+                                 tolerances=UNTRIPPED)
+        set_symmetric_bumps(sim, amps)
+        final = evolve(sim, 15)
+        assert np.array_equal(final, mirror(sim, final))
+
+
+class TestMass:
+    @PROPERTY
+    @given(amps=amplitudes(10), system=st.sampled_from(["bulk", "shear"]))
+    def test_periodic_planar_mass_to_rounding(self, amps, system):
+        grid = Grid1D("planar", 64, 0.0, 2.0 * np.pi, bc="periodic")
+        law = state_dependent_law(1.0, 0.7, 1.2)
+        sim = Simulation.uniform(grid, system, law, ReferenceState(rho_bar=1.0, R=1.0),
+                                 tolerances=UNTRIPPED)
+        x = grid.centers_interior
+        inner = sim.fields.interior()
+        for f in range(inner.shape[0]):
+            inner[f] += amps[f] * np.sin((f + 1) * x + f)
+        mass0 = float(np.sum(inner[0]) * grid.dx)
+        rho = evolve(sim, 20)[0]
+        assert abs(float(np.sum(rho) * grid.dx) - mass0) <= 1e-14 * mass0
+
+    @PROPERTY
+    @given(a=st.floats(-0.3, 0.3), b=st.floats(-0.3, 0.3), c=st.floats(-0.1, 0.1))
+    def test_spherical_mass_to_rounding(self, a, b, c):
+        grid = Grid1D("spherical", 96, 0.0, 3.0)
+        law = MaterialLaw(A=0.5, gamma=2.0, zeta=1.0, tau=1.0)
+        sim = Simulation.uniform(grid, "bulk", law, ReferenceState(rho_bar=1.0, R=1.0),
+                                 tolerances=UNTRIPPED)
+        r = grid.centers_interior
+        w = bump(r)
+        sim.fields.set("rho", 1.0 + a * w)
+        sim.fields.set("u", b * r * w)
+        sim.fields.set("Pi", c * w)
+        mass0 = float(np.sum(grid.cell_volumes * sim.fields.get("rho")))
+        # 10 steps move the disturbance less than a cell: no flux at r = 3
+        rho = evolve(sim, 10)[0]
+        assert abs(float(np.sum(grid.cell_volumes * rho)) - mass0) <= 1e-14 * mass0
+
+
+class TestScalarPath:
+    @staticmethod
+    def run(system, geometry, zeta, eta, tau, amps):
+        law = MaterialLaw(A=0.5, gamma=1.8, zeta=zeta, eta=eta, tau=tau)
+        if geometry == "spherical":
+            grid = Grid1D("spherical", 48, 0.0, 3.0)
+        else:
+            grid = Grid1D("planar", 48, -3.0, 3.0)
+        sim = Simulation.uniform(grid, system, law, ReferenceState(rho_bar=1.0, R=1.5),
+                                 tolerances=UNTRIPPED)
+        arm = grid.centers_interior - (0.0 if geometry == "spherical" else grid.center)
+        w = bump(arm / 1.5)
+        inner = sim.fields.interior()
+        for f in range(inner.shape[0]):
+            inner[f] += amps[f] * w
+        return evolve(sim, 12)
+
+    @PROPERTY
+    @given(c=st.tuples(coefficient, coefficient, coefficient), amps=amplitudes(10),
+           case=st.sampled_from([("bulk", "planar"), ("bulk", "spherical"),
+                                 ("shear", "planar")]))
+    def test_constant_law_bits_match_the_general_path(self, c, amps, case):
+        def as_float(v):
+            return CoefficientFunction(lambda rho, pi, pi2: v)
+
+        def per_cell(v):
+            return CoefficientFunction(lambda rho, pi, pi2: np.full_like(rho, v))
+
+        scalar = self.run(*case, *c, amps)
+        for wrap in (as_float, per_cell):
+            general = self.run(*case, *(wrap(v) for v in c), amps)
+            assert np.array_equal(scalar.view(np.int64), general.view(np.int64))

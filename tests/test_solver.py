@@ -3,7 +3,8 @@ import pytest
 
 from viscoflow import diagnostics, solver
 from viscoflow.config import ScenarioConfig, default_tolerances
-from viscoflow.materials import CoefficientFunction, MaterialLaw, ReferenceState
+from viscoflow.materials import (CoefficientFunction, MaterialLaw, MaterialLawError,
+                                 ReferenceState, eval_transport)
 from viscoflow.solver import Grid1D, Simulation, bump
 
 
@@ -367,6 +368,30 @@ class TestMonitorsAndOutcomes:
         assert "zeta" in out.message and "at index" in out.message
         assert len(out.message) < 200
 
+    @staticmethod
+    def _negative_zeta_bump():
+        law = MaterialLaw(A=1.0, gamma=2.0,
+                          zeta=CoefficientFunction(lambda rho, pi, pi2: 1.5 - rho))
+        grid = Grid1D("planar", 64, -2.0, 2.0, bc="periodic")
+        sim = Simulation.uniform(grid, "bulk", law, ReferenceState(rho_bar=1.0, R=1.0))
+        rho = 1.0 + 0.8 * bump(grid.centers_interior)
+        sim.fields.set("rho", rho)
+        return sim, int(np.argmax(rho >= 1.5))  # the first interior cell in violation
+
+    @pytest.mark.parametrize("dt", [None, 1e-3])
+    def test_law_violation_names_the_interior_cell(self, dt):
+        sim, cell = self._negative_zeta_bump()
+        assert cell == 23
+        out = solver.step(sim, dt)
+        assert f"at index {cell} " in out.message
+
+    def test_law_violation_in_the_stencil_names_the_interior_cell(self):
+        # the right-hand side evaluates the law on the ghost-padded stencil
+        sim, cell = self._negative_zeta_bump()
+        solver._fill_ghosts(sim, sim.fields.data)
+        with pytest.raises(MaterialLawError, match=f"at index {cell} "):
+            solver._hyperbolic_rhs(sim, sim.fields.data)
+
     def test_run_requires_forward_time(self, unit_law, unit_reference):
         grid = Grid1D("planar", 64, -2.0, 2.0)
         sim = Simulation.uniform(grid, "bulk", unit_law, unit_reference)
@@ -390,6 +415,55 @@ class TestMonitorsAndOutcomes:
         solver.run(sim, 20 * solver.cfl_dt(sim), observer=lambda s: calls.append(s.t),
                    observer_cadence=5)
         assert len(calls) == 4
+
+
+class TestCoefficientEvaluations:
+    @staticmethod
+    def count_calls(monkeypatch, law, system):
+        grid = Grid1D("planar", 64, 0.0, 2 * np.pi, bc="periodic")
+        sim = Simulation.uniform(grid, system, law, ReferenceState(rho_bar=1.0, R=1.0))
+        sim.fields.set("rho", 1.0 + 1e-3 * np.sin(grid.centers_interior))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eval_transport(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "eval_transport", counted)
+        out, _ = solver.run(sim, 0.5)
+        assert out.status == "ok" and sim.step_count > 5
+        return len(calls) / sim.step_count
+
+    @pytest.mark.parametrize("system", ["bulk", "shear"])
+    def test_constant_law_evaluates_no_law(self, monkeypatch, unit_law, system):
+        assert self.count_calls(monkeypatch, unit_law, system) == 0
+
+    @pytest.mark.parametrize("system", ["bulk", "shear"])
+    def test_state_dependent_law_at_most_five_per_step(self, monkeypatch, system):
+        law = MaterialLaw(A=0.5, gamma=2.0, zeta=CoefficientFunction(lambda r, p, q: r),
+                          eta=1.0, tau=1.0)
+        assert 0 < self.count_calls(monkeypatch, law, system) <= 5
+
+
+class TestGeometry:
+    def test_arrays_are_computed_once_and_read_only(self):
+        grid = Grid1D("spherical", 32, 0.0, 2.0)
+        for name in ("cell_volumes", "face_areas", "quad_weights", "centers_interior"):
+            arr = getattr(grid, name)
+            assert getattr(grid, name) is arr
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_spherical_volumes_and_weights_sum_to_the_ball(self):
+        grid = Grid1D("spherical", 64, 0.0, 2.0)
+        assert np.sum(grid.cell_volumes) == pytest.approx(8.0 / 3.0, rel=1e-14)
+        assert np.sum(grid.quad_weights) == pytest.approx(4.0 * np.pi * 8.0 / 3.0, rel=1e-14)
+        assert grid.face_areas[0] == 0.0 and grid.face_areas[-1] == 4.0
+
+    def test_planar_volumes_are_dx(self):
+        grid = Grid1D("planar", 10, -1.0, 1.0)
+        assert np.all(grid.cell_volumes == grid.dx) and np.all(grid.face_areas == 1.0)
+        assert np.array_equal(grid.quad_weights, grid.cell_volumes)
 
 
 class TestDeterminism:
