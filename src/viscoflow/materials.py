@@ -106,13 +106,6 @@ class MaterialLaw:
     def has_constant_transport(self) -> bool:
         return self.zeta.is_constant and self.eta.is_constant and self.tau.is_constant
 
-    @cached_property
-    def transport_constants(self) -> tuple[float, float, float] | None:
-        """(zeta, eta, tau) as floats when all three are constant, else None."""
-        if not self.has_constant_transport:
-            return None
-        return tuple(float(c.value) for c in (self.zeta, self.eta, self.tau))
-
 
 def pressure(law: MaterialLaw, rho):
     """Pressure P = A rho**gamma. Raises ValueError for non-positive rho."""
@@ -135,9 +128,14 @@ def sound_speed(law: MaterialLaw, rho):
 def eval_transport(law: MaterialLaw, rho, pi=0.0, pi2=0.0):
     """Evaluate (zeta, eta, tau) at a state point or array of points.
 
-    Every returned value is checked to be strictly positive and finite; a
-    violation raises MaterialLawError naming the offending coefficient.
+    A law with constant transport returns its three floats whatever the shape
+    of the state: they were checked when the law was built, and they
+    broadcast against any array. Every other returned value is checked to be
+    strictly positive and finite; a violation raises MaterialLawError naming
+    the offending coefficient.
     """
+    if law.has_constant_transport:
+        return float(law.zeta.value), float(law.eta.value), float(law.tau.value)
     out = []
     for name in ("zeta", "eta", "tau"):
         val = getattr(law, name)(rho, pi, pi2)
@@ -220,6 +218,13 @@ class FieldLayout:
     @cached_property
     def stress_rows(self) -> slice:
         return _block(self.stress)
+
+    @cached_property
+    def parity_column(self) -> np.ndarray:
+        """`parity` as a read-only (rows, 1) column, to multiply field rows."""
+        col = np.array(self.parity)[:, None]
+        col.flags.writeable = False
+        return col
 
     def reference(self, ref: ReferenceState) -> np.ndarray:
         """The field vector of the constant reference state."""

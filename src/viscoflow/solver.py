@@ -17,9 +17,10 @@ Cost of a step. The transport coefficients are evaluated in three places:
 each SSP stage of the hyperbolic update (the interior plus one cell on
 either side) -- five evaluations per SSP-RK2 step. A law with constant zeta,
 eta and tau (`MaterialLaw.has_constant_transport`) takes a scalar path
-instead: its floats enter the arithmetic directly, with no call to
-`eval_transport` and no per-cell positivity check, which the constants
-passed when they were built. Either path gives the same bits. The field
+instead: `eval_transport` returns the law's three floats, with no per-cell
+array and no positivity check, which the constants passed when they were
+built, and the floats enter the arithmetic directly. Either path gives the
+same bits. The field
 rows of each group (velocities, driving stresses, stresses) are contiguous
 and are updated as one block. A step allocates little: the SSP stage, the
 right-hand side, the MUSCL slopes and face states, the fluxes and the
@@ -173,7 +174,7 @@ class Grid1D:
         if self.geometry == "spherical":
             faces = self.faces_interior
             return _frozen(4.0 * np.pi * (faces[1:] ** 3 - faces[:-1] ** 3) / 3.0)
-        return _frozen(np.full(self.n_cells, self.dx))
+        return self.cell_volumes
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -304,7 +305,6 @@ class Simulation:
         self.front_scales = np.full(len(self.layout.names), self.cv_bar)
         self.front_scales[0] = reference.rho_bar
         self.front_scales[list(self.layout.stress)] = reference.rho_bar * self.cv_bar**2
-        self.parity = np.array(self.layout.parity)[:, None]
 
     @cached_property
     def work(self) -> _Workspace:
@@ -343,7 +343,7 @@ def _fill_ghosts(sim: Simulation, data: np.ndarray) -> None:
     data[:, n + g:] = ref
     if sim.grid.geometry == "spherical":
         # mirror at the origin: odd rows (the radial velocity) flip sign
-        np.multiply(data[:, 2 * g - 1:g - 1:-1], sim.parity, out=data[:, :g])
+        np.multiply(data[:, 2 * g - 1:g - 1:-1], sim.layout.parity_column, out=data[:, :g])
     else:
         data[:, :g] = ref
 
@@ -371,10 +371,9 @@ def _face_states(w: np.ndarray, v: _FaceViews) -> None:
 def _transport(sim: Simulation, data: np.ndarray, cells: slice):
     """(zeta, eta, tau) on the padded cells `cells`; the law's floats when it
     is constant. A law violation is reported at its interior cell."""
-    constants = sim.law.transport_constants
-    if constants is not None:
-        return constants
     rho = data[0, cells]
+    if sim.law.has_constant_transport:
+        return eval_transport(sim.law, rho)  # floats; no invariants needed
     if sim.system == "bulk":
         pi = data[sim.layout.stress[0], cells]
         pi2 = 3.0 * pi * pi
@@ -562,16 +561,12 @@ def _front_violation(sim: Simulation) -> str | None:
     grid = sim.grid
     radius = sim.reference.R + sim.cv_bar * sim.t + int(tol["front_slack_cells"]) * grid.dx
     outside = grid.radii > radius
-    if not outside.any():
+    if not np.any(outside):
         return None
-    inner, ref = sim.fields.interior(), sim.reference_vector
-    # max |w - ref| of each row from its extremes beyond the front, which
-    # copies nothing; the same bits as the maximum of the differences
-    hi = inner.max(axis=1, where=outside, initial=-np.inf)
-    lo = inner.min(axis=1, where=outside, initial=np.inf)
-    worst = float((np.maximum(hi - ref, ref - lo) / sim.front_scales).max())
+    dev = (np.abs(sim.fields.interior()[:, outside] - sim.reference_vector[:, None])
+           / sim.front_scales[:, None])
+    worst = float(np.max(dev))
     if worst > tol["front_tol"]:
-        dev = np.abs(inner[:, outside] - ref[:, None]) / sim.front_scales[:, None]
         f, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
         cell = int(np.flatnonzero(outside)[j])
         return (f"finite-propagation check failed: field {sim.fields.names[f]} deviates "

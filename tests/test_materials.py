@@ -59,6 +59,11 @@ class TestTransportLaws:
         law = MaterialLaw(A=1.0, gamma=2.0, zeta=1.0, eta=1.0, tau=1.0)
         assert eval_transport(law, 3.7, 0.2, 0.5) == (1.0, 1.0, 1.0)
 
+    def test_constant_law_gives_floats_for_arrays(self):
+        law = MaterialLaw(A=1.0, gamma=2.0, zeta=2, eta=0.5, tau=ConstantCoefficient(3))
+        out = eval_transport(law, np.linspace(1.0, 2.0, 8), np.zeros(8), np.zeros(8))
+        assert out == (2.0, 0.5, 3.0) and all(type(c) is float for c in out)
+
     def test_density_proportional_law(self):
         law = MaterialLaw(A=1.0, gamma=2.0, zeta=lambda rho, pi, pi2: rho)
         zeta, _, _ = eval_transport(law, 2.0)

@@ -423,26 +423,30 @@ class TestCoefficientEvaluations:
         grid = Grid1D("planar", 64, 0.0, 2 * np.pi, bc="periodic")
         sim = Simulation.uniform(grid, system, law, ReferenceState(rho_bar=1.0, R=1.0))
         sim.fields.set("rho", 1.0 + 1e-3 * np.sin(grid.centers_interior))
-        calls = []
+        results = []
 
         def counted(*args, **kwargs):
-            calls.append(1)
-            return eval_transport(*args, **kwargs)
+            results.append(eval_transport(*args, **kwargs))
+            return results[-1]
 
         monkeypatch.setattr(solver, "eval_transport", counted)
         out, _ = solver.run(sim, 0.5)
         assert out.status == "ok" and sim.step_count > 5
-        return len(calls) / sim.step_count
+        return len(results) / sim.step_count, results
 
     @pytest.mark.parametrize("system", ["bulk", "shear"])
-    def test_constant_law_evaluates_no_law(self, monkeypatch, unit_law, system):
-        assert self.count_calls(monkeypatch, unit_law, system) == 0
+    def test_constant_law_takes_the_scalar_path(self, monkeypatch, unit_law, system):
+        per_step, results = self.count_calls(monkeypatch, unit_law, system)
+        assert per_step == 5
+        assert all(type(c) is float for r in results for c in r)
 
     @pytest.mark.parametrize("system", ["bulk", "shear"])
     def test_state_dependent_law_at_most_five_per_step(self, monkeypatch, system):
         law = MaterialLaw(A=0.5, gamma=2.0, zeta=CoefficientFunction(lambda r, p, q: r),
                           eta=1.0, tau=1.0)
-        assert 0 < self.count_calls(monkeypatch, law, system) <= 5
+        per_step, results = self.count_calls(monkeypatch, law, system)
+        assert 0 < per_step <= 5
+        assert all(isinstance(r[0], np.ndarray) for r in results)
 
 
 class TestGeometry:
