@@ -234,7 +234,7 @@ def cmd_simulate(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int, 
         snap_times = snap_times[1:]
 
     stops = [t for t in snap_times if t <= cfg.t_end] + [cfg.t_end]
-    outcome = solver.StepOutcome("ok", 0.0, 0.0, 0.0)
+    outcome = solver.StepOutcome("ok", 0.0)
     for t_stop in stops:
         if t_stop <= sim.t:
             continue

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .materials import CoefficientFunction, ConstantCoefficient, MaterialLaw, ReferenceState
-from .quasilinear import reference_signal_speed
+from .quasilinear import EIG_COND_CAP, reference_signal_speed
+from .stability import MARGINAL_BAND
 
 __all__ = [
     "ConfigError",
@@ -45,8 +46,8 @@ def default_tolerances() -> dict[str, float]:
         "front_tol": 1e-8,           # relative deviation allowed outside the front
         "front_slack_cells": 2.0,    # cells of slack beyond R + c_v t
         "check_front": 1.0,          # 0 disables the finite-propagation check
-        "eig_cond_cap": 1e8,         # eigenvector condition limit for strong hyperbolicity
-        "marginal_band": 1e-9,       # |Re x| below this is marginal, not stable
+        "eig_cond_cap": EIG_COND_CAP,
+        "marginal_band": MARGINAL_BAND,
     }
 
 

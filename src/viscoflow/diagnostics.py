@@ -123,11 +123,11 @@ class BlowupCertificate:
         return "\n".join(lines)
 
 
-def certificate(sim, exterior_tol: float = 1e-12) -> BlowupCertificate:
+def certificate(sim) -> BlowupCertificate:
     """Evaluate the finite-lifespan certificate on initial data.
 
-    Refused when the exterior is not exactly at the reference state, when the
-    transport coefficients are state dependent (the theorem assumes
+    Refused when the exterior is not at the reference state to 1e-12, when
+    the transport coefficients are state dependent (the theorem assumes
     constants), or when the background is moving.
     """
     if not sim.law.has_constant_transport:
@@ -142,7 +142,7 @@ def certificate(sim, exterior_tol: float = 1e-12) -> BlowupCertificate:
         dev = np.abs(rho[outside] - ref.rho_bar) / ref.rho_bar
         for name in sim.fields.names[1:]:
             dev = np.maximum(dev, np.abs(sim.fields.get(name)[outside]))
-        if float(np.max(dev)) > exterior_tol:
+        if float(np.max(dev)) > 1e-12:
             raise CertificateError("initial data is not constant outside radius R")
 
     max_rho0 = float(np.max(sim.fields.get("rho")))
@@ -168,8 +168,6 @@ class DiagnosticSeries:
     G: list[float] = field(default_factory=list)
     max_grad_u: list[float] = field(default_factory=list)
     max_grad_rho: list[float] = field(default_factory=list)
-    breakdown_time: float | None = None
-    verdict: str = "ran to completion"
 
     def record(self, sim, dt_used: float) -> None:
         gu, grho = max_gradients(sim)
@@ -181,24 +179,11 @@ class DiagnosticSeries:
         self.max_grad_u.append(gu)
         self.max_grad_rho.append(grho)
 
-    def mark_breakdown(self, t: float, verdict: str) -> None:
-        self.breakdown_time = t
-        self.verdict = verdict
-
     def extend(self, segment: "DiagnosticSeries") -> None:
-        """Append a later run segment: its samples after the first (which
-        repeats this series' last) and its breakdown mark."""
+        """Append a later run segment's samples after its first, which
+        repeats this series' last."""
         for name in self.COLUMNS:
             getattr(self, name).extend(getattr(segment, name)[1:])
-        if segment.breakdown_time is not None:
-            self.mark_breakdown(segment.breakdown_time, segment.verdict)
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {name: np.asarray(getattr(self, name)) for name in self.COLUMNS}
-
-    @property
-    def max_grad(self) -> np.ndarray:
-        return np.maximum(np.asarray(self.max_grad_u), np.asarray(self.max_grad_rho))
 
     def csv_rows(self):
         yield self.COLUMNS
@@ -214,13 +199,12 @@ class GrowthCheck:
     fraction_ok: float
 
 
-def check_growth(series: DiagnosticSeries, cert: BlowupCertificate,
-                 tol: float | None = None, margin_frac: float = 0.05) -> GrowthCheck:
+def check_growth(series: DiagnosticSeries, cert: BlowupCertificate) -> GrowthCheck:
     """Forward-difference check of dF/dt >= F^2 / ((4 pi/3)(R + c_v t)^5 max rho0).
 
-    margins[n] = dF/dt|_n - bound_n; the default tolerance is `margin_frac`
-    of the largest bound plus a small absolute floor, standing in for the
-    quadrature and time-discretization error of the series.
+    margins[n] = dF/dt|_n - bound_n; the tolerance is 5% of the largest
+    bound plus a small absolute floor, standing in for the quadrature and
+    time-discretization error of the series.
     """
     t = np.asarray(series.t)
     f = np.asarray(series.F)
@@ -233,7 +217,6 @@ def check_growth(series: DiagnosticSeries, cert: BlowupCertificate,
     vol = 4.0 * np.pi / 3.0 * (cert.R + cert.c_bar_v * t[:-1]) ** 5 * cert.max_rho0
     bounds = f[:-1] ** 2 / vol
     margins = dfdt - bounds
-    if tol is None:
-        tol = margin_frac * float(np.max(bounds)) + 1e-12
+    tol = 0.05 * float(np.max(bounds)) + 1e-12
     fraction = float(np.mean(margins >= -tol))
     return GrowthCheck(margins=margins, bounds=bounds, tol=tol, fraction_ok=fraction)

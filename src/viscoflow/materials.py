@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Union
+from typing import Callable, ClassVar, Union
 
 import numpy as np
 
@@ -41,17 +41,16 @@ class ConstantCoefficient:
     """Transport coefficient that does not depend on the state."""
 
     value: float
+    is_constant: ClassVar[bool] = True
 
     def __post_init__(self):
+        object.__setattr__(self, "value", float(self.value))
         if not np.isfinite(self.value) or self.value <= 0.0:
             raise MaterialLawError(f"constant coefficient must be positive, got {self.value}")
 
-    @property
-    def is_constant(self) -> bool:
-        return True
-
     def __call__(self, rho, pi=0.0, pi2=0.0):
-        return self.value if np.isscalar(rho) else np.full_like(np.asarray(rho, float), self.value)
+        """The value as a float, whatever the shape of the state."""
+        return self.value
 
 
 @dataclass(frozen=True)
@@ -63,10 +62,7 @@ class CoefficientFunction:
     """
 
     fn: Callable[..., Union[float, np.ndarray]]
-
-    @property
-    def is_constant(self) -> bool:
-        return False
+    is_constant: ClassVar[bool] = False
 
     def __call__(self, rho, pi=0.0, pi2=0.0):
         return self.fn(rho, pi, pi2)
@@ -80,7 +76,7 @@ def _as_law(value) -> CoefficientLaw:
         return value
     if callable(value):
         return CoefficientFunction(value)
-    return ConstantCoefficient(float(value))
+    return ConstantCoefficient(value)
 
 
 @dataclass(frozen=True)
@@ -128,17 +124,18 @@ def sound_speed(law: MaterialLaw, rho):
 def eval_transport(law: MaterialLaw, rho, pi=0.0, pi2=0.0):
     """Evaluate (zeta, eta, tau) at a state point or array of points.
 
-    A law with constant transport returns its three floats whatever the shape
-    of the state: they were checked when the law was built, and they
-    broadcast against any array. Every other returned value is checked to be
-    strictly positive and finite; a violation raises MaterialLawError naming
-    the offending coefficient.
+    A constant coefficient gives its float whatever the shape of the state:
+    it was checked when the law was built, and it broadcasts against any
+    array. Every other value is checked to be strictly positive and finite;
+    a violation raises MaterialLawError naming the offending coefficient.
     """
-    if law.has_constant_transport:
-        return float(law.zeta.value), float(law.eta.value), float(law.tau.value)
     out = []
     for name in ("zeta", "eta", "tau"):
-        val = getattr(law, name)(rho, pi, pi2)
+        coeff = getattr(law, name)
+        if coeff.is_constant:
+            out.append(coeff.value)
+            continue
+        val = coeff(rho, pi, pi2)
         arr = np.asarray(val, dtype=float)
         bad = ~(np.isfinite(arr) & (arr > 0.0))
         if np.any(bad):

@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 OFFDIAG_WEIGHT = np.sqrt(2.0)
+EIG_COND_CAP = 1e8  # eigenvector condition limit for strong hyperbolicity
 
 
 class AssemblyError(ValueError):
@@ -232,7 +233,7 @@ def _cluster_multiplicities(values: np.ndarray, tol: float) -> list[int]:
 
 
 def characteristic_speeds_numeric(sys: QuasilinearSystem, direction,
-                                  cond_cap: float = 1e8) -> CharacteristicReport:
+                                  cond_cap: float = EIG_COND_CAP) -> CharacteristicReport:
     """Eigenvalues of a0^{-1} (n_k a_k) with hyperbolicity verdict.
 
     FOSH requires all matrices symmetric and a0 positive definite; otherwise
@@ -257,16 +258,9 @@ def characteristic_speeds_numeric(sys: QuasilinearSystem, direction,
         return CharacteristicReport(n, np.array([]), [], np.inf, symmetric, False, "degenerate")
 
     if symmetric and a0_posdef:
-        # congruence to a plain symmetric eigenproblem: a0 is diagonal for
-        # both assembled systems, so the scaling is exact
-        d = np.sqrt(np.diag(a0)) if np.count_nonzero(a0 - np.diag(np.diag(a0))) == 0 else None
-        if d is not None:
-            m = (an / d[:, None]) / d[None, :]
-            speeds = np.linalg.eigvalsh(m)
-        else:
-            chol = np.linalg.cholesky(a0)
-            inv = np.linalg.inv(chol)
-            speeds = np.linalg.eigvalsh(inv @ an @ inv.T)
+        # congruence a0 = L L^T to the symmetric eigenproblem of L^-1 an L^-T
+        inv = np.linalg.inv(np.linalg.cholesky(a0))
+        speeds = np.linalg.eigvalsh(inv @ an @ inv.T)
         cond = 1.0
         verdict = "FOSH"
     else:

@@ -15,24 +15,24 @@ relaxation time. Time integration is SSP-RK2 (SSP-RK3 optional).
 Cost of a step. The transport coefficients are evaluated in three places:
 `cfl_dt` (interior cells), each relaxation half-step (interior cells) and
 each SSP stage of the hyperbolic update (the interior plus one cell on
-either side) -- five evaluations per SSP-RK2 step. A law with constant zeta,
-eta and tau (`MaterialLaw.has_constant_transport`) takes a scalar path
-instead: `eval_transport` returns the law's three floats, with no per-cell
-array and no positivity check, which the constants passed when they were
-built, and the floats enter the arithmetic directly. Either path gives the
-same bits. The field
-rows of each group (velocities, driving stresses, stresses) are contiguous
-and are updated as one block. A step allocates little: the SSP stage, the
-right-hand side, the MUSCL slopes and face states, the fluxes and the
-derivatives live in one `_Workspace` per Simulation, made at its first step
-and filled in place; the grid's face areas, cell volumes and quadrature
-weights are computed once per `Grid1D`.
+either side) -- five evaluations per SSP-RK2 step. A constant coefficient
+costs no per-cell work: `eval_transport` gives its float, with no positivity
+check (it passed one when the law was built), and the float enters the
+arithmetic directly, with the same bits as a per-cell array of it. A law
+whose three coefficients are constant (`MaterialLaw.has_constant_transport`)
+also skips the stress invariants. The field rows of each group (velocities,
+driving stresses, stresses) are contiguous and are updated as one block. A
+step allocates little: the SSP stage, the right-hand side, the MUSCL slopes
+and face states, the fluxes and the derivatives live in one `_Workspace` per
+Simulation, made at its first step and filled in place; the grid's face
+areas, cell volumes and quadrature weights are computed once per `Grid1D`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -90,7 +90,7 @@ class Grid1D:
     x_min: float
     x_max: float
     bc: str = "fixed"
-    n_ghost: int = 2
+    n_ghost: ClassVar[int] = 2
 
     def __post_init__(self):
         if self.geometry not in ("planar", "spherical"):
@@ -104,8 +104,6 @@ class Grid1D:
                 raise ValueError("spherical geometry cannot be periodic")
         if self.n_cells < 4:
             raise ValueError("need at least 4 cells")
-        if self.n_ghost < 2:
-            raise ValueError("need at least 2 ghost cells")
         if not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
 
@@ -264,8 +262,6 @@ class InitialReport:
 class StepOutcome:
     status: str                  # "ok" | "breakdown" | "invalid_state"
     dt_used: float
-    max_wave_speed: float
-    max_gradient: float
     message: str = ""
 
 
@@ -411,9 +407,9 @@ def _divergence(grid: Grid1D, faces: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hyperbolic_rhs(sim: Simulation, data: np.ndarray):
+def _hyperbolic_rhs(sim: Simulation, data: np.ndarray) -> np.ndarray:
     """Method-of-lines right-hand side on the interior cells (a reused
-    buffer), plus the maximum signal speed used for the CFL condition.
+    buffer).
 
     Mass and stress rows take the conservative Rusanov flux of rho u and
     u Pi; velocity rows the primitive quasilinear form with Rusanov
@@ -425,7 +421,6 @@ def _hyperbolic_rhs(sim: Simulation, data: np.ndarray):
     spd = np.abs(data[1, near])
     spd += fast
     s_face = np.maximum(spd[:-1], spd[1:])
-    max_speed = float(spd[1:-1].max())
 
     v = ws.all
     _face_states(data[:, g - 2:g + n + 2], v)
@@ -462,7 +457,7 @@ def _hyperbolic_rhs(sim: Simulation, data: np.ndarray):
     diss = np.subtract(d[:, 1:], d[:, :-1], out=ws.diss)
     diss /= 2.0 * dx
     vel += diss
-    return rhs, max_speed
+    return rhs
 
 
 def _velocity_gradients(sim: Simulation, data: np.ndarray) -> np.ndarray:
@@ -526,32 +521,30 @@ def cfl_dt(sim: Simulation) -> float:
     return sim.cfl * sim.grid.dx / smax
 
 
-def _advance_hyperbolic(sim: Simulation, data: np.ndarray, dt: float) -> float:
+def _advance_hyperbolic(sim: Simulation, data: np.ndarray, dt: float) -> None:
     """SSP-RK2 (or RK3) over the interior of `data`, in place. The stages live
     in one reused buffer; `data` itself is the stage-0 state."""
     inner = np.s_[:, sim.grid.interior]
     stage = sim.work.stage
 
-    def euler(src: np.ndarray) -> float:
+    def euler(src: np.ndarray) -> None:
         # stage[inner] = src[inner] + dt * rhs(src)
         _fill_ghosts(sim, src)
-        rhs, smax = _hyperbolic_rhs(sim, src)
+        rhs = _hyperbolic_rhs(sim, src)
         rhs *= dt
         np.add(src[inner], rhs, out=stage[inner])
-        return smax
 
-    s1 = euler(data)
-    s2 = euler(stage)
+    euler(data)
+    euler(stage)
     if sim.integrator == "ssprk2":
         u0, u2 = data[inner], stage[inner]  # views: data = 0.5 u0 + 0.5 u2
         u0 *= 0.5
         u2 *= 0.5
         u0 += u2
-        return max(s1, s2)
-    stage[inner] = 0.75 * data[inner] + 0.25 * stage[inner]
-    s3 = euler(stage)
-    data[inner] = data[inner] / 3.0 + 2.0 / 3.0 * stage[inner]
-    return max(s1, s2, s3)
+    else:
+        stage[inner] = 0.75 * data[inner] + 0.25 * stage[inner]
+        euler(stage)
+        data[inner] = data[inner] / 3.0 + 2.0 / 3.0 * stage[inner]
 
 
 def _front_violation(sim: Simulation) -> str | None:
@@ -596,20 +589,23 @@ def step(sim: Simulation, dt: float | None = None) -> StepOutcome:
     data = sim.fields.data
     problem = _state_problem(sim)
     if problem is not None:
-        return StepOutcome("invalid_state", 0.0, np.nan, np.nan,
+        return StepOutcome("invalid_state", 0.0,
                            f"state invalid before the step ({problem}); refusing to advance")
-    dt_floor = sim.tolerances["dt_floor"]
-    try:
-        if dt is None:
+    if dt is None:
+        try:
             dt = cfl_dt(sim)
-        if dt < dt_floor:
-            return StepOutcome("breakdown", dt, np.nan, np.nan,
-                               f"time step {dt:.3e} collapsed below the floor {dt_floor:.1e}")
+        except InvalidStateError as exc:
+            return StepOutcome("invalid_state", np.nan, f"no admissible time step: {exc}")
+    dt_floor = sim.tolerances["dt_floor"]
+    if dt < dt_floor:
+        return StepOutcome("breakdown", dt,
+                           f"time step {dt:.3e} collapsed below the floor {dt_floor:.1e}")
+    try:
         _relax(sim, data, 0.5 * dt)
-        max_speed = _advance_hyperbolic(sim, data, dt)
+        _advance_hyperbolic(sim, data, dt)
         _relax(sim, data, 0.5 * dt)
-    except (ValueError, InvalidStateError) as exc:
-        return StepOutcome("invalid_state", dt or np.nan, np.nan, np.nan,
+    except ValueError as exc:
+        return StepOutcome("invalid_state", dt,
                            f"state became invalid during the update: {exc}")
 
     sim.t += dt
@@ -617,24 +613,23 @@ def step(sim: Simulation, dt: float | None = None) -> StepOutcome:
 
     problem = _state_problem(sim)
     if problem is not None:
-        return StepOutcome("invalid_state", dt, max_speed, np.nan, problem)
+        return StepOutcome("invalid_state", dt, problem)
 
     max_grad, crossed = diagnostics.monitor_c1(sim)
     if crossed:
-        return StepOutcome("breakdown", dt, max_speed, max_grad,
+        return StepOutcome("breakdown", dt,
                            f"gradient {max_grad:.3e} crossed the breakdown threshold at t={sim.t:.6g}")
     msg = _front_violation(sim)
     if msg is not None:
-        return StepOutcome("invalid_state", dt, max_speed, max_grad, msg)
-    return StepOutcome("ok", dt, max_speed, max_grad)
+        return StepOutcome("invalid_state", dt, msg)
+    return StepOutcome("ok", dt)
 
 
-def run(sim: Simulation, t_end: float, observer=None, observer_cadence: int = 1,
-        series_cadence: int | None = None):
+def run(sim: Simulation, t_end: float, observer=None, series_cadence: int | None = None):
     """Advance with CFL-limited steps until t_end or a non-ok outcome.
 
     Returns (final StepOutcome, DiagnosticSeries or None). The observer is
-    called with the simulation every `observer_cadence` accepted steps;
+    called with the simulation after each step, the last one included;
     identical configurations produce bit-identical series on one platform.
     """
     if t_end < sim.t:
@@ -643,14 +638,12 @@ def run(sim: Simulation, t_end: float, observer=None, observer_cadence: int = 1,
     if series is not None:
         series.record(sim, 0.0)
     eps = 1e-12 * max(1.0, abs(t_end))
-    outcome = StepOutcome("ok", 0.0, 0.0, 0.0)
+    outcome = StepOutcome("ok", 0.0)
     while sim.t < t_end - eps:
         try:
             dt = cfl_dt(sim)
         except InvalidStateError as exc:
-            outcome = StepOutcome("invalid_state", np.nan, np.nan, np.nan, str(exc))
-            if series is not None:
-                series.mark_breakdown(sim.t, outcome.message)
+            outcome = StepOutcome("invalid_state", np.nan, str(exc))
             break
         dt = min(dt, t_end - sim.t)
         outcome = step(sim, dt)
@@ -658,11 +651,9 @@ def run(sim: Simulation, t_end: float, observer=None, observer_cadence: int = 1,
         if series is not None and (sim.step_count % series_cadence == 0 or done) \
                 and sim.t > series.t[-1]:
             series.record(sim, outcome.dt_used)
-        if observer is not None and sim.step_count % observer_cadence == 0:
+        if observer is not None:
             observer(sim)
         if outcome.status != "ok":
-            if series is not None:
-                series.mark_breakdown(sim.t, outcome.message)
             break
     return outcome, series
 

@@ -61,8 +61,16 @@ class TestTransportLaws:
 
     def test_constant_law_gives_floats_for_arrays(self):
         law = MaterialLaw(A=1.0, gamma=2.0, zeta=2, eta=0.5, tau=ConstantCoefficient(3))
-        out = eval_transport(law, np.linspace(1.0, 2.0, 8), np.zeros(8), np.zeros(8))
+        rho = np.linspace(1.0, 2.0, 8)
+        out = eval_transport(law, rho, np.zeros(8), np.zeros(8))
         assert out == (2.0, 0.5, 3.0) and all(type(c) is float for c in out)
+        assert type(ConstantCoefficient(3)(rho)) is float
+        # a mixed law: the constant part is a float, the others per-cell arrays
+        mixed = MaterialLaw(A=1.0, gamma=2.0, zeta=lambda r, p, q: r,
+                            eta=ConstantCoefficient(3), tau=lambda r, p, q: 2.0 * r)
+        zeta, eta, tau = eval_transport(mixed, rho, np.zeros(8), np.zeros(8))
+        assert type(eta) is float and eta == 3.0
+        assert np.array_equal(zeta, rho) and np.array_equal(tau, 2.0 * rho)
 
     def test_density_proportional_law(self):
         law = MaterialLaw(A=1.0, gamma=2.0, zeta=lambda rho, pi, pi2: rho)

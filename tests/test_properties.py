@@ -7,9 +7,10 @@ so an optimization of the step that changes the arithmetic shows up here:
   parity -1) stays so bit for bit;
 - discrete mass, sum(V_i rho_i), is conserved to rounding when no mass
   crosses the boundary;
-- a constant law gives the same bits whether it is a ConstantCoefficient,
-  which takes the scalar path, or a CoefficientFunction returning the
-  constant as a float or as a per-cell array.
+- a constant law gives the same bits whether its coefficients are
+  ConstantCoefficients, which take the scalar path, CoefficientFunctions
+  returning the constant as a float or as a per-cell array, or a mix of one
+  ConstantCoefficient and two per-cell CoefficientFunctions.
 """
 
 import numpy as np
@@ -17,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from viscoflow import solver
-from viscoflow.materials import CoefficientFunction, MaterialLaw, ReferenceState
+from viscoflow.materials import (CoefficientFunction, ConstantCoefficient, MaterialLaw,
+                                 ReferenceState)
 from viscoflow.solver import Grid1D, Simulation, bump
 
 PROPERTY = settings(max_examples=10, deadline=None, derandomize=True, database=None)
@@ -148,15 +150,18 @@ class TestScalarPath:
     @PROPERTY
     @given(c=st.tuples(coefficient, coefficient, coefficient), amps=amplitudes(10),
            case=st.sampled_from([("bulk", "planar"), ("bulk", "spherical"),
-                                 ("shear", "planar")]))
-    def test_constant_law_bits_match_the_general_path(self, c, amps, case):
+                                 ("shear", "planar")]),
+           const=st.integers(0, 2))
+    def test_constant_law_bits_match_the_general_path(self, c, amps, case, const):
         def as_float(v):
             return CoefficientFunction(lambda rho, pi, pi2: v)
 
         def per_cell(v):
             return CoefficientFunction(lambda rho, pi, pi2: np.full_like(rho, v))
 
+        mixed = tuple(ConstantCoefficient(v) if i == const else per_cell(v)
+                      for i, v in enumerate(c))
         scalar = self.run(*case, *c, amps)
-        for wrap in (as_float, per_cell):
-            general = self.run(*case, *(wrap(v) for v in c), amps)
+        for law in (tuple(map(as_float, c)), tuple(map(per_cell, c)), mixed):
+            general = self.run(*case, *law, amps)
             assert np.array_equal(scalar.view(np.int64), general.view(np.int64))

@@ -90,6 +90,22 @@ class TestBulkSpeeds:
                            atol=1e-10)
         assert rep.multiplicities == [1, 3, 1]
 
+    def test_fosh_after_orthogonal_congruence(self, rng):
+        # Q^T a Q keeps every matrix symmetric and a0 positive definite, makes
+        # a0 non-diagonal, and leaves the spectrum of a0^-1 an unchanged
+        for _ in range(5):
+            st, law, n = random_bulk_state(rng), random_law(rng), random_direction(rng)
+            sys5 = assemble_bulk(st, law)
+            q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+            turned = QuasilinearSystem(*(q.T @ m @ q for m in (sys5.a0, sys5.a1, sys5.a2,
+                                                               sys5.a3, sys5.b)), dim=5)
+            assert np.count_nonzero(turned.a0 - np.diag(np.diag(turned.a0))) > 0
+            rep = characteristic_speeds_numeric(turned, n)
+            assert rep.hyperbolic_verdict == "FOSH"
+            closed = characteristic_speeds_bulk_closed(st, law, n)
+            assert np.allclose(rep.speeds, closed, rtol=1e-9, atol=1e-9)
+            assert rep.multiplicities == [1, 3, 1]
+
     def test_degenerate_when_a0_singular(self, unit_law):
         sys5 = assemble_bulk(BulkState(1.0), unit_law)
         a0 = sys5.a0.copy()

@@ -365,6 +365,10 @@ class TestMonitorsAndOutcomes:
         sim.fields.set("rho", 1.0 + 0.8 * bump(grid.centers_interior))
         out = solver.step(sim, dt)
         assert out.status == "invalid_state"
+        # without dt the law fails in the time-step choice, before any update
+        cause = "no admissible time step: " if dt is None else \
+            "state became invalid during the update: "
+        assert out.message.startswith(cause)
         assert "zeta" in out.message and "at index" in out.message
         assert len(out.message) < 200
 
@@ -408,13 +412,12 @@ class TestMonitorsAndOutcomes:
         assert out.status == "ok"
         assert np.all(np.diff(series.t) > 0.0)
 
-    def test_observer_cadence(self, unit_law, unit_reference):
+    def test_observer_called_once_per_step(self, unit_law, unit_reference):
         grid = Grid1D("planar", 64, 0.0, 2 * np.pi, bc="periodic")
         sim = Simulation.uniform(grid, "bulk", unit_law, unit_reference)
         calls = []
-        solver.run(sim, 20 * solver.cfl_dt(sim), observer=lambda s: calls.append(s.t),
-                   observer_cadence=5)
-        assert len(calls) == 4
+        solver.run(sim, 20 * solver.cfl_dt(sim), observer=lambda s: calls.append(s.step_count))
+        assert calls == list(range(1, 21))
 
 
 class TestCoefficientEvaluations:
