@@ -61,13 +61,16 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _write_csv(path: Path, rows) -> None:
+def _csv_lines(header, columns):
+    """CSV lines of `header` and equal-length `columns`, each made floats once."""
+    yield ",".join(header) + "\n"
+    for row in zip(*(np.asarray(col, dtype=float).tolist() for col in columns)):
+        yield ",".join(map(repr, row)) + "\n"
+
+
+def _write_csv(path: Path, header, columns) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for i, row in enumerate(rows):
-            if i == 0:
-                fh.write(",".join(str(c) for c in row) + "\n")
-            else:
-                fh.write(",".join(_fmt(c) for c in row) + "\n")
+        fh.writelines(_csv_lines(header, columns))
 
 
 def _background(cfg: ScenarioConfig) -> stability.Background:
@@ -101,21 +104,16 @@ def cmd_speeds(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int, li
     print(f"  eigenvector condition: {report.eigenvector_condition:.6g}")
     print(f"  verdict            : {report.hyperbolic_verdict}")
     print(f"  {'speed':>18}  multiplicity")
-    pos = 0
-    for mult in report.multiplicities:
-        print(f"  {report.speeds[pos]:>18.12g}  {mult}")
-        pos += mult
+    mults = report.multiplicities
+    distinct = report.speeds[np.cumsum([0, *mults])[:-1]]  # first of each cluster
+    for speed, mult in zip(distinct, mults):
+        print(f"  {speed:>18.12g}  {mult}")
     print("  closed-form speed set: " + ", ".join(f"{s:.12g}" for s in closed))
 
     outputs = []
     if out_dir is not None:
         path = out_dir / "speeds.csv"
-        rows = [("speed", "multiplicity")]
-        pos = 0
-        for mult in report.multiplicities:
-            rows.append((report.speeds[pos], float(mult)))
-            pos += mult
-        _write_csv(path, rows)
+        _write_csv(path, ("speed", "multiplicity"), (distinct, mults))
         outputs.append(str(path))
     return EXIT_OK, outputs
 
@@ -163,50 +161,38 @@ def cmd_dispersion(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int
                                f"got {args.sweep!r}")])
     bg = _background(cfg)
     ks = np.linspace(kmin, kmax, count)
-    rows = []
     n_branches = 3 if cfg.system == "bulk" else 8
-    header = ["k"]
-    for i in range(1, n_branches + 1):
-        header += [f"re_omega_{i}", f"im_omega_{i}"]
-    rows.append(tuple(header))
-    for k in ks:
-        problem_roots = _branch_roots(cfg.system, bg, float(k))
-        shift = bg.v0[0] * k
-        row = [k]
-        for x in problem_roots:
-            # x = -i Omega, omega = Omega + v0.k: lab frequency and growth rate
-            row += [shift - x.imag, x.real]
-        rows.append(tuple(row))
+    header = ["k"] + [f"{p}_omega_{i}" for i in range(1, n_branches + 1) for p in ("re", "im")]
+    table = np.empty((count, 1 + 2 * n_branches))
+    table[:, 0] = ks
+    for row, k in zip(table, ks):
+        x = _branch_roots(cfg.system, bg, float(k))
+        # x = -i Omega, omega = Omega + v0.k: lab frequency and growth rate
+        row[1::2] = bg.v0[0] * k - x.imag
+        row[2::2] = x.real
     if out_dir is not None:
         path = out_dir / "dispersion.csv"
-        _write_csv(path, rows)
+        _write_csv(path, header, table.T)
         return EXIT_OK, [str(path)]
-    for i, row in enumerate(rows):
-        print(",".join(str(c) if i == 0 else _fmt(c) for c in row))
+    sys.stdout.writelines(_csv_lines(header, table.T))
     return EXIT_OK, []
 
 
 def _branch_roots(system: str, bg: stability.Background, k: float) -> np.ndarray:
     if system == "bulk":
-        roots, _ = stability.poly_roots(stability.bulk_dispersion(bg, (k, 0, 0)).poly)
-        return roots
+        return stability.poly_roots(stability.bulk_dispersion(bg, (k, 0, 0)).poly)
     disp = stability.shear_dispersion(bg, (k, 0, 0))
-    relax_root, _ = stability.poly_roots(disp.relaxation)
-    trans, _ = stability.poly_roots(disp.transverse)
-    acoustic, _ = stability.poly_roots(disp.acoustic)
-    roots = np.concatenate([np.repeat(relax_root, 3), trans, acoustic])
+    roots = np.concatenate([np.repeat(stability.poly_roots(disp.relaxation), 3),
+                            stability.poly_roots(disp.transverse),
+                            stability.poly_roots(disp.acoustic)])
     order = np.lexsort((roots.imag, roots.real))
     return roots[order]
 
 
 def _write_snapshot(path: Path, sim: solver.Simulation) -> None:
     header = ("t", "cell_center") + tuple(sim.fields.names)
-    rows = [header]
-    x = sim.grid.centers_interior
-    cols = [sim.fields.get(name) for name in sim.fields.names]
-    for j in range(sim.grid.n_cells):
-        rows.append((sim.t, x[j]) + tuple(col[j] for col in cols))
-    _write_csv(path, rows)
+    t = np.full(sim.grid.n_cells, sim.t)
+    _write_csv(path, header, (t, sim.grid.centers_interior, *sim.fields.interior()))
 
 
 def cmd_simulate(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int, list[str]]:
@@ -245,12 +231,12 @@ def cmd_simulate(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int, 
         if t_stop != cfg.t_end or t_stop in snap_times:
             write_snap()
 
+    series_columns = [getattr(full_series, name) for name in full_series.COLUMNS]
     if args.diagnostics:
-        for row in full_series.csv_rows():
-            print(",".join(str(c) if isinstance(c, str) else _fmt(c) for c in row))
+        sys.stdout.writelines(_csv_lines(full_series.COLUMNS, series_columns))
     if out_dir is not None:
         path = out_dir / "series.csv"
-        _write_csv(path, full_series.csv_rows())
+        _write_csv(path, full_series.COLUMNS, series_columns)
         outputs.append(str(path))
 
     print(f"final status: {outcome.status} at t={_fmt(sim.t)} "

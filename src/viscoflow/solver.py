@@ -26,6 +26,12 @@ step allocates little: the SSP stage, the right-hand side, the MUSCL slopes
 and face states, the fluxes and the derivatives live in one `_Workspace` per
 Simulation, made at its first step and filled in place; the grid's face
 areas, cell volumes and quadrature weights are computed once per `Grid1D`.
+Inside `run`, which owns the state between steps, a step after the first
+skips the check before it (the previous step's check after it read the same
+fields) and its opening relaxation's velocity gradients (the previous
+closing one left them in the workspace and changed only the stress rows).
+The C^1 monitor differences the density and velocity rows as one block.
+One floating-point error state covers a step's update, one a `cfl_dt`.
 """
 
 from __future__ import annotations
@@ -217,11 +223,13 @@ class _FaceViews:
 class _Workspace:
     """The arrays a step of one Simulation reuses on every call.
 
-    `stage` holds the SSP stages and `rhs` the right-hand side. Four pool
-    buffers hold, in turn, the MUSCL slopes, the face states, the fluxes and
-    the derivatives: `all` views them for every field row (the hyperbolic
-    right-hand side) and `vel` for the velocity rows (the relaxation). All
-    are cut from one allocation: as separate arrays of a large grid, their
+    `stage` holds the SSP stages, `rhs` the right-hand side and `grads` the
+    velocity gradients, kept from one step to the next inside `run`. Four
+    pool buffers hold, in turn, the MUSCL slopes, the face states, the fluxes
+    and the derivatives: `all` views them for every field row (the
+    hyperbolic right-hand side), `vel` for the velocity rows (the
+    relaxation), and `grad_diffs` for the C^1 monitor between steps. All are
+    cut from one allocation: as separate arrays of a large grid, their
     release at the end of a run shrank the heap, and the next run's set-up
     page-faulted its fields back in.
     """
@@ -229,13 +237,14 @@ class _Workspace:
     def __init__(self, layout, grid: Grid1D):
         nf, n = len(layout.names), grid.n_cells
         nv = len(layout.velocity)
-        sizes = [nf * (n + 3)] * 4 + [nf * grid.n_padded, nf * n, n + 1, n + 1]
+        sizes = [nf * (n + 3)] * 4 + [nf * grid.n_padded, nf * n, n + 1, n + 1, nv * n]
         block = np.empty(sum(sizes))
         parts = np.split(block, np.cumsum(sizes)[:-1])
         pool = parts[:4]
         self.stage = parts[4].reshape(nf, grid.n_padded)
         self.rhs = parts[5].reshape(nf, n)
         self.u_left, self.u_right = parts[6], parts[7]
+        self.grads = parts[8].reshape(nv, n)
         masks = np.split(np.empty(2 * nf * (n + 2), dtype=bool), 2)
         self.all = _FaceViews(pool, masks, nf, n)
         self.vel = _FaceViews(pool, masks, nv, n)
@@ -244,9 +253,10 @@ class _Workspace:
         self.deriv = pool[0][:layout.drive_rows.stop * n].reshape(-1, n)
         self.diss_faces = pool[1][:nv * (n + 1)].reshape(nv, n + 1)
         self.diss = pool[3][:nv * n].reshape(nv, n)
-        # relaxation: velocity gradients and the Navier-Stokes stresses
-        self.grads = pool[0][:nv * n].reshape(nv, n)
+        # relaxation: the Navier-Stokes stresses
         self.eq = pool[1][:len(layout.stress) * n].reshape(-1, n)
+        top = layout.velocity_rows.stop
+        self.grad_diffs = pool[0][:top * (n - 1)].reshape(top, n - 1)
 
 
 @dataclass
@@ -294,6 +304,8 @@ class Simulation:
         self.t = 0.0
         self.step_count = 0
         self.initial = InitialReport(reference.rho_bar, 0.0, 0.0, 0.0, 0.0)
+        # None outside `run`, else whether the last step ended ok (see step)
+        self._carry: bool | None = None
         self.cv_bar = reference_signal_speed(law, system, reference)
         self.reference_vector = self.layout.reference(reference)
         # front-check normalisation per row: rho_bar, c_v for velocities,
@@ -378,8 +390,7 @@ def _transport(sim: Simulation, data: np.ndarray, cells: slice):
         pi = (p11 + p22 + p33) / 3.0
         pi2 = p11**2 + p22**2 + p33**2 + 2.0 * (p12**2 + p13**2 + p23**2)
     try:
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            return eval_transport(sim.law, rho, pi, pi2)
+        return eval_transport(sim.law, rho, pi, pi2)
     except MaterialLawError:
         if cells != sim.grid.interior:
             _transport(sim, data, sim.grid.interior)  # raises, naming the interior cell
@@ -391,11 +402,10 @@ def _signal_speed(sim: Simulation, data: np.ndarray, cells: slice, transport):
     law = sim.law
     rho = data[0, cells]
     zeta, eta, tau = transport
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        cs2 = law.A * law.gamma * rho ** (law.gamma - 1.0)
-        if sim.system == "bulk":
-            return cs2, bulk_signal_speed(cs2, zeta, rho, tau)
-        return cs2, shear_signal_speeds(cs2, zeta, eta, rho, tau)[1]
+    cs2 = law.A * law.gamma * rho ** (law.gamma - 1.0)
+    if sim.system == "bulk":
+        return cs2, bulk_signal_speed(cs2, zeta, rho, tau)
+    return cs2, shear_signal_speeds(cs2, zeta, eta, rho, tau)[1]
 
 
 def _divergence(grid: Grid1D, faces: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -473,13 +483,15 @@ def _velocity_gradients(sim: Simulation, data: np.ndarray) -> np.ndarray:
     return _divergence(sim.grid, hat, sim.work.grads)
 
 
-def _relax(sim: Simulation, data: np.ndarray, delta: float) -> None:
+def _relax(sim: Simulation, data: np.ndarray, delta: float, carried: bool) -> None:
     """Exact exponential update of the stress toward its Navier-Stokes value,
-    with the velocity gradient frozen over the substep."""
+    with the velocity gradient frozen over the substep; `carried` reuses the
+    last relaxation's ghosts and gradients."""
     grid = sim.grid
-    _fill_ghosts(sim, data)
+    if not carried:
+        _fill_ghosts(sim, data)
     zeta, eta, tau = _transport(sim, data, grid.interior)
-    grads = _velocity_gradients(sim, data)
+    grads = sim.work.grads if carried else _velocity_gradients(sim, data)
     factor = np.exp(-delta / tau)
     eq = sim.work.eq  # rows in layout.stress order
     if sim.system == "bulk":
@@ -510,7 +522,8 @@ def cfl_dt(sim: Simulation) -> float:
     data = sim.fields.data
     inner = sim.grid.interior
     try:
-        _, fast = _signal_speed(sim, data, inner, _transport(sim, data, inner))
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            _, fast = _signal_speed(sim, data, inner, _transport(sim, data, inner))
     except ValueError as exc:
         raise InvalidStateError(str(exc)) from exc
     spd = np.abs(data[1, inner])
@@ -585,9 +598,11 @@ def _state_problem(sim: Simulation) -> str | None:
 
 def step(sim: Simulation, dt: float | None = None) -> StepOutcome:
     """One Strang-split SSP step; never raises on physical breakdown, instead
-    reporting it (with the failing check and cell) in the outcome."""
+    reporting it (with the failing check and cell) in the outcome. Inside
+    `run`, a step after an ok one skips what that one already computed."""
     data = sim.fields.data
-    problem = _state_problem(sim)
+    carried = sim._carry
+    problem = None if carried else _state_problem(sim)
     if problem is not None:
         return StepOutcome("invalid_state", 0.0,
                            f"state invalid before the step ({problem}); refusing to advance")
@@ -601,9 +616,10 @@ def step(sim: Simulation, dt: float | None = None) -> StepOutcome:
         return StepOutcome("breakdown", dt,
                            f"time step {dt:.3e} collapsed below the floor {dt_floor:.1e}")
     try:
-        _relax(sim, data, 0.5 * dt)
-        _advance_hyperbolic(sim, data, dt)
-        _relax(sim, data, 0.5 * dt)
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            _relax(sim, data, 0.5 * dt, bool(carried))
+            _advance_hyperbolic(sim, data, dt)
+            _relax(sim, data, 0.5 * dt, False)
     except ValueError as exc:
         return StepOutcome("invalid_state", dt,
                            f"state became invalid during the update: {exc}")
@@ -622,6 +638,8 @@ def step(sim: Simulation, dt: float | None = None) -> StepOutcome:
     msg = _front_violation(sim)
     if msg is not None:
         return StepOutcome("invalid_state", dt, msg)
+    if carried is not None:
+        sim._carry = True
     return StepOutcome("ok", dt)
 
 
@@ -629,8 +647,10 @@ def run(sim: Simulation, t_end: float, observer=None, series_cadence: int | None
     """Advance with CFL-limited steps until t_end or a non-ok outcome.
 
     Returns (final StepOutcome, DiagnosticSeries or None). The observer is
-    called with the simulation after each step, the last one included;
-    identical configurations produce bit-identical series on one platform.
+    called with the simulation after each step, the last one included, and
+    sees the fields read-only: a write to them raises ValueError. Identical
+    configurations produce bit-identical series on one platform. A `step`
+    after `run` returns or raises recomputes everything.
     """
     if t_end < sim.t:
         raise ValueError("t_end must not precede the current time")
@@ -639,22 +659,29 @@ def run(sim: Simulation, t_end: float, observer=None, series_cadence: int | None
         series.record(sim, 0.0)
     eps = 1e-12 * max(1.0, abs(t_end))
     outcome = StepOutcome("ok", 0.0)
-    while sim.t < t_end - eps:
-        try:
-            dt = cfl_dt(sim)
-        except InvalidStateError as exc:
-            outcome = StepOutcome("invalid_state", np.nan, str(exc))
-            break
-        dt = min(dt, t_end - sim.t)
-        outcome = step(sim, dt)
-        done = outcome.status != "ok" or sim.t >= t_end - eps
-        if series is not None and (sim.step_count % series_cadence == 0 or done) \
-                and sim.t > series.t[-1]:
-            series.record(sim, outcome.dt_used)
-        if observer is not None:
-            observer(sim)
-        if outcome.status != "ok":
-            break
+    sim._carry = False
+    try:
+        while sim.t < t_end - eps:
+            try:
+                dt = cfl_dt(sim)
+            except InvalidStateError as exc:
+                outcome = StepOutcome("invalid_state", np.nan, str(exc))
+                break
+            dt = min(dt, t_end - sim.t)
+            outcome = step(sim, dt)
+            done = outcome.status != "ok" or sim.t >= t_end - eps
+            if series is not None and (sim.step_count % series_cadence == 0 or done) \
+                    and sim.t > series.t[-1]:
+                series.record(sim, outcome.dt_used)
+            if observer is not None:
+                sim.fields.data.flags.writeable = False
+                observer(sim)
+                sim.fields.data.flags.writeable = True
+            if outcome.status != "ok":
+                break
+    finally:
+        sim._carry = None
+        sim.fields.data.flags.writeable = True
     return outcome, series
 
 

@@ -148,31 +148,29 @@ def _second_coefficient_positive(poly) -> bool:
 
 def poly_roots(poly):
     """All roots via the companion matrix, one Newton step each, sorted by
-    (real, imag). Returns (roots, degree_reduced) where the flag records a
-    vanishing leading coefficient that forced degree reduction.
+    (real, imag). Vanishing leading coefficients are dropped first, so the
+    root count is the degree that remains.
     """
     p = np.asarray(poly, dtype=float)
     if p.size == 0 or not np.any(p != 0.0):
         raise ValueError("polynomial has no nonzero coefficients")
     scale = float(np.max(np.abs(p)))
-    reduced = False
     while p.size > 1 and abs(p[0]) <= 1e-300 * scale:
         p = p[1:]
-        reduced = True
     if p.size == 1:
-        return np.array([], dtype=complex), reduced
+        return np.array([], dtype=complex)
     roots = np.roots(p)
     val = np.polyval(p, roots)
     der = np.polyval(np.polyder(p), roots)
     ok = np.abs(der) > 0
     roots[ok] = roots[ok] - val[ok] / der[ok]
     order = np.lexsort((roots.imag, roots.real))
-    return roots[order], reduced
+    return roots[order]
 
 
 def polynomial_verdict(poly, marginal_band: float = MARGINAL_BAND) -> StabilityVerdict:
     """Stability of one factor judged by its deltas, cross-checked by roots."""
-    roots, _ = poly_roots(poly)
+    roots = poly_roots(poly)
     max_re = float(np.max(roots.real)) if roots.size else -np.inf
     deltas = hurwitz_deltas(poly)
     stable = all(d > 0.0 for d in deltas) and _second_coefficient_positive(poly)
@@ -210,7 +208,6 @@ class FitError(RuntimeError):
 class WaveFit:
     decay_rate: float       # -Re x of the fitted exponential
     frequency: float        # |Im x|
-    residual: float         # rms relative misfit of log-amplitude
 
 
 def fit_complex_exponential(times: np.ndarray, signal: np.ndarray) -> WaveFit:
@@ -235,24 +232,21 @@ def fit_complex_exponential(times: np.ndarray, signal: np.ndarray) -> WaveFit:
     rms = max(rms_mag, rms_ph)
     if rms > 0.05:
         raise FitError("signal is not a single exponential", rms)
-    return WaveFit(decay_rate=-float(slope_re), frequency=abs(float(slope_im)), residual=rms)
+    return WaveFit(decay_rate=-float(slope_re), frequency=abs(float(slope_im)))
 
 
 @dataclass
 class SimulationComparison:
     k: float
-    predicted: complex        # least-damped root x = -i Omega
     fitted_decay: float
     fitted_frequency: float
     decay_error: float        # relative
     frequency_error: float    # relative
-    tolerance: float
     passed: bool
-    fit_residual: float
 
 
 def _least_damped_oscillatory(poly) -> complex:
-    roots, _ = poly_roots(poly)
+    roots = poly_roots(poly)
     osc = roots[np.abs(roots.imag) > 1e-12]
     pick = osc if osc.size else roots
     idx = int(np.argmax(pick.real))
@@ -341,8 +335,6 @@ def verify_against_simulation(background: Background, k: float,
     decay_err = abs(fit.decay_rate - decay_pred) / max(abs(decay_pred), 1e-30)
     freq_err = abs(fit.frequency - freq_pred) / max(freq_pred, 1e-30)
     return SimulationComparison(
-        k=k, predicted=x_fit,
-        fitted_decay=fit.decay_rate, fitted_frequency=fit.frequency,
+        k=k, fitted_decay=fit.decay_rate, fitted_frequency=fit.frequency,
         decay_error=decay_err, frequency_error=freq_err,
-        tolerance=tolerance, passed=bool(decay_err <= tolerance and freq_err <= tolerance),
-        fit_residual=fit.residual)
+        passed=bool(decay_err <= tolerance and freq_err <= tolerance))

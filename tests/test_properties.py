@@ -10,7 +10,12 @@ so an optimization of the step that changes the arithmetic shows up here:
 - a constant law gives the same bits whether its coefficients are
   ConstantCoefficients, which take the scalar path, CoefficientFunctions
   returning the constant as a float or as a per-cell array, or a mix of one
-  ConstantCoefficient and two per-cell CoefficientFunctions.
+  ConstantCoefficient and two per-cell CoefficientFunctions;
+- `run`, which validates once per step and carries the velocity gradients
+  of a step's closing relaxation into the next, gives the same bits, time
+  steps and outcome as a loop of `cfl_dt` and public `step` calls;
+- on a periodic grid, rolling the initial data by m cells rolls the result
+  of a run by m cells, bit for bit, with the same time steps.
 """
 
 import numpy as np
@@ -40,6 +45,13 @@ def state_dependent_law(z0, e0, t0):
         tau=CoefficientFunction(lambda rho, pi, pi2: t0 * (0.5 + 0.5 * rho)))
 
 
+def some_law(constant, c):
+    """Constant coefficients c, or the state-dependent law built from them."""
+    if constant:
+        return MaterialLaw(A=0.5, gamma=1.8, zeta=c[0], eta=c[1], tau=c[2])
+    return state_dependent_law(*c)
+
+
 def mirror(sim, rows):
     """Reflect x and flip the odd rows."""
     return np.array(sim.layout.parity)[:, None] * rows[:, ::-1]
@@ -60,6 +72,26 @@ def set_symmetric_bumps(sim, amps):
         inner[f, half:] = sign * left[::-1] if sign < 0 else left[::-1]
 
 
+def bumped(system, geometry, law, amps, bc="fixed", integrator="ssprk2"):
+    """A Simulation at the reference state plus amps[f] * bump on row f."""
+    if geometry == "spherical":
+        grid = Grid1D("spherical", 48, 0.0, 3.0)
+    else:
+        grid = Grid1D("planar", 48, -3.0, 3.0, bc=bc)
+    sim = Simulation.uniform(grid, system, law, ReferenceState(rho_bar=1.0, R=1.5),
+                             integrator=integrator, tolerances=UNTRIPPED)
+    arm = grid.centers_interior - (0.0 if geometry == "spherical" else grid.center)
+    w = bump(arm / 1.5)
+    inner = sim.fields.interior()
+    for f in range(inner.shape[0]):
+        inner[f] += amps[f] * w
+    return sim
+
+
+def bits(a):
+    return a.view(np.int64)
+
+
 def evolve(sim, steps):
     for _ in range(steps):
         out = solver.step(sim)
@@ -72,8 +104,7 @@ class TestMirrorSymmetry:
     @given(amps=amplitudes(3), constant=st.booleans(), c=st.tuples(coefficient, coefficient,
                                                                      coefficient))
     def test_bulk(self, amps, constant, c):
-        law = MaterialLaw(A=0.5, gamma=1.8, zeta=c[0], eta=c[1], tau=c[2]) if constant \
-            else state_dependent_law(*c)
+        law = some_law(constant, c)
         grid = Grid1D("planar", 48, -3.0, 3.0)
         sim = Simulation.uniform(grid, "bulk", law, ReferenceState(rho_bar=1.0, R=1.5),
                                  tolerances=UNTRIPPED)
@@ -85,8 +116,7 @@ class TestMirrorSymmetry:
     @given(amps=amplitudes(10), constant=st.booleans(), c=st.tuples(coefficient, coefficient,
                                                                       coefficient))
     def test_shear(self, amps, constant, c):
-        law = MaterialLaw(A=0.5, gamma=1.8, zeta=c[0], eta=c[1], tau=c[2]) if constant \
-            else state_dependent_law(*c)
+        law = some_law(constant, c)
         grid = Grid1D("planar", 48, -3.0, 3.0)
         sim = Simulation.uniform(grid, "shear", law,
                                  ReferenceState(rho_bar=1.0, R=1.5, Pi_bar=0.05),
@@ -134,18 +164,7 @@ class TestScalarPath:
     @staticmethod
     def run(system, geometry, zeta, eta, tau, amps):
         law = MaterialLaw(A=0.5, gamma=1.8, zeta=zeta, eta=eta, tau=tau)
-        if geometry == "spherical":
-            grid = Grid1D("spherical", 48, 0.0, 3.0)
-        else:
-            grid = Grid1D("planar", 48, -3.0, 3.0)
-        sim = Simulation.uniform(grid, system, law, ReferenceState(rho_bar=1.0, R=1.5),
-                                 tolerances=UNTRIPPED)
-        arm = grid.centers_interior - (0.0 if geometry == "spherical" else grid.center)
-        w = bump(arm / 1.5)
-        inner = sim.fields.interior()
-        for f in range(inner.shape[0]):
-            inner[f] += amps[f] * w
-        return evolve(sim, 12)
+        return evolve(bumped(system, geometry, law, amps), 12)
 
     @PROPERTY
     @given(c=st.tuples(coefficient, coefficient, coefficient), amps=amplitudes(10),
@@ -164,4 +183,56 @@ class TestScalarPath:
         scalar = self.run(*case, *c, amps)
         for law in (tuple(map(as_float, c)), tuple(map(per_cell, c)), mixed):
             general = self.run(*case, *law, amps)
-            assert np.array_equal(scalar.view(np.int64), general.view(np.int64))
+            assert np.array_equal(bits(scalar), bits(general))
+
+
+class TestCarriedState:
+    @PROPERTY
+    @given(case=st.sampled_from([("bulk", "planar", "fixed"), ("bulk", "planar", "periodic"),
+                                 ("bulk", "spherical", "fixed"), ("shear", "planar", "fixed"),
+                                 ("shear", "planar", "periodic")]),
+           constant=st.booleans(), c=st.tuples(coefficient, coefficient, coefficient),
+           integrator=st.sampled_from(["ssprk2", "ssprk3"]), amps=amplitudes(10))
+    def test_run_matches_public_steps(self, case, constant, c, integrator, amps):
+        system, geometry, bc = case
+        law = some_law(constant, c)
+        sim_a, sim_b = (bumped(system, geometry, law, amps, bc, integrator) for _ in range(2))
+        t_end = 12.5 * solver.cfl_dt(sim_a)
+        times = []
+        out_a, _ = solver.run(sim_a, t_end, observer=lambda s: times.append(s.t))
+
+        expected = []
+        while sim_b.t < t_end - 1e-12 * max(1.0, t_end):
+            out_b = solver.step(sim_b, min(solver.cfl_dt(sim_b), t_end - sim_b.t))
+            expected.append(sim_b.t)
+            if out_b.status != "ok":
+                break
+        assert out_a == out_b
+        assert times == expected and len(times) >= 12
+        assert np.array_equal(bits(sim_a.fields.data), bits(sim_b.fields.data))
+
+
+class TestPeriodicTranslation:
+    @PROPERTY
+    @given(system=st.sampled_from(["bulk", "shear"]), constant=st.booleans(),
+           c=st.tuples(coefficient, coefficient, coefficient), shift=st.integers(1, 63),
+           amps=amplitudes(10))
+    def test_rolled_data_gives_the_rolled_result(self, system, constant, c, shift, amps):
+        grid = Grid1D("planar", 64, 0.0, 2.0 * np.pi, bc="periodic")
+        sims = [Simulation.uniform(grid, system, some_law(constant, c),
+                                   ReferenceState(rho_bar=1.0, R=1.0), tolerances=UNTRIPPED)
+                for _ in range(2)]
+        x = grid.centers_interior
+        inner = sims[0].fields.interior()
+        for f in range(inner.shape[0]):
+            inner[f] += amps[f] * np.sin((f + 1) * x + f)
+        sims[1].fields.interior()[:] = np.roll(inner, shift, axis=1)
+
+        t_end = 30.0 * solver.cfl_dt(sims[0])
+        times = [[], []]
+        for sim, seen in zip(sims, times):
+            out, _ = solver.run(sim, t_end, observer=lambda s, seen=seen: seen.append(s.t))
+            assert out.status == "ok"
+        assert times[0] == times[1] and len(times[0]) >= 25
+        rolled = np.roll(sims[0].fields.interior(), shift, axis=1)
+        assert np.array_equal(bits(rolled), bits(sims[1].fields.interior()))

@@ -141,6 +141,10 @@ class TestInitScenario:
         sim = solver.init_scenario(cfg)
         assert sim.initial.f0 == pytest.approx(target, rel=1e-13)
 
+    def test_set_up_builds_no_workspace(self):
+        sim = solver.init_scenario(ScenarioConfig(n_cells=64, x_max=3.0, a=0.1, b=0.1))
+        assert "work" not in vars(sim)
+
     def test_negative_density_profile_rejected(self):
         cfg = ScenarioConfig(system="bulk", geometry="spherical", n_cells=64,
                              x_max=4.0, t_end=0.5, A=0.5)
@@ -418,6 +422,37 @@ class TestMonitorsAndOutcomes:
         calls = []
         solver.run(sim, 20 * solver.cfl_dt(sim), observer=lambda s: calls.append(s.step_count))
         assert calls == list(range(1, 21))
+
+    def test_run_calls_step_once_per_step(self, monkeypatch, unit_law):
+        sim = periodic_wave_sim(unit_law, n=64)
+        calls = []
+        original = solver.step
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].step_count)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "step", counted)
+        solver.run(sim, 20 * solver.cfl_dt(sim))
+        assert calls == list(range(20))
+
+    def test_observer_sees_read_only_fields(self, unit_law):
+        def writer(s):
+            if s.step_count == 3:
+                s.fields.data[1, 5] = 0.5
+
+        sim = periodic_wave_sim(unit_law, n=64)
+        with pytest.raises(ValueError, match="read-only"):
+            solver.run(sim, 10 * solver.cfl_dt(sim), observer=writer)
+        assert sim.step_count == 3 and sim.fields.data.flags.writeable
+        # a caller may edit the fields between steps: the next step must not
+        # reuse anything computed before the edit
+        sim.fields.set("u", 2e-3 * np.cos(sim.grid.centers_interior))
+        fresh = Simulation.uniform(sim.grid, "bulk", unit_law, sim.reference)
+        fresh.fields.data[:] = sim.fields.data
+        dt = solver.cfl_dt(sim)
+        assert solver.step(sim, dt) == solver.step(fresh, dt)
+        assert np.array_equal(sim.fields.data.view(np.int64), fresh.fields.data.view(np.int64))
 
 
 class TestCoefficientEvaluations:

@@ -23,7 +23,7 @@ class TestBulkDispersion:
     def test_zero_wavenumber(self):
         problem = bulk_dispersion(unit_background(tau=2.0), (0.0, 0.0, 0.0))
         assert np.allclose(problem.poly, [2.0, 1.0, 0.0, 0.0])
-        roots, _ = poly_roots(problem.poly)
+        roots = poly_roots(problem.poly)
         assert np.allclose(sorted(np.real(roots)), [-0.5, 0.0, 0.0], atol=1e-12)
         assert np.allclose(np.imag(roots), 0.0, atol=1e-12)
 
@@ -109,8 +109,8 @@ class TestRouthHurwitz:
 
 class TestPolyRoots:
     def test_unit_cubic_roots(self):
-        roots, reduced = poly_roots([1.0, 1.0, 2.0, 1.0])
-        assert not reduced
+        roots = poly_roots([1.0, 1.0, 2.0, 1.0])
+        assert roots.size == 3  # the full degree: no coefficient dropped
         # frozen from the companion-matrix oracle
         assert roots[0] == pytest.approx(-0.5698402909980532, rel=1e-12)
         pair = roots[1:]
@@ -119,11 +119,11 @@ class TestPolyRoots:
         assert np.allclose(pair.real, -0.2150798545009734, rtol=1e-12)
 
     def test_factorable_quadratic(self):
-        roots, _ = poly_roots([1.0, 0.0, -1.0])
+        roots = poly_roots([1.0, 0.0, -1.0])
         assert np.allclose(roots, [-1.0, 1.0], atol=1e-14)
 
     def test_zero_wavenumber_cubic(self):
-        roots, _ = poly_roots([2.0, 1.0, 0.0, 0.0])
+        roots = poly_roots([2.0, 1.0, 0.0, 0.0])
         assert np.allclose(sorted(roots.real), [-0.5, 0.0, 0.0], atol=1e-14)
 
     def test_residual_bound(self, rng):
@@ -131,18 +131,18 @@ class TestPolyRoots:
             poly = rng.uniform(-2, 2, size=4)
             if abs(poly[0]) < 1e-3:
                 poly[0] = 1.0
-            roots, _ = poly_roots(poly)
+            roots = poly_roots(poly)
             residual = np.max(np.abs(np.polyval(poly, roots)))
             assert residual <= 1e-9 * np.max(np.abs(poly))
 
     def test_leading_zero_reduces_degree(self):
-        roots, reduced = poly_roots([0.0, 1.0, 1.0])
-        assert reduced
+        roots = poly_roots([0.0, 1.0, 1.0])
+        assert roots.size == 1
         assert np.allclose(roots, [-1.0])
 
     def test_deterministic_ordering(self):
-        roots1, _ = poly_roots([1.0, 1.0, 2.0, 1.0])
-        roots2, _ = poly_roots([1.0, 1.0, 2.0, 1.0])
+        roots1 = poly_roots([1.0, 1.0, 2.0, 1.0])
+        roots2 = poly_roots([1.0, 1.0, 2.0, 1.0])
         assert np.array_equal(roots1, roots2)
         assert np.all(np.diff(roots1.real) >= 0.0)
 
@@ -150,13 +150,13 @@ class TestPolyRoots:
 class TestShearDispersion:
     def test_relaxation_factor_root(self):
         disp = shear_dispersion(unit_background(tau=2.0), (1, 0, 0))
-        roots, _ = poly_roots(disp.relaxation)
+        roots = poly_roots(disp.relaxation)
         assert np.allclose(roots, [-0.5])
 
     def test_transverse_quadratic(self):
         disp = shear_dispersion(unit_background(), (1, 0, 0))
         assert np.allclose(disp.transverse, [1.0, 1.0, 1.0])
-        roots, _ = poly_roots(disp.transverse)
+        roots = poly_roots(disp.transverse)
         assert np.allclose(sorted(roots.imag), [-np.sqrt(3) / 2, np.sqrt(3) / 2], rtol=1e-12)
         assert np.allclose(roots.real, -0.5, rtol=1e-12)
         assert polynomial_verdict(disp.transverse).stable
