@@ -91,8 +91,7 @@ def _equilibrium_system(cfg: ScenarioConfig):
 def cmd_speeds(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int, list[str]]:
     system, state, law = _equilibrium_system(cfg)
     direction = (1.0, 0.0, 0.0)
-    report = characteristic_speeds_numeric(system, direction,
-                                           cond_cap=cfg.tolerances["eig_cond_cap"])
+    report = characteristic_speeds_numeric(system, direction)
     if cfg.system == "bulk":
         closed = characteristic_speeds_bulk_closed(state, law, direction)
     else:
@@ -121,10 +120,9 @@ def cmd_speeds(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int, li
 def cmd_stability(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int, list[str]]:
     bg = _background(cfg)
     k = (args.k, 0.0, 0.0)
-    band = cfg.tolerances["marginal_band"]
     if cfg.system == "bulk":
         problem = stability.bulk_dispersion(bg, k)
-        verdict = stability.routh_hurwitz(problem, band)
+        verdict = stability.routh_hurwitz(problem)
         print(f"bulk dispersion cubic at |k| = {args.k}: "
               + ", ".join(_fmt(c) for c in problem.poly))
         for i, d in enumerate(verdict.deltas, start=1):
@@ -133,21 +131,21 @@ def cmd_stability(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int,
         print("  transverse branch (k orthogonal to dv): neutral, Omega = 0")
     else:
         disp = stability.shear_dispersion(bg, k)
-        verdicts = stability.shear_verdict(disp, band)
+        verdicts = stability.shear_verdict(disp)
         stable = all(v.stable for v in verdicts.values())
         for name, poly in disp.factors.items():
             v = verdicts[name]
             print(f"{name} factor: " + ", ".join(_fmt(c) for c in poly))
-            _print_roots(v, indent="  ")
+            _print_roots(v)
         print(f"overall verdict: {'stable' if stable else 'unstable'}")
     return EXIT_OK, []
 
 
-def _print_roots(verdict: stability.StabilityVerdict, indent: str = "  ") -> None:
+def _print_roots(verdict: stability.StabilityVerdict) -> None:
     for r in verdict.roots:
-        print(f"{indent}root = {r.real:+.12g} {r.imag:+.12g}i")
+        print(f"  root = {r.real:+.12g} {r.imag:+.12g}i")
     label = "marginal" if verdict.marginal else ("stable" if verdict.stable else "unstable")
-    print(f"{indent}max real part = {verdict.max_real_part:.12g} -> {label}")
+    print(f"  max real part = {verdict.max_real_part:.12g} -> {label}")
 
 
 def cmd_dispersion(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int, list[str]]:

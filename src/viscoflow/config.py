@@ -1,10 +1,11 @@
 """Line-oriented scenario configuration: parsing, validation, canonical printing.
 
 Format: `[section]` headers with `key = value` lines, `#` comments, UTF-8.
-Sections and keys are fixed (unknown ones are errors); every tolerance knob
-used anywhere in the library lives in [tolerances] so any run can override
-it. Validation reports every error it finds, each with its line number,
-rather than stopping at the first.
+Sections and keys are fixed (unknown ones are errors). [tolerances] holds
+the thresholds of the run's monitors, so any run can override them; the
+analysis thresholds are module constants (`quasilinear.EIG_COND_CAP`,
+`stability.MARGINAL_BAND`). Validation reports every error it finds, each
+with its line number, rather than stopping at the first.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .materials import CoefficientFunction, ConstantCoefficient, MaterialLaw, ReferenceState
-from .quasilinear import EIG_COND_CAP, reference_signal_speed
-from .stability import MARGINAL_BAND
+from .quasilinear import reference_signal_speed
 
 __all__ = [
     "ConfigError",
@@ -40,14 +40,9 @@ class ConfigError(ValueError):
 
 def default_tolerances() -> dict[str, float]:
     return {
-        "rho_floor_frac": 1e-12,     # density below this fraction of rho_bar is invalid
         "grad_factor": 1e3,          # breakdown when max_grad exceeds factor * initial scale
         "dt_floor": 1e-12,           # breakdown when the CFL step collapses below this
         "front_tol": 1e-8,           # relative deviation allowed outside the front
-        "front_slack_cells": 2.0,    # cells of slack beyond R + c_v t
-        "check_front": 1.0,          # 0 disables the finite-propagation check
-        "eig_cond_cap": EIG_COND_CAP,
-        "marginal_band": MARGINAL_BAND,
     }
 
 
@@ -239,8 +234,6 @@ def validate(cfg: ScenarioConfig) -> list[str]:
     if any(t < 0.0 for t in cfg.snapshot_times):
         errors.append("snapshot_times must be non-negative")
     for name, value in cfg.tolerances.items():
-        if name == "check_front":
-            continue
         if not (np.isfinite(value) and value > 0.0):
             errors.append(f"tolerance {name} must be positive, got {value}")
 

@@ -71,7 +71,6 @@ class QuasilinearSystem:
 class CharacteristicReport:
     """Eigenstructure of the principal symbol in one propagation direction."""
 
-    direction: np.ndarray
     speeds: np.ndarray
     multiplicities: list[int]
     eigenvector_condition: float
@@ -232,13 +231,12 @@ def _cluster_multiplicities(values: np.ndarray, tol: float) -> list[int]:
     return mult
 
 
-def characteristic_speeds_numeric(sys: QuasilinearSystem, direction,
-                                  cond_cap: float = EIG_COND_CAP) -> CharacteristicReport:
+def characteristic_speeds_numeric(sys: QuasilinearSystem, direction) -> CharacteristicReport:
     """Eigenvalues of a0^{-1} (n_k a_k) with hyperbolicity verdict.
 
     FOSH requires all matrices symmetric and a0 positive definite; otherwise
     strongly-hyperbolic needs a real spectrum and an eigenvector matrix with
-    condition number below `cond_cap`. A singular a0 yields a degenerate
+    condition number at most `EIG_COND_CAP`. A singular a0 yields a degenerate
     verdict with no speeds.
     """
     n = _unit(direction)
@@ -255,7 +253,7 @@ def characteristic_speeds_numeric(sys: QuasilinearSystem, direction,
     a0_posdef = bool(np.all(eigs_a0 > 0.0))
     scale = max(float(np.max(np.abs(a0))), 1.0)
     if np.min(np.abs(eigs_a0)) <= 1e-14 * scale:
-        return CharacteristicReport(n, np.array([]), [], np.inf, symmetric, False, "degenerate")
+        return CharacteristicReport(np.array([]), [], np.inf, symmetric, False, "degenerate")
 
     if symmetric and a0_posdef:
         # congruence a0 = L L^T to the symmetric eigenproblem of L^-1 an L^-T
@@ -268,7 +266,7 @@ def characteristic_speeds_numeric(sys: QuasilinearSystem, direction,
         speed_scale = max(float(np.max(np.abs(vals))), 1.0)
         real_spectrum = bool(np.max(np.abs(vals.imag)) <= 1e-9 * speed_scale)
         cond = float(np.linalg.cond(vecs))
-        if real_spectrum and cond <= cond_cap:
+        if real_spectrum and cond <= EIG_COND_CAP:
             verdict = "strongly-hyperbolic"
         else:
             verdict = "degenerate"
@@ -276,7 +274,7 @@ def characteristic_speeds_numeric(sys: QuasilinearSystem, direction,
 
     tol = 1e-7 * max(1.0, float(np.max(np.abs(speeds))) if speeds.size else 1.0)
     mult = _cluster_multiplicities(speeds, tol)
-    return CharacteristicReport(n, speeds, mult, cond, symmetric, a0_posdef, verdict)
+    return CharacteristicReport(speeds, mult, cond, symmetric, a0_posdef, verdict)
 
 
 def det_principal_symbol(sys: QuasilinearSystem, xi0: float, xi_vec) -> float:

@@ -279,7 +279,7 @@ class Simulation:
     """Mutable evolution state: one writer, no shared mutation.
 
     `tolerances` overrides entries of `config.default_tolerances()`; the
-    monitors read the merged dict.
+    monitors read the merged dict. An unknown key is a ValueError.
     """
 
     def __init__(self, grid: Grid1D, system: str, law: MaterialLaw,
@@ -292,13 +292,17 @@ class Simulation:
             raise ValueError("unsupported combination: shear system with spherical geometry")
         if integrator not in ("ssprk2", "ssprk3"):
             raise ValueError(f"integrator must be ssprk2 or ssprk3, got {integrator!r}")
+        self.tolerances = default_tolerances()
+        unknown = sorted(set(tolerances or ()) - self.tolerances.keys())
+        if unknown:
+            raise ValueError(f"unknown tolerance {', '.join(map(repr, unknown))}")
+        self.tolerances.update(tolerances or ())
         self.grid = grid
         self.system = system
         self.law = law
         self.reference = reference
         self.cfl = float(cfl)
         self.integrator = integrator
-        self.tolerances = {**default_tolerances(), **(tolerances or {})}
         self.layout = LAYOUTS[system]
         self.fields = FluidFields(self.layout.names, grid)
         self.t = 0.0
@@ -560,24 +564,30 @@ def _advance_hyperbolic(sim: Simulation, data: np.ndarray, dt: float) -> None:
         data[inner] = data[inner] / 3.0 + 2.0 / 3.0 * stage[inner]
 
 
+FRONT_SLACK_CELLS = 2  # cells of slack beyond R + c_v t
+
+
 def _front_violation(sim: Simulation) -> str | None:
-    tol = sim.tolerances
-    if not tol["check_front"] or sim.grid.bc == "periodic":
+    if sim.grid.bc == "periodic":
         return None
     grid = sim.grid
-    radius = sim.reference.R + sim.cv_bar * sim.t + int(tol["front_slack_cells"]) * grid.dx
+    radius = sim.reference.R + sim.cv_bar * sim.t + FRONT_SLACK_CELLS * grid.dx
     outside = grid.radii > radius
     if not np.any(outside):
         return None
     dev = (np.abs(sim.fields.interior()[:, outside] - sim.reference_vector[:, None])
            / sim.front_scales[:, None])
     worst = float(np.max(dev))
-    if worst > tol["front_tol"]:
+    tol = sim.tolerances["front_tol"]
+    if worst > tol:
         f, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
         cell = int(np.flatnonzero(outside)[j])
         return (f"finite-propagation check failed: field {sim.fields.names[f]} deviates "
-                f"{worst:.3e} (> {tol['front_tol']:.1e}) at cell {cell} beyond the front")
+                f"{worst:.3e} (> {tol:.1e}) at cell {cell} beyond the front")
     return None
+
+
+RHO_FLOOR_FRAC = 1e-12  # density below this fraction of rho_bar is invalid
 
 
 def _state_problem(sim: Simulation) -> str | None:
@@ -589,11 +599,15 @@ def _state_problem(sim: Simulation) -> str | None:
         f, j = np.unravel_index(int(np.argmin(finite)), interior.shape)
         return f"field {sim.fields.names[f]} non-finite at cell {j}"
     rho = interior[0]
-    floor = sim.tolerances["rho_floor_frac"] * sim.reference.rho_bar
+    floor = RHO_FLOOR_FRAC * sim.reference.rho_bar
     if (rho < floor).any():
         cell = int(np.argmin(rho))
         return f"density {rho[cell]:.3e} below floor {floor:.1e} at cell {cell}"
     return None
+
+
+def _no_time_step(exc: InvalidStateError) -> StepOutcome:
+    return StepOutcome("invalid_state", np.nan, f"no admissible time step: {exc}")
 
 
 def step(sim: Simulation, dt: float | None = None) -> StepOutcome:
@@ -610,7 +624,7 @@ def step(sim: Simulation, dt: float | None = None) -> StepOutcome:
         try:
             dt = cfl_dt(sim)
         except InvalidStateError as exc:
-            return StepOutcome("invalid_state", np.nan, f"no admissible time step: {exc}")
+            return _no_time_step(exc)
     dt_floor = sim.tolerances["dt_floor"]
     if dt < dt_floor:
         return StepOutcome("breakdown", dt,
@@ -665,7 +679,7 @@ def run(sim: Simulation, t_end: float, observer=None, series_cadence: int | None
             try:
                 dt = cfl_dt(sim)
             except InvalidStateError as exc:
-                outcome = StepOutcome("invalid_state", np.nan, str(exc))
+                outcome = _no_time_step(exc)
                 break
             dt = min(dt, t_end - sim.t)
             outcome = step(sim, dt)

@@ -63,8 +63,6 @@ def equilibrium_background(law: MaterialLaw, reference: ReferenceState) -> Backg
 class DispersionProblem:
     """Cubic dispersion polynomial of the bulk system at one wavenumber."""
 
-    k_vec: np.ndarray
-    background: Background
     poly: np.ndarray  # coefficients in x = -i Omega, highest degree first
     shift: float      # v0 . k, relating Omega to the lab-frame omega
 
@@ -82,8 +80,6 @@ class StabilityVerdict:
 class ShearDispersion:
     """Factored dispersion polynomials of the 10-field system at one wavenumber."""
 
-    k_vec: np.ndarray
-    background: Background
     relaxation: np.ndarray   # (1 + tau x), root -1/tau with multiplicity 3
     transverse: np.ndarray   # rho tau x^2 + rho x + eta k^2
     acoustic: np.ndarray     # rho tau x^3 + rho x^2 + (3 zeta + 4 eta + cs^2 rho tau) k^2 x + cs^2 rho k^2
@@ -103,7 +99,7 @@ def bulk_dispersion(background: Background, k_vec) -> DispersionProblem:
     poly = np.array([b.tau, 1.0,
                      b.tau * k2 * (b.cs**2 + b.zeta / b.rho0),
                      k2 * b.cs**2])
-    return DispersionProblem(k_vec, b, poly, shift=float(np.dot(b.v0, k_vec)))
+    return DispersionProblem(poly, shift=float(np.dot(b.v0, k_vec)))
 
 
 def shear_dispersion(background: Background, k_vec) -> ShearDispersion:
@@ -116,8 +112,7 @@ def shear_dispersion(background: Background, k_vec) -> ShearDispersion:
     acoustic = np.array([b.rho0 * b.tau, b.rho0,
                          (3.0 * b.zeta + 4.0 * b.eta + b.cs**2 * b.rho0 * b.tau) * k2,
                          b.cs**2 * b.rho0 * k2])
-    return ShearDispersion(k_vec, b, relaxation, transverse, acoustic,
-                           shift=float(np.dot(b.v0, k_vec)))
+    return ShearDispersion(relaxation, transverse, acoustic, shift=float(np.dot(b.v0, k_vec)))
 
 
 def hurwitz_deltas(poly) -> tuple[float, ...]:
@@ -168,28 +163,26 @@ def poly_roots(poly):
     return roots[order]
 
 
-def polynomial_verdict(poly, marginal_band: float = MARGINAL_BAND) -> StabilityVerdict:
+def polynomial_verdict(poly) -> StabilityVerdict:
     """Stability of one factor judged by its deltas, cross-checked by roots."""
     roots = poly_roots(poly)
     max_re = float(np.max(roots.real)) if roots.size else -np.inf
     deltas = hurwitz_deltas(poly)
     stable = all(d > 0.0 for d in deltas) and _second_coefficient_positive(poly)
-    marginal = bool(abs(max_re) <= marginal_band)
+    marginal = bool(abs(max_re) <= MARGINAL_BAND)
     if marginal:
         stable = False
     return StabilityVerdict(deltas, stable, roots, max_re, marginal)
 
 
-def routh_hurwitz(problem: DispersionProblem,
-                  marginal_band: float = MARGINAL_BAND) -> StabilityVerdict:
+def routh_hurwitz(problem: DispersionProblem) -> StabilityVerdict:
     """Verdict for the bulk cubic: deltas (k^2 cs^2, a1 a2 - a0 a3, tau * that)."""
-    return polynomial_verdict(problem.poly, marginal_band)
+    return polynomial_verdict(problem.poly)
 
 
-def shear_verdict(disp: ShearDispersion,
-                  marginal_band: float = MARGINAL_BAND) -> dict[str, StabilityVerdict]:
+def shear_verdict(disp: ShearDispersion) -> dict[str, StabilityVerdict]:
     """Per-factor verdicts; the system is stable iff every factor is."""
-    return {name: polynomial_verdict(p, marginal_band) for name, p in disp.factors.items()}
+    return {name: polynomial_verdict(p) for name, p in disp.factors.items()}
 
 
 # ---------------------------------------------------------------------------

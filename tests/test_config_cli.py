@@ -25,6 +25,9 @@ x_max = 3.0
 [run]
 t_end = 0.2
 """
+# former [tolerances] keys: a config that still sets one must fail, not be ignored
+DELETED_TOLERANCES = ["rho_floor_frac", "front_slack_cells", "check_front",
+                      "eig_cond_cap", "marginal_band"]
 
 
 class TestParse:
@@ -93,9 +96,10 @@ class TestParse:
                                            "t_end = 0.2\nsnapshot_times = 0.0, 0.1"))
         assert cfg.snapshot_times == (0.0, 0.1)
 
-    def test_unknown_tolerance_rejected(self):
-        with pytest.raises(ConfigError, match="unknown tolerance"):
-            parse_config(MINIMAL + "\n[tolerances]\nmade_up = 3\n")
+    @pytest.mark.parametrize("key", ["made_up", *DELETED_TOLERANCES])
+    def test_unknown_tolerance_rejected(self, key):
+        with pytest.raises(ConfigError, match=f"unknown tolerance '{key}'"):
+            parse_config(MINIMAL + f"\n[tolerances]\n{key} = 3\n")
 
     def test_powerlaw_material(self):
         cfg = parse_config(MINIMAL.replace("A = 0.5", "A = 0.5\nzeta = powerlaw:2.0,1.0"))
@@ -243,6 +247,11 @@ class TestCli:
         assert main(["simulate", "--config", str(path)]) == 2
         assert f"{entry.split()[0]} must be finite" in capsys.readouterr().err
 
+    def test_deleted_tolerance_override_exit_code(self, config_path, capsys):
+        assert main(["simulate", "--config", str(config_path),
+                     "--override", "tolerances.check_front=0"]) == 2
+        assert "unknown tolerance 'check_front'" in capsys.readouterr().err
+
     def test_missing_config_exit_code(self):
         cp = run_cli("speeds", "--config", "/nonexistent/nope.cfg")
         assert cp.returncode == 2
@@ -267,3 +276,17 @@ def test_every_tolerance_has_a_reader():
     unread = [key for key in default_tolerances()
               if f'"{key}"' not in sources and f"'{key}'" not in sources]
     assert unread == []
+
+
+def test_readme_lists_every_tolerance_with_its_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Configuration format", 1)[1].split("```ini", 1)[1]
+    block = block.split("```", 1)[0].split("[tolerances]", 1)[1]
+    listed = {}
+    for line in block.splitlines()[1:]:
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, _, value = line.partition("=")
+        listed[key.strip()] = float(value)
+    assert listed == default_tolerances()

@@ -28,7 +28,7 @@ from viscoflow.materials import (CoefficientFunction, ConstantCoefficient, Mater
 from viscoflow.solver import Grid1D, Simulation, bump
 
 PROPERTY = settings(max_examples=10, deadline=None, derandomize=True, database=None)
-UNTRIPPED = {"check_front": 0.0, "grad_factor": 1e9}
+UNTRIPPED = {"front_tol": 1e300, "grad_factor": 1e9}
 coefficient = st.floats(0.5, 2.0)
 
 

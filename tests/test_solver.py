@@ -337,6 +337,12 @@ class TestMonitorsAndOutcomes:
         assert out.status == "breakdown"
         assert "collapsed" in out.message
 
+    def test_unknown_tolerance_rejected(self, unit_law, unit_reference):
+        grid = Grid1D("planar", 64, -2.0, 2.0, bc="periodic")
+        with pytest.raises(ValueError, match="unknown tolerance 'chek_front'"):
+            Simulation(grid, "bulk", unit_law, unit_reference,
+                       tolerances={"chek_front": 0.0, "front_tol": 1.0})
+
     def test_gradient_threshold_trips_breakdown(self, unit_law, unit_reference):
         grid = Grid1D("planar", 256, 0.0, 2 * np.pi, bc="periodic")
         sim = Simulation.uniform(grid, "bulk", unit_law, unit_reference,
@@ -386,11 +392,16 @@ class TestMonitorsAndOutcomes:
         sim.fields.set("rho", rho)
         return sim, int(np.argmax(rho >= 1.5))  # the first interior cell in violation
 
-    @pytest.mark.parametrize("dt", [None, 1e-3])
+    @pytest.mark.parametrize("dt", [None, 1e-3, "run"])
     def test_law_violation_names_the_interior_cell(self, dt):
         sim, cell = self._negative_zeta_bump()
         assert cell == 23
-        out = solver.step(sim, dt)
+        if dt == "run":
+            # run chooses the time step itself and words its failure as step does
+            out, _ = solver.run(sim, 0.1)
+            assert out.message.startswith("no admissible time step: transport coefficient zeta")
+        else:
+            out = solver.step(sim, dt)
         assert f"at index {cell} " in out.message
 
     def test_law_violation_in_the_stencil_names_the_interior_cell(self):
