@@ -196,38 +196,23 @@ def _write_snapshot(path: Path, sim: solver.Simulation) -> None:
 def cmd_simulate(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int, list[str]]:
     sim = solver.init_scenario(cfg)
     outputs: list[str] = []
-    snap_times = sorted(set(cfg.snapshot_times))
-    snap_count = 0
-
-    def write_snap():
-        nonlocal snap_count
-        if out_dir is None:
-            return
-        path = out_dir / f"snapshot_{snap_count:03d}.csv"
-        _write_snapshot(path, sim)
-        outputs.append(str(path))
-        snap_count += 1
-
+    snaps = {t for t in cfg.snapshot_times if t <= cfg.t_end}
     print(f"initial report: max_rho0={_fmt(sim.initial.max_rho0)} "
           f"dM0={_fmt(sim.initial.dm0)} F0={_fmt(sim.initial.f0)} G0={_fmt(sim.initial.g0)}")
 
     full_series = diagnostics.DiagnosticSeries()
     full_series.record(sim, 0.0)
-    if snap_times and snap_times[0] == 0.0:
-        write_snap()
-        snap_times = snap_times[1:]
-
-    stops = [t for t in snap_times if t <= cfg.t_end] + [cfg.t_end]
     outcome = solver.StepOutcome("ok", 0.0)
-    for t_stop in stops:
-        if t_stop <= sim.t:
-            continue
-        outcome, series = solver.run(sim, t_stop, series_cadence=cfg.series_cadence)
-        full_series.extend(series)
-        if outcome.status != "ok":
-            break
-        if t_stop != cfg.t_end or t_stop in snap_times:
-            write_snap()
+    for t_stop in sorted(snaps | {cfg.t_end}):
+        if t_stop > sim.t:
+            outcome, series = solver.run(sim, t_stop, series_cadence=cfg.series_cadence)
+            full_series.extend(series)
+            if outcome.status != "ok":
+                break
+        if out_dir is not None and t_stop in snaps:
+            path = out_dir / f"snapshot_{len(outputs):03d}.csv"
+            _write_snapshot(path, sim)
+            outputs.append(str(path))
 
     series_columns = [getattr(full_series, name) for name in full_series.COLUMNS]
     if args.diagnostics:
@@ -314,20 +299,13 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    out_dir = None if args.out is None else Path(args.out)
     try:
         cfg = parse_config(text)
         if args.override:
             cfg = apply_overrides(cfg, args.override)
-    except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_CONFIG
-
-    out_dir = None
-    if args.out is not None:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-
-    try:
+        if out_dir is not None:
+            out_dir.mkdir(parents=True, exist_ok=True)
         record = dispatch(args.subcommand, cfg, out_dir, args)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)

@@ -6,6 +6,11 @@ the thresholds of the run's monitors, so any run can override them; the
 analysis thresholds are module constants (`quasilinear.EIG_COND_CAP`,
 `stability.MARGINAL_BAND`). Validation reports every error it finds, each
 with its line number, rather than stopping at the first.
+
+Each validity rule is written once. The grid and run rules live in
+`grid_problems` and `run_problems`, which `solver.Grid1D` and
+`solver.Simulation` also call; the material and reference rules live in the
+`materials` constructors, whose messages `validate` collects.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ __all__ = [
     "ConfigError",
     "ScenarioConfig",
     "default_tolerances",
+    "grid_problems",
+    "run_problems",
     "parse_config",
     "format_config",
     "apply_overrides",
@@ -130,8 +137,6 @@ def _convert(raw: str, kind: type):
 def _assign(cfg: ScenarioConfig, section: str, key: str, raw: str) -> str | None:
     """Set one entry of `section` from its text; returns the problem, if any."""
     if section == "tolerances":
-        if key not in cfg.tolerances:
-            return f"unknown tolerance {key!r}"
         kind = float
     elif key in _SCHEMA[section]:
         kind = _SCHEMA[section][key]
@@ -188,6 +193,51 @@ def parse_config(text: str) -> ScenarioConfig:
     return cfg
 
 
+def grid_problems(geometry: str, bc: str, n_cells: int, x_min: float,
+                  x_max: float) -> list[str]:
+    """What makes a grid invalid, as messages; [] for a valid grid."""
+    problems = []
+    if geometry not in ("planar", "spherical"):
+        problems.append(f"geometry must be planar or spherical, got {geometry!r}")
+    if bc not in ("fixed", "periodic"):
+        problems.append(f"bc must be fixed or periodic, got {bc!r}")
+    if geometry == "spherical":
+        if bc == "periodic":
+            problems.append("spherical geometry cannot be periodic")
+        if x_min != 0.0:
+            problems.append("spherical geometry requires x_min = 0")
+    if n_cells < 8:
+        problems.append(f"n_cells must be at least 8, got {n_cells}")
+    if not x_max > x_min:
+        problems.append("x_max must exceed x_min")
+    return problems
+
+
+def run_problems(system: str, geometry: str, integrator: str, cfl: float,
+                 tolerances: dict[str, float]) -> list[str]:
+    """What makes a run's settings invalid, as messages; [] for valid ones.
+
+    `tolerances` holds overrides of `default_tolerances()`: each key must be
+    one of its keys and each value finite and positive.
+    """
+    problems = []
+    if system not in ("bulk", "shear"):
+        problems.append(f"system must be bulk or shear, got {system!r}")
+    if system == "shear" and geometry == "spherical":
+        problems.append("unsupported combination: shear system with spherical geometry")
+    if integrator not in ("ssprk2", "ssprk3"):
+        problems.append(f"integrator must be ssprk2 or ssprk3, got {integrator!r}")
+    if not 0.0 < cfl <= 1.0:
+        problems.append(f"cfl must lie in (0, 1], got {cfl}")
+    known = default_tolerances()
+    for name, value in tolerances.items():
+        if name not in known:
+            problems.append(f"unknown tolerance {name!r}")
+        elif not (np.isfinite(value) and value > 0.0):
+            problems.append(f"tolerance {name} must be positive, got {value}")
+    return problems
+
+
 def validate(cfg: ScenarioConfig) -> list[str]:
     """Constraint checks shared by the parser and programmatic construction."""
     errors: list[str] = []
@@ -196,52 +246,29 @@ def validate(cfg: ScenarioConfig) -> list[str]:
             value = getattr(cfg, key)
             if kind in (float, tuple) and value is not None and not np.all(np.isfinite(value)):
                 errors.append(f"{key} must be finite, got {value}")
-    if cfg.system not in ("bulk", "shear"):
-        errors.append(f"system must be bulk or shear, got {cfg.system!r}")
-    if cfg.geometry not in ("planar", "spherical"):
-        errors.append(f"geometry must be planar or spherical, got {cfg.geometry!r}")
-    if cfg.bc not in ("fixed", "periodic"):
-        errors.append(f"bc must be fixed or periodic, got {cfg.bc!r}")
-    if cfg.system == "shear" and cfg.geometry == "spherical":
-        errors.append("unsupported combination: shear system with spherical geometry")
-    if cfg.geometry == "spherical":
-        if cfg.bc == "periodic":
-            errors.append("spherical geometry cannot be periodic")
-        if cfg.x_min != 0.0:
-            errors.append("spherical geometry requires x_min = 0")
-    if not cfg.A > 0.0:
-        errors.append(f"A must be positive, got {cfg.A}")
-    if not cfg.gamma > 1.0:
-        errors.append(f"gamma must exceed 1, got {cfg.gamma}")
-    if not cfg.rho_bar > 0.0:
-        errors.append(f"rho_bar must be positive, got {cfg.rho_bar}")
-    if not cfg.R > 0.0:
-        errors.append(f"R must be positive, got {cfg.R}")
+    errors += grid_problems(cfg.geometry, cfg.bc, cfg.n_cells, cfg.x_min, cfg.x_max)
+    errors += run_problems(cfg.system, cfg.geometry, cfg.integrator, cfg.cfl, cfg.tolerances)
     if cfg.rho_bar + cfg.a <= 0.0:
         errors.append("density bump amplitude drives rho non-positive")
-    if cfg.n_cells < 8:
-        errors.append(f"n_cells must be at least 8, got {cfg.n_cells}")
-    if not cfg.x_max > cfg.x_min:
-        errors.append("x_max must exceed x_min")
-    if not 0.0 < cfg.cfl <= 1.0:
-        errors.append(f"cfl must lie in (0, 1], got {cfg.cfl}")
     if cfg.t_end < 0.0:
         errors.append(f"t_end must be non-negative, got {cfg.t_end}")
-    if cfg.integrator not in ("ssprk2", "ssprk3"):
-        errors.append(f"integrator must be ssprk2 or ssprk3, got {cfg.integrator}")
     if cfg.series_cadence < 1:
         errors.append("series_cadence must be at least 1")
     if any(t < 0.0 for t in cfg.snapshot_times):
         errors.append("snapshot_times must be non-negative")
-    for name, value in cfg.tolerances.items():
-        if not (np.isfinite(value) and value > 0.0):
-            errors.append(f"tolerance {name} must be positive, got {value}")
+    try:
+        law = material_law(cfg)
+    except ValueError as exc:
+        errors.append(str(exc))
+    try:
+        ref = reference_state(cfg)
+    except ValueError as exc:
+        errors.append(str(exc))
 
-    # law specs and front containment need the material law; skip if the
-    # basics above already failed
+    # front containment needs a valid law, reference and system
     if not errors:
         try:
-            cv = reference_signal_speed(material_law(cfg), cfg.system, reference_state(cfg))
+            cv = reference_signal_speed(law, cfg.system, ref)
         except ValueError as exc:
             errors.append(str(exc))
         else:

@@ -43,7 +43,8 @@ from typing import ClassVar
 import numpy as np
 
 from . import diagnostics
-from .config import ScenarioConfig, default_tolerances, material_law, reference_state
+from .config import (ScenarioConfig, default_tolerances, grid_problems, material_law,
+                     reference_state, run_problems)
 from .materials import LAYOUTS, MaterialLaw, MaterialLawError, ReferenceState, eval_transport
 from .quasilinear import bulk_signal_speed, reference_signal_speed, shear_signal_speeds
 
@@ -85,10 +86,12 @@ def bump(s):
 class Grid1D:
     """Uniform 1-D grid with two ghost cells on each side.
 
-    Spherical geometry requires x_min = 0; the inner boundary is reflective
+    A spherical grid starts at the origin; the inner boundary is reflective
     and the outer boundary is held at the reference state. Planar grids are
     either periodic or held at the reference state on both sides. The
-    geometry arrays are computed once per grid and are read-only.
+    geometry arrays are computed once per grid and are read-only. A grid
+    that `config.grid_problems` rejects raises ValueError with the first
+    problem, worded as the config validator words it.
     """
 
     geometry: str
@@ -99,19 +102,9 @@ class Grid1D:
     n_ghost: ClassVar[int] = 2
 
     def __post_init__(self):
-        if self.geometry not in ("planar", "spherical"):
-            raise ValueError(f"geometry must be planar or spherical, got {self.geometry!r}")
-        if self.bc not in ("fixed", "periodic"):
-            raise ValueError(f"bc must be fixed or periodic, got {self.bc!r}")
-        if self.geometry == "spherical":
-            if self.x_min != 0.0:
-                raise ValueError("spherical geometry requires x_min = 0")
-            if self.bc == "periodic":
-                raise ValueError("spherical geometry cannot be periodic")
-        if self.n_cells < 4:
-            raise ValueError("need at least 4 cells")
-        if not self.x_max > self.x_min:
-            raise ValueError("x_max must exceed x_min")
+        problems = grid_problems(self.geometry, self.bc, self.n_cells, self.x_min, self.x_max)
+        if problems:
+            raise ValueError(problems[0])
 
     @cached_property
     def dx(self) -> float:
@@ -279,24 +272,21 @@ class Simulation:
     """Mutable evolution state: one writer, no shared mutation.
 
     `tolerances` overrides entries of `config.default_tolerances()`; the
-    monitors read the merged dict. An unknown key is a ValueError.
+    monitors read the merged dict. Settings that `config.run_problems`
+    rejects (an unknown system or integrator, a cfl outside (0, 1], a key
+    `default_tolerances()` lacks or a value that is not finite and positive)
+    raise ValueError with the first problem.
     """
 
     def __init__(self, grid: Grid1D, system: str, law: MaterialLaw,
                  reference: ReferenceState, cfl: float = 0.4,
                  integrator: str = "ssprk2",
                  tolerances: dict[str, float] | None = None):
-        if system not in ("bulk", "shear"):
-            raise ValueError(f"system must be bulk or shear, got {system!r}")
-        if system == "shear" and grid.geometry == "spherical":
-            raise ValueError("unsupported combination: shear system with spherical geometry")
-        if integrator not in ("ssprk2", "ssprk3"):
-            raise ValueError(f"integrator must be ssprk2 or ssprk3, got {integrator!r}")
-        self.tolerances = default_tolerances()
-        unknown = sorted(set(tolerances or ()) - self.tolerances.keys())
-        if unknown:
-            raise ValueError(f"unknown tolerance {', '.join(map(repr, unknown))}")
-        self.tolerances.update(tolerances or ())
+        tolerances = tolerances or {}
+        problems = run_problems(system, grid.geometry, integrator, cfl, tolerances)
+        if problems:
+            raise ValueError(problems[0])
+        self.tolerances = default_tolerances() | tolerances
         self.grid = grid
         self.system = system
         self.law = law

@@ -15,7 +15,10 @@ so an optimization of the step that changes the arithmetic shows up here:
   of a step's closing relaxation into the next, gives the same bits, time
   steps and outcome as a loop of `cfl_dt` and public `step` calls;
 - on a periodic grid, rolling the initial data by m cells rolls the result
-  of a run by m cells, bit for bit, with the same time steps.
+  of a run by m cells, bit for bit, with the same time steps;
+- `Grid1D` and `Simulation` accept a scenario's grid and run settings
+  exactly when `config.validate` does, and reject them with one of its
+  messages.
 """
 
 import numpy as np
@@ -23,6 +26,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from viscoflow import solver
+from viscoflow.config import (ScenarioConfig, default_tolerances, material_law,
+                              reference_state, validate)
 from viscoflow.materials import (CoefficientFunction, ConstantCoefficient, MaterialLaw,
                                  ReferenceState)
 from viscoflow.solver import Grid1D, Simulation, bump
@@ -236,3 +241,48 @@ class TestPeriodicTranslation:
         assert times[0] == times[1] and len(times[0]) >= 25
         rolled = np.roll(sims[0].fields.interior(), shift, axis=1)
         assert np.array_equal(bits(rolled), bits(sims[1].fields.interior()))
+
+
+# values on either side of each grid and run rule
+WITHIN = {"system": ["bulk", "shear"], "geometry": ["planar", "spherical"],
+          "bc": ["fixed", "periodic"], "n_cells": [8, 9, 10], "x_min": [-1.0, 0.0, 0.5],
+          "cfl": [0.4, 1.0], "integrator": ["ssprk2", "ssprk3"],
+          "tolerance_key": list(default_tolerances()), "tolerance": [1e-3, 10.0]}
+BEYOND = {"system": ["plasma"], "geometry": ["conical"], "bc": ["open"], "n_cells": [6, 7],
+          "x_min": [4.0], "cfl": [-0.4, 0.0, float("nan"), 1.5], "integrator": ["euler"],
+          "tolerance_key": ["chek_front"], "tolerance": [float("nan"), -1.0, 0.0]}
+
+
+@st.composite
+def grid_and_run_settings(draw):
+    """Settings with at most two entries beyond their rule's boundary."""
+    beyond = draw(st.sets(st.sampled_from(sorted(BEYOND)), max_size=2))
+
+    def values(name):
+        return st.sampled_from((BEYOND if name in beyond else WITHIN)[name])
+
+    out = {name: draw(values(name)) for name in WITHIN if not name.startswith("tolerance")}
+    out["tolerances"] = draw(st.dictionaries(values("tolerance_key"), values("tolerance"),
+                                             max_size=2))
+    return out
+
+
+class TestSharedRules:
+    """The grid and run rules are the same for the config and the constructors."""
+
+    @settings(PROPERTY, max_examples=200)
+    @given(grid_and_run_settings())
+    def test_constructors_accept_what_validate_accepts(self, s):
+        # the material, reference and front are valid, so any problem
+        # validate reports is a grid or run problem
+        cfg = ScenarioConfig(**(s | {"tolerances": default_tolerances() | s["tolerances"]}),
+                             A=0.5, t_end=0.5)
+        problems = validate(cfg)
+        try:
+            grid = Grid1D(s["geometry"], s["n_cells"], s["x_min"], cfg.x_max, bc=s["bc"])
+            Simulation(grid, s["system"], material_law(cfg), reference_state(cfg),
+                       cfl=s["cfl"], integrator=s["integrator"], tolerances=s["tolerances"])
+        except ValueError as exc:
+            assert str(exc) in problems
+        else:
+            assert problems == []

@@ -343,6 +343,17 @@ class TestMonitorsAndOutcomes:
             Simulation(grid, "bulk", unit_law, unit_reference,
                        tolerances={"chek_front": 0.0, "front_tol": 1.0})
 
+    @pytest.mark.parametrize("name, value", [
+        ("cfl", -0.4), ("cfl", 0.0), ("cfl", float("nan")), ("cfl", 1.5),
+        ("dt_floor", float("nan")), ("dt_floor", -1.0), ("dt_floor", 0.0)])
+    def test_bad_cfl_or_tolerance_rejected(self, unit_law, unit_reference, name, value):
+        # each would otherwise run: a false breakdown, a field blamed for a
+        # non-finite step, an unstable step, or the floor check switched off
+        grid = Grid1D("planar", 64, -2.0, 2.0, bc="periodic")
+        setting = {"cfl": value} if name == "cfl" else {"tolerances": {name: value}}
+        with pytest.raises(ValueError, match=name):
+            Simulation(grid, "bulk", unit_law, unit_reference, **setting)
+
     def test_gradient_threshold_trips_breakdown(self, unit_law, unit_reference):
         grid = Grid1D("planar", 256, 0.0, 2 * np.pi, bc="periodic")
         sim = Simulation.uniform(grid, "bulk", unit_law, unit_reference,
