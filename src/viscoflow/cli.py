@@ -194,6 +194,10 @@ def _write_snapshot(path: Path, sim: solver.Simulation) -> None:
 
 
 def cmd_simulate(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int, list[str]]:
+    if cfg.bc == "fixed" and cfg.Pi_bar != 0.0:
+        # the finite-propagation check and the fixed boundary assume a steady exterior
+        raise ConfigError([(0, f"simulate with bc = fixed needs Pi_bar = 0, got {cfg.Pi_bar!r}: "
+                               "a uniform stress relaxes toward 0, so the exterior is not steady")])
     sim = solver.init_scenario(cfg)
     outputs: list[str] = []
     snaps = {t for t in cfg.snapshot_times if t <= cfg.t_end}
@@ -305,7 +309,11 @@ def main(argv=None) -> int:
         if args.override:
             cfg = apply_overrides(cfg, args.override)
         if out_dir is not None:
-            out_dir.mkdir(parents=True, exist_ok=True)
+            try:
+                out_dir.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                print(f"cannot create output directory: {exc}", file=sys.stderr)
+                return EXIT_CONFIG
         record = dispatch(args.subcommand, cfg, out_dir, args)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)

@@ -78,22 +78,30 @@ def stress_integral(sim) -> float:
     return float(np.sum(w * sum(rest, first)))  # (Pi11 + Pi22) + Pi33 for shear
 
 
-def max_gradients(sim) -> tuple[float, float]:
+def max_gradients(sim, cells: slice | None = None) -> tuple[float, float]:
     """(max |du/dx|, max |drho/dx|) over adjacent interior cells; all velocity
     components participate for the 10-field system. The density and velocity
     rows are differenced as one block, in the step's workspace once there is
-    one (a large grid's temporary page-faults on every call)."""
-    block = sim.fields.interior()[:sim.layout.velocity_rows.stop]
+    one (a large grid's temporary page-faults on every call). `cells`, padded
+    columns, limits the differences to those beside them, for a state that
+    holds the uniform reference state elsewhere (the step's active window)."""
+    inner = sim.grid.interior
+    cells = inner if cells is None else cells
+    lo, hi = max(cells.start - 1, inner.start), min(cells.stop + 1, inner.stop)
+    top = sim.layout.velocity_rows.stop
+    block = sim.fields.data[:top, lo:hi]
     work = vars(sim).get("work")
-    d = np.subtract(block[:, 1:], block[:, :-1], out=None if work is None else work.grad_diffs)
+    d = np.subtract(block[:, 1:], block[:, :-1],
+                    out=None if work is None else work.rows(0, top, hi - lo - 1))
     grho, *gu = np.abs(d, out=d).max(axis=1).tolist()
     return max(gu) / sim.grid.dx, grho / sim.grid.dx
 
 
-def monitor_c1(sim) -> tuple[float, bool]:
+def monitor_c1(sim, cells: slice | None = None) -> tuple[float, bool]:
     """Current max gradient and whether it crosses the breakdown threshold
-    grad_factor * (initial max gradient + c_v / R)."""
-    gu, grho = max_gradients(sim)
+    grad_factor * (initial max gradient + c_v / R); `cells` as for
+    `max_gradients`."""
+    gu, grho = max_gradients(sim, cells)
     max_grad = max(gu, grho)
     threshold = sim.tolerances["grad_factor"] * (sim.initial.max_grad0
                                                  + sim.cv_bar / sim.reference.R)

@@ -12,26 +12,45 @@ source is integrated by Strang splitting with an exact exponential update
 toward the local Navier-Stokes value, stable for arbitrarily small
 relaxation time. Time integration is SSP-RK2 (SSP-RK3 optional).
 
-Cost of a step. The transport coefficients are evaluated in three places:
-`cfl_dt` (interior cells), each relaxation half-step (interior cells) and
-each SSP stage of the hyperbolic update (the interior plus one cell on
-either side) -- five evaluations per SSP-RK2 step. A constant coefficient
-costs no per-cell work: `eval_transport` gives its float, with no positivity
-check (it passed one when the law was built), and the float enters the
-arithmetic directly, with the same bits as a per-cell array of it. A law
-whose three coefficients are constant (`MaterialLaw.has_constant_transport`)
-also skips the stress invariants. The field rows of each group (velocities,
-driving stresses, stresses) are contiguous and are updated as one block. A
-step allocates little: the SSP stage, the right-hand side, the MUSCL slopes
-and face states, the fluxes and the derivatives live in one `_Workspace` per
-Simulation, made at its first step and filled in place; the grid's face
-areas, cell volumes and quadrature weights are computed once per `Grid1D`.
-Inside `run`, which owns the state between steps, a step after the first
-skips the check before it (the previous step's check after it read the same
-fields) and its opening relaxation's velocity gradients (the previous
-closing one left them in the workspace and changed only the stress rows).
-The C^1 monitor differences the density and velocity rows as one block.
-One floating-point error state covers a step's update, one a `cfl_dt`.
+Cost of a step. A step works on its active window only (`_window`): the
+span of the interior cells that differ, bit for bit, from the reference
+state, widened by the cells one step can carry a difference and clipped to
+the interior. Each of a step's four stencil passes (the velocity gradients
+of two relaxations, the right-hand sides of two SSP stages) changes a cell
+only if it or a neighbour differs, since a minmod slope vanishes beside two
+equal cells, so that reach is four cells. Where the reference state is a
+fixed point of the step, the cells outside the window would come out of it
+unchanged, so the step leaves them alone: the relaxations, the SSP stages
+(whose halo in the stage buffer is copied from the state), `cfl_dt`, the
+validity check, the C^1 monitor and the front check all read the window.
+The window is the whole interior on a periodic grid, with a uniform stress
+Pi_bar != 0 (which relaxes toward 0), with a moving spherical background,
+with SSP-RK3 (whose closing u/3 + 2u/3 need not give u), and when the
+disturbance spans the grid. The diagnostic series stays whole-grid: its
+pairwise sums fix the bits. Inside `run`, a step finds the next step's
+window by scanning its own.
+
+The transport coefficients are evaluated in three places: `cfl_dt`, each
+relaxation half-step and each SSP stage of the hyperbolic update (the window
+plus one cell on either side) -- five evaluations per SSP-RK2 step. A
+constant coefficient costs no per-cell work: `eval_transport` gives its
+float, with no positivity check (it passed one when the law was built), and
+the float enters the arithmetic directly, with the same bits as a per-cell
+array of it. A law whose three coefficients are constant
+(`MaterialLaw.has_constant_transport`) also skips the stress invariants. The
+field rows of each group (velocities, driving stresses, stresses) are
+contiguous and are updated as one block. A step allocates little: the SSP
+stage, the right-hand side, the MUSCL slopes and face states, the fluxes and
+the derivatives live in one `_Workspace` per Simulation, made at its first
+step and filled in place; the grid's face areas, cell volumes and quadrature
+weights are computed once per `Grid1D`. Inside `run`, which owns the state
+between steps, a step after the first skips the check before it (the
+previous step's check after it read the same fields) and, unless its window
+is wider than the last one, its opening relaxation's velocity gradients (the
+previous closing one left them in the workspace and changed only the stress
+rows). The C^1 monitor differences the density and velocity rows as one
+block. One floating-point error state covers a step's update, one a
+`cfl_dt`.
 """
 
 from __future__ import annotations
@@ -179,6 +198,10 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _bits(a: np.ndarray) -> np.ndarray:
+    return a.view(np.int64)
+
+
 class FluidFields:
     """Named field arrays over the padded grid."""
 
@@ -199,57 +222,99 @@ class FluidFields:
 
 
 class _FaceViews:
-    """Views, for `rows` field rows, into the pool buffers of a _Workspace:
-    the MUSCL differences and slopes, then the face states, jump and average."""
+    """Views, for `rows` field rows and a window of k cells, into the pool
+    buffers of a _Workspace: the MUSCL differences and slopes, then the face
+    states, jump and average."""
 
-    def __init__(self, pool, masks, rows: int, n: int):
-        def view(buf, cols):
-            return buf[:rows * cols].reshape(rows, cols)
+    def __init__(self, ws: "_Workspace", rows: int, k: int):
+        self.diff, self.adiff, self.slope = ws.rows(0, rows, k + 3), ws.rows(1, rows, k + 3), \
+            ws.rows(2, rows, k + 2)
+        self.flat, self.pick = ws.masks(0, rows, k + 2), ws.masks(1, rows, k + 2)
+        self.left, self.right = ws.rows(0, rows, k + 1), ws.rows(1, rows, k + 1)
+        self.jump, self.hat = ws.rows(2, rows, k + 1), ws.rows(3, rows, k + 1)
 
-        self.diff, self.adiff, self.slope = view(pool[0], n + 3), view(pool[1], n + 3), \
-            view(pool[2], n + 2)
-        self.flat, self.pick = view(masks[0], n + 2), view(masks[1], n + 2)
-        self.left, self.right = view(pool[0], n + 1), view(pool[1], n + 1)
-        self.jump, self.hat = view(pool[2], n + 1), view(pool[3], n + 1)
+
+class _WindowViews:
+    """What a step over the padded columns `cols` works in: views cut from a
+    _Workspace (`all` for every field row, the hyperbolic right-hand side;
+    `vel` for the velocity rows, the relaxation; the right-hand side and,
+    after the fluxes, the derivatives of rows up to the last driving stress
+    and the velocity dissipation; the relaxation's Navier-Stokes stresses
+    and velocity gradients), the grid's face areas and cell volumes there,
+    and the interior cells beside `cols` that an SSP stage reads."""
+
+    def __init__(self, ws: "_Workspace", layout, grid: Grid1D, cols: slice):
+        nf, nv = len(layout.names), len(layout.velocity)
+        g, k = grid.n_ghost, cols.stop - cols.start
+        lo, hi = cols.start - g, cols.stop - g
+        self.cols = cols
+        self.all = _FaceViews(ws, nf, k)
+        self.vel = _FaceViews(ws, nv, k)
+        self.rhs = ws.rows(4, nf, k)
+        self.u_left, self.u_right = ws.rows(5, 1, k + 1)[0], ws.rows(6, 1, k + 1)[0]
+        self.deriv = ws.rows(0, layout.drive_rows.stop, k)
+        self.diss_faces = ws.rows(1, nv, k + 1)
+        self.diss = ws.rows(3, nv, k)
+        self.eq = ws.rows(1, len(layout.stress), k)
+        self.grads = ws.grads[:, lo:hi]
+        self.areas, self.volumes = grid.face_areas[lo:hi + 1], grid.cell_volumes[lo:hi]
+        inner = grid.interior
+        self.halos = [h for h in (slice(max(cols.start - g, inner.start), cols.start),
+                                  slice(cols.stop, min(cols.stop + g, inner.stop)))
+                      if h.stop > h.start]
 
 
 class _Workspace:
     """The arrays a step of one Simulation reuses on every call.
 
-    `stage` holds the SSP stages, `rhs` the right-hand side and `grads` the
-    velocity gradients, kept from one step to the next inside `run`. Four
-    pool buffers hold, in turn, the MUSCL slopes, the face states, the fluxes
-    and the derivatives: `all` views them for every field row (the
-    hyperbolic right-hand side), `vel` for the velocity rows (the
-    relaxation), and `grad_diffs` for the C^1 monitor between steps. All are
-    cut from one allocation: as separate arrays of a large grid, their
-    release at the end of a run shrank the heap, and the next run's set-up
-    page-faulted its fields back in.
+    `stage` holds the SSP stages over the padded grid and `grads` the
+    velocity gradients of the interior, kept from one step to the next inside
+    `run`. Four pool buffers hold, in turn, the MUSCL slopes, the face
+    states, the fluxes and the derivatives; `window(cols)` cuts the views of
+    a step over the columns `cols` from them (and from the right-hand side
+    and face velocity buffers), and `rows` cuts the C^1 monitor's
+    differences. All are cut from one allocation: as separate arrays of a
+    large grid, their release at the end of a run shrank the heap, and the
+    next run's set-up page-faulted its fields back in.
     """
 
     def __init__(self, layout, grid: Grid1D):
         nf, n = len(layout.names), grid.n_cells
         nv = len(layout.velocity)
         sizes = [nf * (n + 3)] * 4 + [nf * grid.n_padded, nf * n, n + 1, n + 1, nv * n]
-        block = np.empty(sum(sizes))
-        parts = np.split(block, np.cumsum(sizes)[:-1])
-        pool = parts[:4]
+        parts = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+        self._buffers = parts[:4] + parts[5:8]
         self.stage = parts[4].reshape(nf, grid.n_padded)
-        self.rhs = parts[5].reshape(nf, n)
-        self.u_left, self.u_right = parts[6], parts[7]
         self.grads = parts[8].reshape(nv, n)
-        masks = np.split(np.empty(2 * nf * (n + 2), dtype=bool), 2)
-        self.all = _FaceViews(pool, masks, nf, n)
-        self.vel = _FaceViews(pool, masks, nv, n)
-        # right-hand side, after the fluxes: derivatives of rows up to the
-        # last driving stress, then the velocity dissipation
-        self.deriv = pool[0][:layout.drive_rows.stop * n].reshape(-1, n)
-        self.diss_faces = pool[1][:nv * (n + 1)].reshape(nv, n + 1)
-        self.diss = pool[3][:nv * n].reshape(nv, n)
-        # relaxation: the Navier-Stokes stresses
-        self.eq = pool[1][:len(layout.stress) * n].reshape(-1, n)
-        top = layout.velocity_rows.stop
-        self.grad_diffs = pool[0][:top * (n - 1)].reshape(top, n - 1)
+        self._masks = np.split(np.empty(2 * nf * (n + 2), dtype=bool), 2)
+        self._layout, self._grid = layout, grid
+        self._views: _WindowViews | None = None
+
+    def rows(self, buffer: int, rows: int, cols: int) -> np.ndarray:
+        """A (rows, cols) view at the start of buffer `buffer`: 0-3 the pool,
+        4 the right-hand side, 5 and 6 the face velocities."""
+        return self._buffers[buffer][:rows * cols].reshape(rows, cols)
+
+    def masks(self, buffer: int, rows: int, cols: int) -> np.ndarray:
+        return self._masks[buffer][:rows * cols].reshape(rows, cols)
+
+    def window(self, cols: slice) -> _WindowViews:
+        """The views of a step over the padded columns `cols`; those of the
+        last window asked for are kept, so a run whose window stays put
+        builds them once."""
+        if self._views is None or self._views.cols != cols:
+            self._views = _WindowViews(self, self._layout, self._grid, cols)
+        return self._views
+
+
+@dataclass(frozen=True)
+class _Carry:
+    """What an ok step inside `run` leaves for the next: the window of the
+    state it left, and the window over which `work.grads` holds that
+    state's velocity gradients."""
+
+    window: slice
+    grads: slice
 
 
 @dataclass
@@ -298,8 +363,9 @@ class Simulation:
         self.t = 0.0
         self.step_count = 0
         self.initial = InitialReport(reference.rho_bar, 0.0, 0.0, 0.0, 0.0)
-        # None outside `run`, else whether the last step ended ok (see step)
-        self._carry: bool | None = None
+        # None outside `run`; inside, False until a step ends ok, then what
+        # that step leaves for the next (see step)
+        self._carry: _Carry | bool | None = None
         self.cv_bar = reference_signal_speed(law, system, reference)
         self.reference_vector = self.layout.reference(reference)
         # front-check normalisation per row: rho_bar, c_v for velocities,
@@ -312,6 +378,17 @@ class Simulation:
     def work(self) -> _Workspace:
         """The step's reused buffers, allocated at the first step."""
         return _Workspace(self.layout, self.grid)
+
+    @cached_property
+    def _stationary(self) -> bool:
+        """Whether a step maps the uniform reference state to itself, bit for
+        bit (see _window). The last test fails for -0.0 and subnormals, which
+        an update by a zero right-hand side does not keep."""
+        r = self.reference_vector
+        return bool(self.grid.bc == "fixed" and self.integrator == "ssprk2"
+                    and self.reference.Pi_bar == 0.0
+                    and (self.grid.geometry == "planar" or r[1] == 0.0)
+                    and np.array_equal(_bits(0.5 * (r + 0.0) + 0.5 * (r + 0.0)), _bits(r)))
 
     @classmethod
     def uniform(cls, grid: Grid1D, system: str, law: MaterialLaw,
@@ -372,7 +449,8 @@ def _face_states(w: np.ndarray, v: _FaceViews) -> None:
 
 def _transport(sim: Simulation, data: np.ndarray, cells: slice):
     """(zeta, eta, tau) on the padded cells `cells`; the law's floats when it
-    is constant. A law violation is reported at its interior cell."""
+    is constant. A law violation is reported at its interior cell, the one
+    an evaluation over the whole interior names."""
     rho = data[0, cells]
     if sim.law.has_constant_transport:
         return eval_transport(sim.law, rho)  # floats; no invariants needed
@@ -386,8 +464,14 @@ def _transport(sim: Simulation, data: np.ndarray, cells: slice):
     try:
         return eval_transport(sim.law, rho, pi, pi2)
     except MaterialLawError:
-        if cells != sim.grid.interior:
-            _transport(sim, data, sim.grid.interior)  # raises, naming the interior cell
+        inner = sim.grid.interior
+        if cells != inner:
+            # outside `cells` a whole-grid step holds the reference state,
+            # which the law accepts (Simulation evaluated it there)
+            whole = np.repeat(sim.reference_vector[:, None], data.shape[1], axis=1)
+            keep = slice(max(cells.start, inner.start), min(cells.stop, inner.stop))
+            whole[:, keep] = data[:, keep]
+            _transport(sim, whole, inner)  # raises, naming the interior cell
         raise
 
 
@@ -402,32 +486,33 @@ def _signal_speed(sim: Simulation, data: np.ndarray, cells: slice, transport):
     return cs2, shear_signal_speeds(cs2, zeta, eta, rho, tau)[1]
 
 
-def _divergence(grid: Grid1D, faces: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """((A F)_+ - (A F)_-) / V per row of interior face values, into `out`;
-    `faces` is scaled by the areas in place."""
-    faces *= grid.face_areas
+def _divergence(w: _WindowViews, faces: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """((A F)_+ - (A F)_-) / V per row of the face values of the window `w`,
+    into `out`; `faces` is scaled by the areas in place."""
+    faces *= w.areas
     np.subtract(faces[:, 1:], faces[:, :-1], out=out)
-    out /= grid.cell_volumes
+    out /= w.volumes
     return out
 
 
-def _hyperbolic_rhs(sim: Simulation, data: np.ndarray) -> np.ndarray:
-    """Method-of-lines right-hand side on the interior cells (a reused
-    buffer).
+def _hyperbolic_rhs(sim: Simulation, data: np.ndarray, cols: slice) -> np.ndarray:
+    """Method-of-lines right-hand side on the padded columns `cols` (a reused
+    buffer), read from them and two cells on either side.
 
     Mass and stress rows take the conservative Rusanov flux of rho u and
     u Pi; velocity rows the primitive quasilinear form with Rusanov
     dissipation."""
-    grid, layout, ws = sim.grid, sim.layout, sim.work
-    g, n, dx = grid.n_ghost, grid.n_cells, grid.dx
-    near = slice(g - 1, g + n + 1)  # the cells on either side of an interior face
+    grid, layout = sim.grid, sim.layout
+    c0, c1, dx = cols.start, cols.stop, grid.dx
+    ws = sim.work.window(cols)
+    near = slice(c0 - 1, c1 + 1)  # the cells on either side of a face of `cols`
     cs2, fast = _signal_speed(sim, data, near, _transport(sim, data, near))
     spd = np.abs(data[1, near])
     spd += fast
     s_face = np.maximum(spd[:-1], spd[1:])
 
     v = ws.all
-    _face_states(data[:, g - 2:g + n + 2], v)
+    _face_states(data[:, c0 - 2:c1 + 2], v)
     left, right = v.left, v.right
     jump = np.subtract(right, left, out=v.jump)
     top = layout.drive_rows.stop  # the velocity update reads the rows above it
@@ -444,10 +529,10 @@ def _hyperbolic_rhs(sim: Simulation, data: np.ndarray) -> np.ndarray:
     flux += right
     flux *= 0.5
     flux -= np.multiply(jump, 0.5 * s_face, out=right)
-    rhs = np.negative(_divergence(grid, flux, ws.rhs), out=ws.rhs)
+    rhs = np.negative(_divergence(ws, flux, ws.rhs), out=ws.rhs)
 
     # velocities: -(u du + (cs2/rho) drho + dPi_1i / rho) + dissipation
-    rho_i, u_i = data[0, grid.interior], data[1, grid.interior]
+    rho_i, u_i = data[0, cols], data[1, cols]
     deriv = np.subtract(hat[:, 1:], hat[:, :-1], out=ws.deriv)
     deriv /= dx
     vel = np.multiply(deriv[layout.velocity_rows], u_i, out=rhs[layout.velocity_rows])
@@ -464,30 +549,30 @@ def _hyperbolic_rhs(sim: Simulation, data: np.ndarray) -> np.ndarray:
     return rhs
 
 
-def _velocity_gradients(sim: Simulation, data: np.ndarray) -> np.ndarray:
-    """Face-consistent velocity derivatives on the interior (a reused buffer):
-    the divergence uses the conservative face average so its volume-weighted
-    sum telescopes. Transverse rows exist only in planar geometry, where this
-    is the central difference of the face averages."""
-    g, n = sim.grid.n_ghost, sim.grid.n_cells
-    v = sim.work.vel
-    _face_states(data[sim.layout.velocity_rows, g - 2:g + n + 2], v)
+def _velocity_gradients(data: np.ndarray, layout, w: _WindowViews) -> np.ndarray:
+    """Face-consistent velocity derivatives on the window `w`, into its
+    gradient view: the divergence uses the conservative face average so its
+    volume-weighted sum telescopes. Transverse rows exist only in planar
+    geometry, where this is the central difference of the face averages."""
+    v = w.vel
+    _face_states(data[layout.velocity_rows, w.cols.start - 2:w.cols.stop + 2], v)
     hat = np.add(v.left, v.right, out=v.hat)
     hat *= 0.5
-    return _divergence(sim.grid, hat, sim.work.grads)
+    return _divergence(w, hat, w.grads)
 
 
-def _relax(sim: Simulation, data: np.ndarray, delta: float, carried: bool) -> None:
-    """Exact exponential update of the stress toward its Navier-Stokes value,
-    with the velocity gradient frozen over the substep; `carried` reuses the
-    last relaxation's ghosts and gradients."""
-    grid = sim.grid
+def _relax(sim: Simulation, data: np.ndarray, delta: float, cols: slice,
+           carried: bool) -> None:
+    """Exact exponential update of the stress toward its Navier-Stokes value
+    on the padded columns `cols`, with the velocity gradient frozen over the
+    substep; `carried` reuses the last relaxation's ghosts and gradients."""
     if not carried:
         _fill_ghosts(sim, data)
-    zeta, eta, tau = _transport(sim, data, grid.interior)
-    grads = sim.work.grads if carried else _velocity_gradients(sim, data)
+    w = sim.work.window(cols)
+    zeta, eta, tau = _transport(sim, data, cols)
+    grads = w.grads if carried else _velocity_gradients(data, sim.layout, w)
     factor = np.exp(-delta / tau)
-    eq = sim.work.eq  # rows in layout.stress order
+    eq = w.eq  # rows in layout.stress order
     if sim.system == "bulk":
         np.multiply(grads[0], -zeta, out=eq[0])
     else:
@@ -501,10 +586,45 @@ def _relax(sim: Simulation, data: np.ndarray, delta: float, carried: bool) -> No
         np.negative(trace_part, out=eq[3])
         eq[4] = 0.0
         eq[5] = eq[3]
-    cur = data[sim.layout.stress_rows, grid.interior]
+    cur = data[sim.layout.stress_rows, cols]
     cur -= eq
     cur *= factor
     cur += eq
+
+
+# ---------------------------------------------------------------------------
+# the active window
+
+# cells a step can carry a difference from the reference state: one per
+# stencil pass (a minmod slope vanishes beside two equal cells, so a face
+# state differs only beside a differing cell), four passes per SSP-RK2 step
+STEP_REACH_CELLS = 4
+
+
+def _window(sim: Simulation, within: slice | None = None) -> slice:
+    """The active window of a step, as padded columns: the span of the cells
+    of `within` (the interior by default) that differ from the reference
+    state, bit for bit, widened by STEP_REACH_CELLS and clipped to the
+    interior. Outside it the state holds the reference, which a step leaves
+    alone when it is stationary. The whole interior when it is not, or when
+    no cell differs."""
+    inner = sim.grid.interior
+    if not sim._stationary:
+        return inner
+    within = within or inner
+    ref = _bits(sim.reference_vector)[:, None]
+    differs = np.any(_bits(sim.fields.data[:, within]) != ref, axis=0)
+    first = int(np.argmax(differs))
+    if not differs[first]:
+        return inner
+    last = len(differs) - 1 - int(np.argmax(differs[::-1]))
+    return slice(max(within.start + first - STEP_REACH_CELLS, inner.start),
+                 min(within.start + last + 1 + STEP_REACH_CELLS, inner.stop))
+
+
+def _active(sim: Simulation) -> slice:
+    """The window of the current state, carried from the last step inside `run`."""
+    return sim._carry.window if sim._carry else _window(sim)
 
 
 # ---------------------------------------------------------------------------
@@ -512,15 +632,18 @@ def _relax(sim: Simulation, data: np.ndarray, delta: float, carried: bool) -> No
 
 
 def cfl_dt(sim: Simulation) -> float:
-    """cfl * dx / max(|u| + fastest local characteristic speed)."""
+    """cfl * dx / max(|u| + fastest local characteristic speed), over the
+    active window: unless it is the whole interior, it reaches past the
+    cells that differ into cells at the reference state, whose speed every
+    cell outside it shares."""
     data = sim.fields.data
-    inner = sim.grid.interior
+    cols = _active(sim)
     try:
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            _, fast = _signal_speed(sim, data, inner, _transport(sim, data, inner))
+            _, fast = _signal_speed(sim, data, cols, _transport(sim, data, cols))
     except ValueError as exc:
         raise InvalidStateError(str(exc)) from exc
-    spd = np.abs(data[1, inner])
+    spd = np.abs(data[1, cols])
     spd += fast
     smax = float(spd.max())
     if not np.isfinite(smax) or smax <= 0.0:
@@ -528,16 +651,21 @@ def cfl_dt(sim: Simulation) -> float:
     return sim.cfl * sim.grid.dx / smax
 
 
-def _advance_hyperbolic(sim: Simulation, data: np.ndarray, dt: float) -> None:
-    """SSP-RK2 (or RK3) over the interior of `data`, in place. The stages live
-    in one reused buffer; `data` itself is the stage-0 state."""
-    inner = np.s_[:, sim.grid.interior]
+def _advance_hyperbolic(sim: Simulation, data: np.ndarray, dt: float, cols: slice) -> None:
+    """SSP-RK2 (or RK3) over the padded columns `cols` of `data`, in place.
+    The stages live in one reused buffer; `data` itself is the stage-0
+    state."""
+    inner = np.s_[:, cols]
     stage = sim.work.stage
+    # a stage reads two cells beyond the window: ghosts, which it refills, and
+    # interior cells, where the state holds the reference
+    for halo in sim.work.window(cols).halos:
+        stage[:, halo] = data[:, halo]
 
     def euler(src: np.ndarray) -> None:
         # stage[inner] = src[inner] + dt * rhs(src)
         _fill_ghosts(sim, src)
-        rhs = _hyperbolic_rhs(sim, src)
+        rhs = _hyperbolic_rhs(sim, src, cols)
         rhs *= dt
         np.add(src[inner], rhs, out=stage[inner])
 
@@ -557,42 +685,47 @@ def _advance_hyperbolic(sim: Simulation, data: np.ndarray, dt: float) -> None:
 FRONT_SLACK_CELLS = 2  # cells of slack beyond R + c_v t
 
 
-def _front_violation(sim: Simulation) -> str | None:
+def _front_violation(sim: Simulation, cols: slice) -> str | None:
+    """The worst deviation from the reference beyond the front, if above
+    front_tol, with its field and cell. Only the padded columns `cols` are
+    read: outside them the state holds the reference."""
     if sim.grid.bc == "periodic":
         return None
     grid = sim.grid
+    g = grid.n_ghost
     radius = sim.reference.R + sim.cv_bar * sim.t + FRONT_SLACK_CELLS * grid.dx
-    outside = grid.radii > radius
-    if not np.any(outside):
+    outside = np.flatnonzero(grid.radii[cols.start - g:cols.stop - g] > radius) + cols.start
+    if outside.size == 0:
         return None
-    dev = (np.abs(sim.fields.interior()[:, outside] - sim.reference_vector[:, None])
+    dev = (np.abs(sim.fields.data[:, outside] - sim.reference_vector[:, None])
            / sim.front_scales[:, None])
     worst = float(np.max(dev))
     tol = sim.tolerances["front_tol"]
     if worst > tol:
         f, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
-        cell = int(np.flatnonzero(outside)[j])
         return (f"finite-propagation check failed: field {sim.fields.names[f]} deviates "
-                f"{worst:.3e} (> {tol:.1e}) at cell {cell} beyond the front")
+                f"{worst:.3e} (> {tol:.1e}) at cell {int(outside[j]) - g} beyond the front")
     return None
 
 
 RHO_FLOOR_FRAC = 1e-12  # density below this fraction of rho_bar is invalid
 
 
-def _state_problem(sim: Simulation) -> str | None:
+def _state_problem(sim: Simulation, cols: slice) -> str | None:
     """The first non-finite field value, else the lowest density below the
-    floor, with its field and cell; None for a valid state."""
-    interior = sim.fields.interior()
-    finite = np.isfinite(interior)
+    floor, with its field and cell; None for a valid state. Only the padded
+    columns `cols` are read: outside them the state holds the reference."""
+    block = sim.fields.data[:, cols]
+    first = cols.start - sim.grid.n_ghost
+    finite = np.isfinite(block)
     if not finite.all():
-        f, j = np.unravel_index(int(np.argmin(finite)), interior.shape)
-        return f"field {sim.fields.names[f]} non-finite at cell {j}"
-    rho = interior[0]
+        f, j = np.unravel_index(int(np.argmin(finite)), block.shape)
+        return f"field {sim.fields.names[f]} non-finite at cell {first + j}"
+    rho = block[0]
     floor = RHO_FLOOR_FRAC * sim.reference.rho_bar
     if (rho < floor).any():
-        cell = int(np.argmin(rho))
-        return f"density {rho[cell]:.3e} below floor {floor:.1e} at cell {cell}"
+        j = int(np.argmin(rho))
+        return f"density {rho[j]:.3e} below floor {floor:.1e} at cell {first + j}"
     return None
 
 
@@ -601,12 +734,14 @@ def _no_time_step(exc: InvalidStateError) -> StepOutcome:
 
 
 def step(sim: Simulation, dt: float | None = None) -> StepOutcome:
-    """One Strang-split SSP step; never raises on physical breakdown, instead
-    reporting it (with the failing check and cell) in the outcome. Inside
-    `run`, a step after an ok one skips what that one already computed."""
+    """One Strang-split SSP step over the active window; never raises on
+    physical breakdown, instead reporting it (with the failing check and
+    cell) in the outcome. Inside `run`, a step after an ok one skips what
+    that one already computed."""
     data = sim.fields.data
     carried = sim._carry
-    problem = None if carried else _state_problem(sim)
+    window = _active(sim)
+    problem = None if carried else _state_problem(sim, window)
     if problem is not None:
         return StepOutcome("invalid_state", 0.0,
                            f"state invalid before the step ({problem}); refusing to advance")
@@ -619,11 +754,14 @@ def step(sim: Simulation, dt: float | None = None) -> StepOutcome:
     if dt < dt_floor:
         return StepOutcome("breakdown", dt,
                            f"time step {dt:.3e} collapsed below the floor {dt_floor:.1e}")
+    # the carried gradients cover the last step's window; a wider one needs new ones
+    reuse = bool(carried) and carried.grads.start <= window.start \
+        and window.stop <= carried.grads.stop
     try:
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            _relax(sim, data, 0.5 * dt, bool(carried))
-            _advance_hyperbolic(sim, data, dt)
-            _relax(sim, data, 0.5 * dt, False)
+            _relax(sim, data, 0.5 * dt, window, reuse)
+            _advance_hyperbolic(sim, data, dt, window)
+            _relax(sim, data, 0.5 * dt, window, False)
     except ValueError as exc:
         return StepOutcome("invalid_state", dt,
                            f"state became invalid during the update: {exc}")
@@ -631,19 +769,20 @@ def step(sim: Simulation, dt: float | None = None) -> StepOutcome:
     sim.t += dt
     sim.step_count += 1
 
-    problem = _state_problem(sim)
+    problem = _state_problem(sim, window)
     if problem is not None:
         return StepOutcome("invalid_state", dt, problem)
 
-    max_grad, crossed = diagnostics.monitor_c1(sim)
+    max_grad, crossed = diagnostics.monitor_c1(sim, cells=window)
     if crossed:
         return StepOutcome("breakdown", dt,
                            f"gradient {max_grad:.3e} crossed the breakdown threshold at t={sim.t:.6g}")
-    msg = _front_violation(sim)
+    msg = _front_violation(sim, window)
     if msg is not None:
         return StepOutcome("invalid_state", dt, msg)
     if carried is not None:
-        sim._carry = True
+        # the step changed only the window, so only it can hold differing cells
+        sim._carry = _Carry(window=_window(sim, within=window), grads=window)
     return StepOutcome("ok", dt)
 
 

@@ -252,6 +252,22 @@ class TestCli:
                      "--override", "tolerances.check_front=0"]) == 2
         assert "unknown tolerance 'check_front'" in capsys.readouterr().err
 
+    def test_out_that_is_a_file_exit_code(self, config_path, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("", encoding="utf-8")
+        assert main(["speeds", "--config", str(config_path), "--out", str(afile)]) == 2
+        assert "cannot create output directory" in capsys.readouterr().err
+
+    def test_simulate_fixed_exterior_with_pi_bar_exit_code(self, config_path, capsys):
+        planar = ["--override", "scenario.geometry=planar", "--override", "grid.x_min=-3.0",
+                  "--override", "reference.Pi_bar=0.05", "--override", "profile.a=0.01"]
+        assert main(["simulate", "--config", str(config_path), *planar]) == 2
+        assert "Pi_bar" in capsys.readouterr().err
+        # the analyses and periodic runs keep a uniform background stress
+        assert main(["speeds", "--config", str(config_path), *planar]) == 0
+        assert main(["simulate", "--config", str(config_path), *planar,
+                     "--override", "scenario.bc=periodic"]) == 0
+
     def test_missing_config_exit_code(self):
         cp = run_cli("speeds", "--config", "/nonexistent/nope.cfg")
         assert cp.returncode == 2

@@ -420,7 +420,60 @@ class TestMonitorsAndOutcomes:
         sim, cell = self._negative_zeta_bump()
         solver._fill_ghosts(sim, sim.fields.data)
         with pytest.raises(MaterialLawError, match=f"at index {cell} "):
-            solver._hyperbolic_rhs(sim, sim.fields.data)
+            solver._hyperbolic_rhs(sim, sim.fields.data, sim.grid.interior)
+
+    @staticmethod
+    def _negative_zeta_bump_in_a_window():
+        # the bump of _negative_zeta_bump, narrower, on a fixed grid: a step
+        # works on the window around it
+        law = MaterialLaw(A=1.0, gamma=2.0,
+                          zeta=CoefficientFunction(lambda rho, pi, pi2: 1.5 - rho))
+        grid = Grid1D("planar", 128, -4.0, 4.0)
+        sim = Simulation.uniform(grid, "bulk", law, ReferenceState(rho_bar=1.0, R=1.0))
+        rho = 1.0 + 0.8 * bump(grid.centers_interior / 0.5)
+        sim.fields.set("rho", rho)
+        window = solver._window(sim)
+        assert (window.start, window.stop) == (2 + 52, 2 + 76)  # cells 56-71 differ
+        return sim, int(np.argmax(rho >= 1.5)), window
+
+    @pytest.mark.parametrize("dt", [None, 1e-3, "run"])
+    def test_law_violation_in_a_window_names_the_interior_cell(self, dt):
+        sim, cell, _ = self._negative_zeta_bump_in_a_window()
+        out = solver.run(sim, 0.1)[0] if dt == "run" else solver.step(sim, dt)
+        assert out.status == "invalid_state"
+        assert f"zeta = {1.5 - sim.fields.get('rho')[cell]:.6g} " in out.message
+        assert f"at index {cell} " in out.message
+
+    def test_law_violation_in_a_window_stage_names_the_interior_cell(self):
+        # an SSP stage reads the stage buffer over the window and its halo
+        # only; what it holds elsewhere must not change the report
+        sim, cell, window = self._negative_zeta_bump_in_a_window()
+        solver._fill_ghosts(sim, sim.fields.data)
+        stage = np.full_like(sim.fields.data, np.nan)
+        halo = slice(window.start - 2, window.stop + 2)
+        stage[:, halo] = sim.fields.data[:, halo]
+        with pytest.raises(MaterialLawError, match=f"at index {cell} "):
+            solver._hyperbolic_rhs(sim, stage, window)
+
+    @pytest.mark.parametrize("change", [{}, {"bc": "periodic"}, {"Pi_bar": 0.05},
+                                        {"integrator": "ssprk3"},
+                                        {"geometry": "spherical", "v_bar": 0.1},
+                                        {"v_bar": -0.0}],
+                             ids=["stationary", "periodic", "Pi_bar", "ssprk3",
+                                  "spherical_v_bar", "negative_zero_v_bar"])
+    def test_window_is_the_whole_interior_unless_the_reference_is_stationary(self, change):
+        geometry = change.get("geometry", "planar")
+        grid = Grid1D(geometry, 128, 0.0 if geometry == "spherical" else -4.0, 4.0,
+                      bc=change.get("bc", "fixed"))
+        reference = ReferenceState(rho_bar=1.0, R=1.0, Pi_bar=change.get("Pi_bar", 0.0),
+                                   v_bar=(change.get("v_bar", 0.0), 0.0, 0.0))
+        sim = Simulation.uniform(grid, "bulk", MaterialLaw(A=0.5, gamma=2.0), reference,
+                                 integrator=change.get("integrator", "ssprk2"))
+        assert solver._window(sim) == grid.interior  # nothing differs
+        rho = sim.fields.get("rho")
+        rho += 0.1 * bump(grid.radii / 0.5)
+        window = solver._window(sim)
+        assert (window == grid.interior) == bool(change)
 
     def test_run_requires_forward_time(self, unit_law, unit_reference):
         grid = Grid1D("planar", 64, -2.0, 2.0)
