@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,28 +32,21 @@ EXIT_BREAKDOWN = 3
 EXIT_NUMERICAL = 4
 
 
-@dataclass
-class RunRecord:
-    subcommand: str
-    config_echo: str          # canonical text; alone reproduces the run
-    outputs: list[str]
-    status: str
-    wall_time: float
-    version: str
-    exit_code: int = EXIT_OK
-
-    def describe(self) -> str:
-        parts = [
-            f"subcommand = {self.subcommand}",
-            f"status     = {self.status}",
-            f"wall_time  = {self.wall_time:.3f} s",
-            f"version    = viscoflow {self.version}",
-            "outputs    = " + (", ".join(self.outputs) if self.outputs else "(none)"),
-            "",
-            "# resolved configuration",
-            self.config_echo,
-        ]
-        return "\n".join(parts)
+def _run_record(subcommand: str, exit_code: int, outputs: list[str], wall_time: float,
+                cfg: ScenarioConfig) -> str:
+    """The text of run_record.txt; its resolved configuration alone reproduces the run."""
+    status = {EXIT_OK: "ok", EXIT_BREAKDOWN: "breakdown", EXIT_CONFIG: "config-error",
+              EXIT_NUMERICAL: "numerical-failure"}[exit_code]
+    return "\n".join([
+        f"subcommand = {subcommand}",
+        f"status     = {status}",
+        f"wall_time  = {wall_time:.3f} s",
+        f"version    = viscoflow {__version__}",
+        "outputs    = " + (", ".join(outputs) if outputs else "(none)"),
+        "",
+        "# resolved configuration",
+        format_config(cfg),
+    ])
 
 
 def _fmt(value) -> str:
@@ -194,10 +186,17 @@ def _write_snapshot(path: Path, sim: solver.Simulation) -> None:
 
 
 def cmd_simulate(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int, list[str]]:
+    # the finite-propagation check and the fixed boundary assume a steady exterior
+    problems = []
     if cfg.bc == "fixed" and cfg.Pi_bar != 0.0:
-        # the finite-propagation check and the fixed boundary assume a steady exterior
-        raise ConfigError([(0, f"simulate with bc = fixed needs Pi_bar = 0, got {cfg.Pi_bar!r}: "
-                               "a uniform stress relaxes toward 0, so the exterior is not steady")])
+        problems.append((0, f"simulate with bc = fixed needs Pi_bar = 0, got {cfg.Pi_bar!r}: "
+                            "a uniform stress relaxes toward 0, so the exterior is not steady"))
+    if cfg.geometry == "spherical" and cfg.v_bar != 0.0:
+        problems.append((0, f"simulate with geometry = spherical needs v_bar = 0, got "
+                            f"{cfg.v_bar!r}: the origin mirror reverses a radial flow and its "
+                            "flux has a divergence, so the exterior is not steady"))
+    if problems:
+        raise ConfigError(problems)
     sim = solver.init_scenario(cfg)
     outputs: list[str] = []
     snaps = {t for t in cfg.snapshot_times if t <= cfg.t_end}
@@ -247,27 +246,6 @@ def cmd_blowup_cert(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[in
     return EXIT_OK, []
 
 
-_COMMANDS = {
-    "speeds": cmd_speeds,
-    "stability": cmd_stability,
-    "dispersion": cmd_dispersion,
-    "simulate": cmd_simulate,
-    "blowup-cert": cmd_blowup_cert,
-}
-
-
-def dispatch(subcommand: str, cfg: ScenarioConfig, out_dir: Path | None, args) -> RunRecord:
-    start = time.perf_counter()
-    exit_code, outputs = _COMMANDS[subcommand](cfg, out_dir, args)
-    return RunRecord(subcommand=subcommand, config_echo=format_config(cfg),
-                     outputs=outputs,
-                     status={EXIT_OK: "ok", EXIT_BREAKDOWN: "breakdown",
-                             EXIT_CONFIG: "config-error",
-                             EXIT_NUMERICAL: "numerical-failure"}[exit_code],
-                     wall_time=time.perf_counter() - start, version=__version__,
-                     exit_code=exit_code)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="viscoflow",
@@ -275,24 +253,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"viscoflow {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
+    def add(name, command, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(command=command)
         p.add_argument("--config", required=True, help="path to a scenario config file")
         p.add_argument("--out", default=None, help="directory for CSV outputs and run record")
         p.add_argument("--override", action="append", default=[], metavar="SECTION.KEY=VALUE",
                        help="override a config entry (repeatable)")
+        return p
 
-    common(sub.add_parser("speeds", help="characteristic speeds and hyperbolicity report"))
-    p = sub.add_parser("stability", help="dispersion polynomial, determinants, roots, verdict")
-    common(p)
+    add("speeds", cmd_speeds, "characteristic speeds and hyperbolicity report")
+    p = add("stability", cmd_stability, "dispersion polynomial, determinants, roots, verdict")
     p.add_argument("--k", type=float, default=1.0, help="wavenumber magnitude (default 1)")
-    p = sub.add_parser("dispersion", help="CSV sweep of dispersion roots over k")
-    common(p)
+    p = add("dispersion", cmd_dispersion, "CSV sweep of dispersion roots over k")
     p.add_argument("--sweep", required=True, metavar="KMIN:KMAX:N")
-    p = sub.add_parser("simulate", help="evolve the configured scenario")
-    common(p)
+    p = add("simulate", cmd_simulate, "evolve the configured scenario")
     p.add_argument("--diagnostics", action="store_true",
                    help="stream the diagnostic series CSV to stdout")
-    common(sub.add_parser("blowup-cert", help="evaluate the finite-lifespan certificate"))
+    add("blowup-cert", cmd_blowup_cert, "evaluate the finite-lifespan certificate")
     return parser
 
 
@@ -314,7 +292,9 @@ def main(argv=None) -> int:
             except OSError as exc:
                 print(f"cannot create output directory: {exc}", file=sys.stderr)
                 return EXIT_CONFIG
-        record = dispatch(args.subcommand, cfg, out_dir, args)
+        start = time.perf_counter()
+        exit_code, outputs = args.command(cfg, out_dir, args)
+        wall_time = time.perf_counter() - start
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG
@@ -323,8 +303,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
 
     if out_dir is not None:
-        (out_dir / "run_record.txt").write_text(record.describe(), encoding="utf-8")
-    return record.exit_code
+        (out_dir / "run_record.txt").write_text(
+            _run_record(args.subcommand, exit_code, outputs, wall_time, cfg), encoding="utf-8")
+    return exit_code
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ __all__ = [
     "default_tolerances",
     "grid_problems",
     "run_problems",
+    "symmetry_center",
     "parse_config",
     "format_config",
     "apply_overrides",
@@ -81,7 +82,7 @@ class ScenarioConfig:
     x_max: float = 4.0
     cfl: float = 0.4
     # [run]
-    t_end: float = 1.0
+    t_end: float = 0.5
     integrator: str = "ssprk2"      # ssprk2 | ssprk3
     series_cadence: int = 1
     snapshot_times: tuple[float, ...] = ()
@@ -213,6 +214,12 @@ def grid_problems(geometry: str, bc: str, n_cells: int, x_min: float,
     return problems
 
 
+def symmetry_center(geometry: str, x_min: float, x_max: float) -> float:
+    """The centre of symmetry of a grid: the origin (spherical) or the middle
+    of the domain (planar), where the profile bumps sit."""
+    return 0.0 if geometry == "spherical" else 0.5 * (x_min + x_max)
+
+
 def run_problems(system: str, geometry: str, integrator: str, cfl: float,
                  tolerances: dict[str, float]) -> list[str]:
     """What makes a run's settings invalid, as messages; [] for valid ones.
@@ -272,10 +279,11 @@ def validate(cfg: ScenarioConfig) -> list[str]:
         except ValueError as exc:
             errors.append(str(exc))
         else:
-            if cfg.bc == "fixed" and cfg.R + cv * cfg.t_end >= cfg.x_max:
-                errors.append(
-                    f"front not contained: R + c_v t_end = "
-                    f"{cfg.R + cv * cfg.t_end:.6g} must stay below x_max = {cfg.x_max}")
+            front = cfg.R + cv * cfg.t_end
+            wall = cfg.x_max - symmetry_center(cfg.geometry, cfg.x_min, cfg.x_max)
+            if cfg.bc == "fixed" and front >= wall:
+                errors.append(f"front not contained: R + c_v t_end = {front:.6g} must stay "
+                              f"below the wall's distance from the centre, {wall}")
     return errors
 
 

@@ -50,11 +50,6 @@ def blowup_threshold(c_v: float, R: float, max_rho0: float) -> float:
     return 16.0 * np.pi / 3.0 * c_v * R**4 * max_rho0
 
 
-def _moment_arm(sim) -> np.ndarray:
-    x = sim.grid.centers_interior
-    return x if sim.grid.geometry == "spherical" else x - sim.grid.center
-
-
 def radial_momentum(sim) -> float:
     """F = integral of x . rho v: 4 pi int r^3 rho u dr in spherical symmetry,
     int (x - center) rho u dx in planar geometry (test analog, not the
@@ -62,7 +57,7 @@ def radial_momentum(sim) -> float:
     w = sim.grid.quad_weights
     inner = sim.fields.interior()
     rho, u = inner[0], inner[sim.layout.velocity[0]]
-    return float(np.sum(w * _moment_arm(sim) * rho * u))
+    return float(np.sum(w * sim.grid.arms * rho * u))
 
 
 def relative_mass(sim) -> float:

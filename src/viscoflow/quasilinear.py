@@ -60,7 +60,6 @@ class QuasilinearSystem:
     a2: np.ndarray
     a3: np.ndarray
     b: np.ndarray
-    dim: int
 
     def spatial(self, direction) -> np.ndarray:
         n = np.asarray(direction, dtype=float)
@@ -135,7 +134,7 @@ def assemble_bulk(state: BulkState, law: MaterialLaw) -> QuasilinearSystem:
 
     b = np.zeros((5, 5))
     b[4, 4] = 1.0 / (zeta * cs2)
-    return QuasilinearSystem(a0, *spatial, b, dim=5)
+    return QuasilinearSystem(a0, *spatial, b)
 
 
 def assemble_shear(state: ShearState, law: MaterialLaw) -> QuasilinearSystem:
@@ -186,7 +185,7 @@ def assemble_shear(state: ShearState, law: MaterialLaw) -> QuasilinearSystem:
     b = np.zeros((10, 10))
     for n in range(6):
         b[4 + n, 4 + n] = srow
-    return QuasilinearSystem(a0, *spatial, b, dim=10)
+    return QuasilinearSystem(a0, *spatial, b)
 
 
 def _unit(direction) -> np.ndarray:

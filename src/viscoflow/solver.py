@@ -63,7 +63,7 @@ import numpy as np
 
 from . import diagnostics
 from .config import (ScenarioConfig, default_tolerances, grid_problems, material_law,
-                     reference_state, run_problems)
+                     reference_state, run_problems, symmetry_center)
 from .materials import LAYOUTS, MaterialLaw, MaterialLawError, ReferenceState, eval_transport
 from .quasilinear import bulk_signal_speed, reference_signal_speed, shear_signal_speeds
 
@@ -139,33 +139,28 @@ class Grid1D:
         return slice(self.n_ghost, self.n_ghost + self.n_cells)
 
     @cached_property
-    def faces_padded(self) -> np.ndarray:
-        """Positions of all faces of the padded array (n_padded + 1)."""
-        return _frozen(self.x_min + (np.arange(self.n_padded + 1) - self.n_ghost) * self.dx)
-
-    @cached_property
-    def centers_padded(self) -> np.ndarray:
-        f = self.faces_padded
-        return _frozen(0.5 * (f[:-1] + f[1:]))
+    def faces_interior(self) -> np.ndarray:
+        return _frozen(self.x_min + np.arange(self.n_cells + 1) * self.dx)
 
     @cached_property
     def centers_interior(self) -> np.ndarray:
-        return self.centers_padded[self.interior]
-
-    @cached_property
-    def faces_interior(self) -> np.ndarray:
-        return self.faces_padded[self.n_ghost:self.n_ghost + self.n_cells + 1]
+        f = self.faces_interior
+        return _frozen(0.5 * (f[:-1] + f[1:]))
 
     @property
     def center(self) -> float:
-        return 0.5 * (self.x_min + self.x_max)
+        return symmetry_center(self.geometry, self.x_min, self.x_max)
+
+    @cached_property
+    def arms(self) -> np.ndarray:
+        """Signed distance of each interior cell centre from the centre of
+        symmetry, `config.symmetry_center`."""
+        return _frozen(self.centers_interior - self.center)
 
     @cached_property
     def radii(self) -> np.ndarray:
-        """Distance of each interior cell centre from the centre of symmetry:
-        the origin (spherical) or the middle of the domain (planar)."""
-        x = self.centers_interior
-        return x if self.geometry == "spherical" else _frozen(np.abs(x - self.center))
+        """Distance of each interior cell centre from the centre of symmetry."""
+        return _frozen(np.abs(self.arms))
 
     @cached_property
     def face_areas(self) -> np.ndarray:
@@ -240,8 +235,8 @@ class _WindowViews:
     `vel` for the velocity rows, the relaxation; the right-hand side and,
     after the fluxes, the derivatives of rows up to the last driving stress
     and the velocity dissipation; the relaxation's Navier-Stokes stresses
-    and velocity gradients), the grid's face areas and cell volumes there,
-    and the interior cells beside `cols` that an SSP stage reads."""
+    and velocity gradients), and the grid's face areas and cell volumes
+    there."""
 
     def __init__(self, ws: "_Workspace", layout, grid: Grid1D, cols: slice):
         nf, nv = len(layout.names), len(layout.velocity)
@@ -258,10 +253,6 @@ class _WindowViews:
         self.eq = ws.rows(1, len(layout.stress), k)
         self.grads = ws.grads[:, lo:hi]
         self.areas, self.volumes = grid.face_areas[lo:hi + 1], grid.cell_volumes[lo:hi]
-        inner = grid.interior
-        self.halos = [h for h in (slice(max(cols.start - g, inner.start), cols.start),
-                                  slice(cols.stop, min(cols.stop + g, inner.stop)))
-                      if h.stop > h.start]
 
 
 class _Workspace:
@@ -657,10 +648,11 @@ def _advance_hyperbolic(sim: Simulation, data: np.ndarray, dt: float, cols: slic
     state."""
     inner = np.s_[:, cols]
     stage = sim.work.stage
-    # a stage reads two cells beyond the window: ghosts, which it refills, and
-    # interior cells, where the state holds the reference
-    for halo in sim.work.window(cols).halos:
-        stage[:, halo] = data[:, halo]
+    # a stage reads g cells beyond the window: interior cells, where the state
+    # holds the reference, or ghosts, which it refills before reading them
+    g = sim.grid.n_ghost
+    stage[:, cols.start - g:cols.start] = data[:, cols.start - g:cols.start]
+    stage[:, cols.stop:cols.stop + g] = data[:, cols.stop:cols.stop + g]
 
     def euler(src: np.ndarray) -> None:
         # stage[inner] = src[inner] + dt * rhs(src)
@@ -833,12 +825,9 @@ def run(sim: Simulation, t_end: float, observer=None, series_cadence: int | None
 
 
 def _apply_profiles(sim: Simulation, a: float, b: float, c: float) -> None:
-    grid = sim.grid
-    x = grid.centers_interior
-    R = sim.reference.R
-    s = (x / R) if grid.geometry == "spherical" else (x - grid.center) / R
-    w = bump(s)
     ref = sim.reference
+    s = sim.grid.arms / ref.R
+    w = bump(s)
     inner = sim.fields.interior()
     inner[0] = ref.rho_bar + a * w
     inner[sim.layout.velocity[0]] = ref.v_bar[0] + b * s * w

@@ -64,7 +64,6 @@ class DispersionProblem:
     """Cubic dispersion polynomial of the bulk system at one wavenumber."""
 
     poly: np.ndarray  # coefficients in x = -i Omega, highest degree first
-    shift: float      # v0 . k, relating Omega to the lab-frame omega
 
 
 @dataclass
@@ -83,7 +82,6 @@ class ShearDispersion:
     relaxation: np.ndarray   # (1 + tau x), root -1/tau with multiplicity 3
     transverse: np.ndarray   # rho tau x^2 + rho x + eta k^2
     acoustic: np.ndarray     # rho tau x^3 + rho x^2 + (3 zeta + 4 eta + cs^2 rho tau) k^2 x + cs^2 rho k^2
-    shift: float
 
     @property
     def factors(self) -> dict[str, np.ndarray]:
@@ -99,7 +97,7 @@ def bulk_dispersion(background: Background, k_vec) -> DispersionProblem:
     poly = np.array([b.tau, 1.0,
                      b.tau * k2 * (b.cs**2 + b.zeta / b.rho0),
                      k2 * b.cs**2])
-    return DispersionProblem(poly, shift=float(np.dot(b.v0, k_vec)))
+    return DispersionProblem(poly)
 
 
 def shear_dispersion(background: Background, k_vec) -> ShearDispersion:
@@ -112,7 +110,7 @@ def shear_dispersion(background: Background, k_vec) -> ShearDispersion:
     acoustic = np.array([b.rho0 * b.tau, b.rho0,
                          (3.0 * b.zeta + 4.0 * b.eta + b.cs**2 * b.rho0 * b.tau) * k2,
                          b.cs**2 * b.rho0 * k2])
-    return ShearDispersion(relaxation, transverse, acoustic, shift=float(np.dot(b.v0, k_vec)))
+    return ShearDispersion(relaxation, transverse, acoustic)
 
 
 def hurwitz_deltas(poly) -> tuple[float, ...]:
@@ -190,11 +188,10 @@ def shear_verdict(disp: ShearDispersion) -> dict[str, StabilityVerdict]:
 
 
 class FitError(RuntimeError):
-    """The recorded signal is not a clean exponential; carries the residual."""
+    """The recorded signal is not a clean exponential; the message gives the residual."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (fit residual {residual:.3e})")
-        self.residual = residual
 
 
 @dataclass
@@ -230,7 +227,6 @@ def fit_complex_exponential(times: np.ndarray, signal: np.ndarray) -> WaveFit:
 
 @dataclass
 class SimulationComparison:
-    k: float
     fitted_decay: float
     fitted_frequency: float
     decay_error: float        # relative
@@ -328,6 +324,6 @@ def verify_against_simulation(background: Background, k: float,
     decay_err = abs(fit.decay_rate - decay_pred) / max(abs(decay_pred), 1e-30)
     freq_err = abs(fit.frequency - freq_pred) / max(freq_pred, 1e-30)
     return SimulationComparison(
-        k=k, fitted_decay=fit.decay_rate, fitted_frequency=fit.frequency,
+        fitted_decay=fit.decay_rate, fitted_frequency=fit.frequency,
         decay_error=decay_err, frequency_error=freq_err,
         passed=bool(decay_err <= tolerance and freq_err <= tolerance))

@@ -1,3 +1,4 @@
+import argparse
 import subprocess
 import sys
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from viscoflow import cli
 from viscoflow.cli import main
 from viscoflow.config import (ConfigError, ScenarioConfig, apply_overrides,
                               default_tolerances, format_config, material_law,
@@ -77,6 +79,16 @@ class TestParse:
     def test_front_containment_checked_at_parse_time(self):
         with pytest.raises(ConfigError, match="front not contained"):
             parse_config(MINIMAL.replace("t_end = 0.2", "t_end = 5.0"))
+
+    def test_planar_front_is_measured_from_the_midpoint(self):
+        # the planar bump sits at the midpoint: on [0, 4] the wall is 2 from it
+        planar = "[grid]\nx_min = {}\nx_max = 4.0\n[reference]\nR = 1.0\n[run]\nt_end = 0.7\n"
+        with pytest.raises(ConfigError, match="front not contained"):
+            parse_config(planar.format(0.0))
+        assert parse_config(planar.format(-4.0)).x_min == -4.0
+
+    def test_empty_config_parses(self):
+        assert parse_config("") == ScenarioConfig()
 
     def test_round_trip(self):
         cfg = parse_config(MINIMAL)
@@ -268,6 +280,17 @@ class TestCli:
         assert main(["simulate", "--config", str(config_path), *planar,
                      "--override", "scenario.bc=periodic"]) == 0
 
+    def test_simulate_spherical_with_v_bar_exit_code(self, config_path, capsys):
+        moving = ["--override", "reference.v_bar=0.1", "--override", "profile.a=0.01"]
+        assert main(["simulate", "--config", str(config_path), *moving]) == 2
+        assert "v_bar" in capsys.readouterr().err
+        assert main(["speeds", "--config", str(config_path), *moving]) == 0
+
+    def test_speeds_on_an_empty_config(self, tmp_path):
+        path = tmp_path / "empty.cfg"
+        path.write_text("", encoding="utf-8")
+        assert main(["speeds", "--config", str(path)]) == 0
+
     def test_missing_config_exit_code(self):
         cp = run_cli("speeds", "--config", "/nonexistent/nope.cfg")
         assert cp.returncode == 2
@@ -306,3 +329,19 @@ def test_readme_lists_every_tolerance_with_its_default():
         key, _, value = line.partition("=")
         listed[key.strip()] = float(value)
     assert listed == default_tolerances()
+
+
+def _subcommands():
+    parser = cli.build_parser()
+    action, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return list(action.choices)
+
+
+def test_readme_and_docstring_list_every_subcommand():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\nSubcommands:\n\n", 1)[1].split("\n\n", 1)[0]
+    bullets = [line[3:].split("`")[0].split()[0] for line in block.splitlines()
+               if line.startswith("- `")]
+    assert bullets == _subcommands()
+    docstring = cli.__doc__.split("Subcommands: ", 1)[1].split(".", 1)[0]
+    assert docstring.split(", ") == _subcommands()

@@ -98,7 +98,7 @@ class TestBulkSpeeds:
             sys5 = assemble_bulk(st, law)
             q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
             turned = QuasilinearSystem(*(q.T @ m @ q for m in (sys5.a0, sys5.a1, sys5.a2,
-                                                               sys5.a3, sys5.b)), dim=5)
+                                                               sys5.a3, sys5.b)))
             assert np.count_nonzero(turned.a0 - np.diag(np.diag(turned.a0))) > 0
             rep = characteristic_speeds_numeric(turned, n)
             assert rep.hyperbolic_verdict == "FOSH"
@@ -110,7 +110,7 @@ class TestBulkSpeeds:
         sys5 = assemble_bulk(BulkState(1.0), unit_law)
         a0 = sys5.a0.copy()
         a0[4, 4] = 0.0  # tau -> 0 removes the stress time derivative
-        broken = QuasilinearSystem(a0, sys5.a1, sys5.a2, sys5.a3, sys5.b, dim=5)
+        broken = QuasilinearSystem(a0, sys5.a1, sys5.a2, sys5.a3, sys5.b)
         rep = characteristic_speeds_numeric(broken, (1, 0, 0))
         assert rep.hyperbolic_verdict == "degenerate"
         assert rep.speeds.size == 0

@@ -34,6 +34,15 @@ class TestGrid:
         assert grid.centers_interior[0] == pytest.approx(0.05)
         assert len(grid.faces_interior) == 11
 
+    @pytest.mark.parametrize("geometry,x_min,center", [("spherical", 0.0, 0.0),
+                                                       ("planar", 0.0, 1.5),
+                                                       ("planar", -3.0, 0.0)])
+    def test_arms_are_measured_from_the_centre_of_symmetry(self, geometry, x_min, center):
+        grid = Grid1D(geometry, 12, x_min, 3.0)
+        assert grid.center == center
+        assert np.array_equal(grid.arms, grid.centers_interior - center)
+        assert np.array_equal(grid.radii, np.abs(grid.arms))
+
     def test_shear_spherical_combination_rejected(self, unit_law, unit_reference):
         grid = Grid1D("spherical", 64, 0.0, 4.0)
         with pytest.raises(ValueError):
