@@ -2,6 +2,7 @@ import argparse
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -139,9 +140,24 @@ class TestOverrides:
             apply_overrides(cfg, ["material.gamma=0.5"])
 
 
-def run_cli(*args):
-    return subprocess.run([sys.executable, "-m", "viscoflow", *args],
-                          capture_output=True, text=True)
+class Completed(NamedTuple):
+    returncode: int
+    stdout: str
+    stderr: str
+
+
+@pytest.fixture
+def run_cli(capsys):
+    """Run `main` in this process on the given arguments: its exit code, from
+    its return value or from the SystemExit of argparse, and its output."""
+
+    def run(*args):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+        return Completed(code, *capsys.readouterr())
+    return run
 
 
 @pytest.fixture
@@ -152,18 +168,18 @@ def config_path(tmp_path: Path) -> Path:
 
 
 class TestCli:
-    def test_help(self):
+    def test_help(self, run_cli):
         cp = run_cli("--help")
         assert cp.returncode == 0
         assert "speeds" in cp.stdout and "blowup-cert" in cp.stdout
 
-    def test_speeds_table(self, config_path):
+    def test_speeds_table(self, run_cli, config_path):
         cp = run_cli("speeds", "--config", str(config_path))
         assert cp.returncode == 0, cp.stderr
         assert "FOSH" in cp.stdout
         assert "1.41421356237" in cp.stdout  # +- sqrt(2) at unit coefficients
 
-    def test_speeds_csv(self, config_path, tmp_path):
+    def test_speeds_csv(self, run_cli, config_path, tmp_path):
         out = tmp_path / "out"
         cp = run_cli("speeds", "--config", str(config_path), "--out", str(out))
         assert cp.returncode == 0, cp.stderr
@@ -172,24 +188,24 @@ class TestCli:
         assert len(lines) == 4  # -c_v, 0 (x3), +c_v
         assert (out / "run_record.txt").exists()
 
-    def test_stability_output(self, config_path):
+    def test_stability_output(self, run_cli, config_path):
         cp = run_cli("stability", "--config", str(config_path), "--k", "1.0")
         assert cp.returncode == 0, cp.stderr
         assert "Delta_1 = 1.0" in cp.stdout
         assert "stable" in cp.stdout
 
-    def test_dispersion_sweep(self, config_path):
+    def test_dispersion_sweep(self, run_cli, config_path):
         cp = run_cli("dispersion", "--config", str(config_path), "--sweep", "0.5:2:4")
         assert cp.returncode == 0, cp.stderr
         lines = cp.stdout.strip().splitlines()
         assert lines[0].startswith("k,re_omega_1,im_omega_1")
         assert len(lines) == 5
 
-    def test_dispersion_bad_sweep_is_config_error(self, config_path):
+    def test_dispersion_bad_sweep_is_config_error(self, run_cli, config_path):
         cp = run_cli("dispersion", "--config", str(config_path), "--sweep", "nope")
         assert cp.returncode == 2
 
-    def test_blowup_cert(self, config_path):
+    def test_blowup_cert(self, run_cli, config_path):
         cp = run_cli("blowup-cert", "--config", str(config_path),
                      "--override", "profile.b_from_f0=30.0", "--override",
                      "grid.n_cells=256")
@@ -197,13 +213,13 @@ class TestCli:
         assert "momentum threshold" in cp.stdout
         assert "certificate satisfied   = True" in cp.stdout
 
-    def test_blowup_cert_refusal_is_config_error(self, config_path):
+    def test_blowup_cert_refusal_is_config_error(self, run_cli, config_path):
         cp = run_cli("blowup-cert", "--config", str(config_path),
                      "--override", "material.zeta=powerlaw:1.0,1.0")
         assert cp.returncode == 2
         assert "refused" in cp.stderr
 
-    def test_simulate_ok_and_outputs(self, config_path, tmp_path):
+    def test_simulate_ok_and_outputs(self, run_cli, config_path, tmp_path):
         out = tmp_path / "run"
         cp = run_cli("simulate", "--config", str(config_path), "--out", str(out),
                      "--override", "run.snapshot_times=0.0,0.1")
@@ -219,7 +235,7 @@ class TestCli:
         assert "status     = ok" in record
         assert "[scenario]" in record  # resolved config echo
 
-    def test_simulate_deterministic_output(self, config_path, tmp_path):
+    def test_simulate_deterministic_output(self, run_cli, config_path, tmp_path):
         outs = []
         for name in ("a", "b"):
             out = tmp_path / name
@@ -229,7 +245,7 @@ class TestCli:
             outs.append((out / "series.csv").read_bytes())
         assert outs[0] == outs[1]
 
-    def test_simulate_breakdown_exit_code(self, config_path, tmp_path):
+    def test_simulate_breakdown_exit_code(self, run_cli, config_path, tmp_path):
         # small fast blast: certificate-satisfying data at low resolution
         cp = run_cli("simulate", "--config", str(config_path),
                      "--override", "material.A=1.0",
@@ -242,9 +258,11 @@ class TestCli:
         assert "breakdown" in cp.stdout
 
     def test_bad_config_exit_code(self, tmp_path):
+        # the one run through the `python -m viscoflow` entry point
         path = tmp_path / "bad.cfg"
         path.write_text("[scenario]\nsystem = vortex\n", encoding="utf-8")
-        cp = run_cli("speeds", "--config", str(path))
+        cp = subprocess.run([sys.executable, "-m", "viscoflow", "speeds", "--config", str(path)],
+                            capture_output=True, text=True)
         assert cp.returncode == 2
         assert "system must be" in cp.stderr
 
@@ -291,11 +309,11 @@ class TestCli:
         path.write_text("", encoding="utf-8")
         assert main(["speeds", "--config", str(path)]) == 0
 
-    def test_missing_config_exit_code(self):
+    def test_missing_config_exit_code(self, run_cli):
         cp = run_cli("speeds", "--config", "/nonexistent/nope.cfg")
         assert cp.returncode == 2
 
-    def test_shear_stability_factors(self, config_path):
+    def test_shear_stability_factors(self, run_cli, config_path):
         cp = run_cli("stability", "--config", str(config_path),
                      "--override", "scenario.system=shear",
                      "--override", "scenario.geometry=planar",

@@ -21,15 +21,19 @@ so an optimization of the step that changes the arithmetic shows up here:
   bump gives the bits, time steps and outcome of one over the whole grid;
 - `Grid1D` and `Simulation` accept a scenario's grid and run settings
   exactly when `config.validate` does, and reject them with one of its
-  messages.
+  messages;
+- `cli._csv_lines`, which formats each distinct bit pattern of a column
+  once, writes the bytes of one `repr` per value.
 """
+
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from viscoflow import solver
+from viscoflow import cli, solver
 from viscoflow.config import (ScenarioConfig, default_tolerances, material_law,
                               reference_state, validate)
 from viscoflow.materials import (CoefficientFunction, ConstantCoefficient, MaterialLaw,
@@ -389,3 +393,37 @@ class TestSharedRules:
             assert str(exc) in problems
         else:
             assert problems == []
+
+
+# signed zeros, NaN payloads of either sign, infinities and subnormals
+PAYLOAD_NAN = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
+SPECIAL = [0.0, -0.0, float("nan"), -float("nan"), PAYLOAD_NAN, -PAYLOAD_NAN, float("inf"),
+           -float("inf"), 5e-324, -5e-324, 2.225073858507201e-308, 1.0, 0.1]
+
+
+@st.composite
+def csv_tables(draw):
+    """Float columns of many repeats and special values, and an integer column
+    like `multiplicity` in speeds.csv, all of 0 to 16 rows."""
+    rows = draw(st.integers(0, 16))
+    pool = draw(st.lists(st.sampled_from(SPECIAL) | st.floats(), min_size=1, max_size=4))
+    value = st.sampled_from(pool) | st.sampled_from(SPECIAL)
+    floats = [draw(st.lists(value, min_size=rows, max_size=rows))
+              for _ in range(draw(st.integers(1, 4)))]
+    counts = draw(st.lists(st.integers(0, 8), min_size=rows, max_size=rows))
+    return floats, counts
+
+
+class TestCsvWords:
+    @settings(PROPERTY, max_examples=50)
+    @given(csv_tables())
+    @example(([[]], []))
+    @example(([[-0.0], [0.0]], [3]))
+    def test_csv_lines_are_a_repr_per_value(self, table):
+        floats, counts = table
+        # strided float columns, as `dispersion` passes them, and a list column
+        columns = [*np.ascontiguousarray(np.array(floats, dtype=float).T).T, counts]
+        header = [f"c{i}" for i in range(len(columns))]
+        oracle = ",".join(header) + "\n" + "".join(
+            ",".join(map(repr, row)) + "\n" for row in zip(*floats, map(float, counts)))
+        assert "".join(cli._csv_lines(header, columns)) == oracle
