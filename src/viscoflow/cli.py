@@ -36,7 +36,9 @@ EXIT_NUMERICAL = 4
 
 def _run_record(subcommand: str, exit_code: int, outputs: list[str], wall_time: float,
                 cfg: ScenarioConfig) -> str:
-    """The text of run_record.txt; its resolved configuration alone reproduces the run."""
+    """The text of run_record.txt; its resolved configuration alone reproduces the run.
+    `outputs` are file names inside the output directory, so the record does
+    not depend on where that directory is."""
     status = {EXIT_OK: "ok", EXIT_BREAKDOWN: "breakdown", EXIT_CONFIG: "config-error",
               EXIT_NUMERICAL: "numerical-failure"}[exit_code]
     return "\n".join([
@@ -126,7 +128,7 @@ def cmd_speeds(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int, li
     if out_dir is not None:
         path = out_dir / "speeds.csv"
         _write_csv(path, ("speed", "multiplicity"), (distinct, mults))
-        outputs.append(str(path))
+        outputs.append(path.name)
     return EXIT_OK, outputs
 
 
@@ -184,7 +186,7 @@ def cmd_dispersion(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int
     if out_dir is not None:
         path = out_dir / "dispersion.csv"
         _write_csv(path, header, table.T)
-        return EXIT_OK, [str(path)]
+        return EXIT_OK, [path.name]
     sys.stdout.writelines(_csv_lines(header, table.T))
     return EXIT_OK, []
 
@@ -236,7 +238,7 @@ def cmd_simulate(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int, 
         if out_dir is not None and t_stop in snaps:
             path = out_dir / f"snapshot_{len(outputs):03d}.csv"
             _write_snapshot(path, sim)
-            outputs.append(str(path))
+            outputs.append(path.name)
 
     series_columns = [getattr(full_series, name) for name in full_series.COLUMNS]
     if args.diagnostics:
@@ -244,16 +246,13 @@ def cmd_simulate(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int, 
     if out_dir is not None:
         path = out_dir / "series.csv"
         _write_csv(path, full_series.COLUMNS, series_columns)
-        outputs.append(str(path))
+        outputs.append(path.name)
 
     print(f"final status: {outcome.status} at t={_fmt(sim.t)} "
           f"after {sim.step_count} steps"
           + (f" ({outcome.message})" if outcome.message else ""))
-    if outcome.status == "breakdown":
-        return EXIT_BREAKDOWN, outputs
-    if outcome.status == "invalid_state":
-        return EXIT_NUMERICAL, outputs
-    return EXIT_OK, outputs
+    exit_codes = {"ok": EXIT_OK, "breakdown": EXIT_BREAKDOWN, "invalid_state": EXIT_NUMERICAL}
+    return exit_codes[outcome.status], outputs
 
 
 def cmd_blowup_cert(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int, list[str]]:

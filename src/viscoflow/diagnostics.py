@@ -15,8 +15,7 @@ conserved discrete quantities are conserved here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import ClassVar
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,30 +158,20 @@ def certificate(sim) -> BlowupCertificate:
     return BlowupCertificate(ref.R, sim.cv_bar, max_rho0, thr, f0, dm0, g0, satisfied)
 
 
-@dataclass
 class DiagnosticSeries:
-    """Per-step functional series recorded during a run."""
+    """Per-step functional series recorded during a run: one list attribute
+    per name of COLUMNS, in that order."""
 
-    COLUMNS: ClassVar[tuple[str, ...]] = ("t", "dt", "F", "dM", "G",
-                                          "max_grad_u", "max_grad_rho")
+    COLUMNS = ("t", "dt", "F", "dM", "G", "max_grad_u", "max_grad_rho")
 
-    t: list[float] = field(default_factory=list)
-    dt: list[float] = field(default_factory=list)
-    F: list[float] = field(default_factory=list)
-    dM: list[float] = field(default_factory=list)
-    G: list[float] = field(default_factory=list)
-    max_grad_u: list[float] = field(default_factory=list)
-    max_grad_rho: list[float] = field(default_factory=list)
+    def __init__(self):
+        for name in self.COLUMNS:
+            setattr(self, name, [])
 
     def record(self, sim, dt_used: float) -> None:
-        gu, grho = max_gradients(sim)
-        self.t.append(sim.t)
-        self.dt.append(dt_used)
-        self.F.append(radial_momentum(sim))
-        self.dM.append(relative_mass(sim))
-        self.G.append(stress_integral(sim))
-        self.max_grad_u.append(gu)
-        self.max_grad_rho.append(grho)
+        row = sim.t, dt_used, radial_momentum(sim), relative_mass(sim), stress_integral(sim)
+        for name, value in zip(self.COLUMNS, row + max_gradients(sim)):
+            getattr(self, name).append(value)
 
     def extend(self, segment: "DiagnosticSeries") -> None:
         """Append a later run segment's samples after its first, which

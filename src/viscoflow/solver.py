@@ -27,7 +27,7 @@ The window is the whole interior on a periodic grid, with a uniform stress
 Pi_bar != 0 (which relaxes toward 0), with a moving spherical background,
 with SSP-RK3 (whose closing u/3 + 2u/3 need not give u), and when the
 disturbance spans the grid. The diagnostic series stays whole-grid: its
-pairwise sums fix the bits. Inside `run`, a step finds the next step's
+pairwise sums fix the bits. Inside `run`, an ok step finds the next step's
 window by scanning its own.
 
 The transport coefficients are evaluated in three places: `cfl_dt`, each
@@ -43,14 +43,15 @@ contiguous and are updated as one block. A step allocates little: the SSP
 stage, the right-hand side, the MUSCL slopes and face states, the fluxes and
 the derivatives live in one `_Workspace` per Simulation, made at its first
 step and filled in place; the grid's face areas, cell volumes and quadrature
-weights are computed once per `Grid1D`. Inside `run`, which owns the state
-between steps, a step after the first skips the check before it (the
-previous step's check after it read the same fields) and, unless its window
-is wider than the last one, its opening relaxation's velocity gradients (the
-previous closing one left them in the workspace and changed only the stress
-rows). The C^1 monitor differences the density and velocity rows as one
-block. One floating-point error state covers a step's update, one a
-`cfl_dt`.
+weights are computed once per `Grid1D`. `step` is the one place that
+chooses a time step: `run` only calls it, and inside `run` it clips the CFL
+step to the run's end. Inside `run`, which owns the state between steps, a
+step after an ok one skips the check before it (the previous step's check
+after it read the same fields) and, unless its window is wider than the last
+one, its opening relaxation's velocity gradients (the previous closing one
+left them in the workspace and changed only the stress rows). The C^1
+monitor differences the density and velocity rows as one block. One
+floating-point error state covers a step's update, one a `cfl_dt`.
 """
 
 from __future__ import annotations
@@ -300,12 +301,14 @@ class _Workspace:
 
 @dataclass(frozen=True)
 class _Carry:
-    """What an ok step inside `run` leaves for the next: the window of the
-    state it left, and the window over which `work.grads` holds that
-    state's velocity gradients."""
+    """What `run` holds between steps: its end time, and what the last ok
+    step left for the next -- the window of the state it left, and the
+    window over which `work.grads` holds that state's velocity gradients.
+    Both windows are None until the run's first ok step."""
 
-    window: slice
-    grads: slice
+    t_end: float
+    window: slice | None
+    grads: slice | None
 
 
 @dataclass
@@ -354,9 +357,8 @@ class Simulation:
         self.t = 0.0
         self.step_count = 0
         self.initial = InitialReport(reference.rho_bar, 0.0, 0.0, 0.0, 0.0)
-        # None outside `run`; inside, False until a step ends ok, then what
-        # that step leaves for the next (see step)
-        self._carry: _Carry | bool | None = None
+        # None outside `run`; inside, what the run holds between steps (see step)
+        self._carry: _Carry | None = None
         self.cv_bar = reference_signal_speed(law, system, reference)
         self.reference_vector = self.layout.reference(reference)
         # front-check normalisation per row: rho_bar, c_v for velocities,
@@ -614,8 +616,8 @@ def _window(sim: Simulation, within: slice | None = None) -> slice:
 
 
 def _active(sim: Simulation) -> slice:
-    """The window of the current state, carried from the last step inside `run`."""
-    return sim._carry.window if sim._carry else _window(sim)
+    """The window of the current state, carried from the last ok step inside `run`."""
+    return getattr(sim._carry, "window", None) or _window(sim)
 
 
 # ---------------------------------------------------------------------------
@@ -721,17 +723,16 @@ def _state_problem(sim: Simulation, cols: slice) -> str | None:
     return None
 
 
-def _no_time_step(exc: InvalidStateError) -> StepOutcome:
-    return StepOutcome("invalid_state", np.nan, f"no admissible time step: {exc}")
-
-
 def step(sim: Simulation, dt: float | None = None) -> StepOutcome:
     """One Strang-split SSP step over the active window; never raises on
     physical breakdown, instead reporting it (with the failing check and
-    cell) in the outcome. Inside `run`, a step after an ok one skips what
-    that one already computed."""
+    cell) in the outcome. The state is checked before the time step is
+    chosen. Without `dt` the step takes `cfl_dt`, clipped inside `run` to the
+    run's end. Inside `run`, a step after an ok one skips what that one
+    already computed."""
     data = sim.fields.data
-    carried = sim._carry
+    carry = sim._carry
+    carried = carry is not None and carry.window is not None
     window = _active(sim)
     problem = None if carried else _state_problem(sim, window)
     if problem is not None:
@@ -741,14 +742,15 @@ def step(sim: Simulation, dt: float | None = None) -> StepOutcome:
         try:
             dt = cfl_dt(sim)
         except InvalidStateError as exc:
-            return _no_time_step(exc)
+            return StepOutcome("invalid_state", np.nan, f"no admissible time step: {exc}")
+        if carry is not None:
+            dt = min(dt, carry.t_end - sim.t)
     dt_floor = sim.tolerances["dt_floor"]
     if dt < dt_floor:
         return StepOutcome("breakdown", dt,
                            f"time step {dt:.3e} collapsed below the floor {dt_floor:.1e}")
     # the carried gradients cover the last step's window; a wider one needs new ones
-    reuse = bool(carried) and carried.grads.start <= window.start \
-        and window.stop <= carried.grads.stop
+    reuse = carried and carry.grads.start <= window.start and window.stop <= carry.grads.stop
     try:
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             _relax(sim, data, 0.5 * dt, window, reuse)
@@ -772,20 +774,22 @@ def step(sim: Simulation, dt: float | None = None) -> StepOutcome:
     msg = _front_violation(sim, window)
     if msg is not None:
         return StepOutcome("invalid_state", dt, msg)
-    if carried is not None:
+    if carry is not None:
         # the step changed only the window, so only it can hold differing cells
-        sim._carry = _Carry(window=_window(sim, within=window), grads=window)
+        sim._carry = _Carry(carry.t_end, _window(sim, within=window), window)
     return StepOutcome("ok", dt)
 
 
 def run(sim: Simulation, t_end: float, observer=None, series_cadence: int | None = None):
-    """Advance with CFL-limited steps until t_end or a non-ok outcome.
+    """Advance by `step`, which chooses each CFL-limited time step and clips
+    it to t_end, until t_end or a non-ok outcome.
 
     Returns (final StepOutcome, DiagnosticSeries or None). The observer is
-    called with the simulation after each step, the last one included, and
-    sees the fields read-only: a write to them raises ValueError. Identical
-    configurations produce bit-identical series on one platform. A `step`
-    after `run` returns or raises recomputes everything.
+    called with the simulation after each step, the last one included (also
+    one that found no admissible time step), and sees the fields read-only: a
+    write to them raises ValueError. Identical configurations produce
+    bit-identical series on one platform. A `step` after `run` returns or
+    raises recomputes everything.
     """
     if t_end < sim.t:
         raise ValueError("t_end must not precede the current time")
@@ -794,16 +798,10 @@ def run(sim: Simulation, t_end: float, observer=None, series_cadence: int | None
         series.record(sim, 0.0)
     eps = 1e-12 * max(1.0, abs(t_end))
     outcome = StepOutcome("ok", 0.0)
-    sim._carry = False
+    sim._carry = _Carry(t_end, None, None)
     try:
         while sim.t < t_end - eps:
-            try:
-                dt = cfl_dt(sim)
-            except InvalidStateError as exc:
-                outcome = _no_time_step(exc)
-                break
-            dt = min(dt, t_end - sim.t)
-            outcome = step(sim, dt)
+            outcome = step(sim)
             done = outcome.status != "ok" or sim.t >= t_end - eps
             if series is not None and (sim.step_count % series_cadence == 0 or done) \
                     and sim.t > series.t[-1]:

@@ -72,7 +72,7 @@ class StabilityVerdict:
     stable: bool
     roots: np.ndarray
     max_real_part: float
-    marginal: bool = False
+    marginal: bool
 
 
 @dataclass

@@ -245,6 +245,18 @@ class TestCli:
             outs.append((out / "series.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_run_record_is_independent_of_the_out_path(self, run_cli, config_path, tmp_path):
+        # outputs are listed by file name, so only the wall_time line differs
+        records = []
+        for out in (tmp_path / "a", tmp_path / "a_much_longer_directory_name" / "b"):
+            cp = run_cli("simulate", "--config", str(config_path), "--out", str(out),
+                         "--override", "run.snapshot_times=0.1")
+            assert cp.returncode == 0, cp.stderr
+            lines = (out / "run_record.txt").read_bytes().split(b"\n")
+            records.append([line for line in lines if not line.startswith(b"wall_time")])
+        assert records[0] == records[1]
+        assert b"outputs    = snapshot_000.csv, series.csv" in records[0]
+
     def test_simulate_breakdown_exit_code(self, run_cli, config_path, tmp_path):
         # small fast blast: certificate-satisfying data at low resolution
         cp = run_cli("simulate", "--config", str(config_path),

@@ -374,16 +374,28 @@ class TestMonitorsAndOutcomes:
         assert out.status == "breakdown"
         assert "gradient" in out.message
 
-    def test_nonfinite_state_named_before_the_step(self, unit_law, unit_reference):
+    @pytest.mark.parametrize("advance", [
+        lambda sim: solver.step(sim, 1e-3),
+        lambda sim: solver.step(sim),
+        lambda sim: solver.run(sim, 0.1)[0]], ids=["step-dt", "step", "run"])
+    @pytest.mark.parametrize("field, value, named", [
+        ("u", np.nan, "field u non-finite at cell 17"),
+        ("rho", -0.5, "density -5.000e-01 below floor 1.0e-12 at cell 17")],
+        ids=["nan-u", "negative-rho"])
+    def test_nonfinite_state_named_before_the_step(self, unit_law, unit_reference, advance,
+                                                   field, value, named):
+        # the state check comes before the time-step choice, whose signal
+        # speed would only read nan
         grid = Grid1D("planar", 64, -2.0, 2.0, bc="periodic")
         sim = Simulation.uniform(grid, "bulk", unit_law, unit_reference)
-        u = sim.fields.get("u").copy()
-        u[17] = np.nan
-        sim.fields.set("u", u)
-        out = solver.step(sim, 1e-3)
+        values = sim.fields.get(field).copy()
+        values[17] = value
+        sim.fields.set(field, values)
+        out = advance(sim)
         assert out.status == "invalid_state"
-        assert "field u non-finite at cell 17" in out.message
+        assert named in out.message
         assert sim.step_count == 0
+        assert sim.t == 0.0
 
     @pytest.mark.parametrize("dt", [None, 1e-3])
     def test_law_turning_negative_is_a_short_outcome(self, dt):
