@@ -86,7 +86,7 @@ def max_gradients(sim, cells: slice | None = None) -> tuple[float, float]:
     block = sim.fields.data[:top, lo:hi]
     work = vars(sim).get("work")
     d = np.subtract(block[:, 1:], block[:, :-1],
-                    out=None if work is None else work.rows(0, top, hi - lo - 1))
+                    out=None if work is None else work.rows(top, hi - lo - 1))
     grho, *gu = np.abs(d, out=d).max(axis=1).tolist()
     return max(gu) / sim.grid.dx, grho / sim.grid.dx
 

@@ -43,15 +43,29 @@ contiguous and are updated as one block. A step allocates little: the SSP
 stage, the right-hand side, the MUSCL slopes and face states, the fluxes and
 the derivatives live in one `_Workspace` per Simulation, made at its first
 step and filled in place; the grid's face areas, cell volumes and quadrature
-weights are computed once per `Grid1D`. `step` is the one place that
-chooses a time step: `run` only calls it, and inside `run` it clips the CFL
-step to the run's end. Inside `run`, which owns the state between steps, a
-step after an ok one skips the check before it (the previous step's check
-after it read the same fields) and, unless its window is wider than the last
-one, its opening relaxation's velocity gradients (the previous closing one
-left them in the workspace and changed only the stress rows). The C^1
-monitor differences the density and velocity rows as one block. One
-floating-point error state covers a step's update, one a `cfl_dt`.
+weights are computed once per `Grid1D`. At a few hundred cells a step costs
+its numpy calls, not its arithmetic, and a call on shifted 2-D views costs
+about three times one on contiguous 1-D slices. So the stencil passes (the
+MUSCL face states, the right-hand side, the velocity gradients) run on flat
+work buffers: a window of k cells and two on either side is a row W = k + 4
+wide, the rows sit end to end, a shift along x is one contiguous 1-D slice,
+and a per-face or per-cell factor is one W-wide row broadcast over the
+(rows, W) block. The lanes past a row's valid span hold junk that nothing
+reads (a NaN there changes no bit). Every view of these passes is cut once,
+in a `_Plan` of one source array (the fields or the SSP stage) over one
+window, which is rebuilt only when the window or the source array changes.
+A window that spans whole padded rows (every periodic run) is read as flat
+rows of the source; on any other the three steps that read the source read
+2-D views of it. The choice is made when the plan is built. `step` is the
+one place that chooses a time step: `run` only calls it, and inside `run`
+it clips the CFL step to the run's end. Inside `run`, which owns the state
+between steps, a step after an ok one skips the check before it (the
+previous step's check after it read the same fields) and, unless its window
+is wider than the last one, its opening relaxation's velocity gradients (the
+previous closing one left them in the workspace and changed only the stress
+rows). The C^1 monitor differences the density and velocity rows as one
+block. One floating-point error state covers a step's update, one a
+`cfl_dt`.
 """
 
 from __future__ import annotations
@@ -217,86 +231,162 @@ class FluidFields:
         return self.data[:, self._inner]
 
 
-class _FaceViews:
-    """Views, for `rows` field rows and a window of k cells, into the pool
-    buffers of a _Workspace: the MUSCL differences and slopes, then the face
-    states, jump and average."""
+class _Faces:
+    """The views of one MUSCL pass over `block`, an (m, W) view of a source
+    array: m field rows over a window of k cells and two cells on either
+    side, W = k + 4. The pass runs on flat work buffers whose rows sit end to
+    end, W wide, so that a shift along x is one contiguous 1-D slice. Lane c
+    of a row holds column c of `block`, or the face to its left; the lanes
+    outside a row's valid span hold junk that nothing reads. A contiguous
+    block (whole padded rows, or one row) is read as flat rows; the three
+    steps that read any other read 2-D views of it and of the buffers."""
 
-    def __init__(self, ws: "_Workspace", rows: int, k: int):
-        self.diff, self.adiff, self.slope = ws.rows(0, rows, k + 3), ws.rows(1, rows, k + 3), \
-            ws.rows(2, rows, k + 2)
-        self.flat, self.pick = ws.masks(0, rows, k + 2), ws.masks(1, rows, k + 2)
-        self.left, self.right = ws.rows(0, rows, k + 1), ws.rows(1, rows, k + 1)
-        self.jump, self.hat = ws.rows(2, rows, k + 1), ws.rows(3, rows, k + 1)
+    def __init__(self, pools: list[np.ndarray], mask: np.ndarray, block: np.ndarray):
+        self.shape = block.shape
+        n = block.size
+        d, a, s = (b[:n] for b in pools[:3])
+        flat = block.flags.c_contiguous
+        w, d2, a2, s2 = (x.reshape(-1) if flat else x.reshape(self.shape) for x in (block, d, a, s))
+        self.diff, self.magnitude = (w[..., 1:], w[..., :-1], d2[..., 1:]), (d[1:], a[1:])
+        self.product, self.least = (d[1:-1], d[2:], s[1:-1]), (a[1:-1], a[2:])
+        self.slope, self.dl, self.flat = s[1:-1], d[1:-1], mask[1:n - 1]
+        # the face states overwrite the differences and their magnitudes
+        self.states = (w[..., 1:-2], s2[..., 1:-2], d2[..., 2:-1]), \
+            (w[..., 2:-1], s2[..., 2:-1], a2[..., 2:-1])
+        self.left, self.right = d, a
+
+    def rows(self, flat: np.ndarray) -> np.ndarray:
+        return flat[:self.shape[0] * self.shape[1]].reshape(self.shape)
 
 
-class _WindowViews:
-    """What a step over the padded columns `cols` works in: views cut from a
-    _Workspace (`all` for every field row, the hyperbolic right-hand side;
-    `vel` for the velocity rows, the relaxation; the right-hand side and,
-    after the fluxes, the derivatives of rows up to the last driving stress
-    and the velocity dissipation; the relaxation's Navier-Stokes stresses
-    and velocity gradients), and the grid's face areas and cell volumes
-    there."""
+def _forward(a: np.ndarray, out: np.ndarray) -> tuple:
+    """The arguments of np.subtract for out[c] = a[c + 1] - a[c] over flat rows."""
+    a, out = a.reshape(-1), out.reshape(-1)
+    return a[1:], a[:-1], out[:-1]
 
-    def __init__(self, ws: "_Workspace", layout, grid: Grid1D, cols: slice):
-        nf, nv = len(layout.names), len(layout.velocity)
-        g, k = grid.n_ghost, cols.stop - cols.start
-        lo, hi = cols.start - g, cols.stop - g
-        self.cols = cols
-        self.all = _FaceViews(ws, nf, k)
-        self.vel = _FaceViews(ws, nv, k)
-        self.rhs = ws.rows(4, nf, k)
-        self.u_left, self.u_right = ws.rows(5, 1, k + 1)[0], ws.rows(6, 1, k + 1)[0]
-        self.deriv = ws.rows(0, layout.drive_rows.stop, k)
-        self.diss_faces = ws.rows(1, nv, k + 1)
-        self.diss = ws.rows(3, nv, k)
-        self.eq = ws.rows(1, len(layout.stress), k)
-        self.grads = ws.grads[:, lo:hi]
-        self.areas, self.volumes = grid.face_areas[lo:hi + 1], grid.cell_volumes[lo:hi]
+
+class _Plan:
+    """A step's stencil passes over one source array `src` (the fields or
+    the SSP stage) and the padded columns `cols`: every view they read or
+    write, cut once. A per-face or per-cell factor is a W-wide row, broadcast
+    over a contiguous (rows, W) block. An SSP stage update and the velocity
+    gradients write whole padded rows where the window spans them (their
+    ghost columns are refilled before anything reads them), else the
+    window."""
+
+    def __init__(self, ws: "_Workspace", layout, grid: Grid1D, src: np.ndarray, cols: slice):
+        g = grid.n_ghost
+        c0, c1 = cols.start - g, cols.stop + g
+        width, vel, drive = c1 - c0, layout.velocity_rows, layout.drive_rows
+        span = slice(0, width) if width == grid.n_padded else slice(g, width - g)
+        written = slice(c0 + span.start, c0 + span.stop)
+        self.src, self.cols, self.near = src, cols, slice(cols.start - 1, cols.stop + 1)
+        self.areas, self.volumes = ws.areas[c0:c1], ws.volumes[c0:c1]
+        # the right-hand side; the five pool buffers hold in turn
+        #   0: differences, left states, fluxes, derivatives
+        #   1: their magnitudes, right states, velocity dissipation at the faces
+        #   2: slopes, jumps
+        #   3: face averages (rows up to the last driving stress), velocity
+        #      dissipation at the cells
+        #   4: the right-hand side
+        self.all = f = _Faces(ws.pools, ws.mask, src[:, c0:c1])
+        flux, right, jump, hat, rhs = (f.rows(b) for b in ws.pools)
+        # the face rows: uL, then the Rusanov speeds s; uR, then the signal
+        # speeds of the cells, then s / 2
+        self.u_left, self.u_right = (r[:width] for r in ws.face_rows)
+        self.spd, self.u_near = self.u_right[1:-1], src[1, self.near]
+        self.max_speed, self.s_face = (self.spd[:-1], self.spd[1:]), self.u_left
+        self.s_faces = self.s_face[g:-1]
+        self.flux, self.right, self.jump = flux, right, (right, flux, jump)
+        self.rhs, self.div = rhs, _forward(flux, rhs)
+        top, deriv = drive.stop, flux
+        self.hat, self.deriv_top = (flux[:top], right[:top], hat[:top]), deriv[:top]
+        self.deriv = _forward(hat[:top], deriv[:top])
+        self.u_row, self.rho_row, self.rho_cells = src[1, c0:c1], src[0, c0:c1], src[0, cols]
+        self.vel, self.vel_rest = rhs[vel], rhs[vel.start + 1:vel.stop]
+        self.vel0, self.drho = rhs[vel.start, g:-g], deriv[0, g:-g]
+        self.deriv_vel, self.deriv_drive, self.jump_vel = deriv[vel], deriv[drive], jump[vel]
+        nv = vel.stop - vel.start
+        self.diss_faces, self.diss_cells = right[:nv], hat[:nv]
+        self.diss = _forward(right[:nv], hat[:nv])
+        # an SSP stage update; a stage reads g cells beyond the window, copied
+        # from the state (interior cells at the reference) unless they are
+        # ghosts, which it refills before reading them
+        self.cells, self.stage_cells, self.rhs_cells = src[:, written], ws.stage[:, written], \
+            rhs[:, span]
+        self.halo = [(ws.stage[:, a:b], src[:, a:b]) for a, b in ((c0, cols.start), (cols.stop, c1))
+                     if span.start]
+        # the relaxation; its velocity gradients are cut at their first use,
+        # since only the fields' plans need them (a plan holds no reference to
+        # the workspace, which holds it: a cycle would keep a finished run's
+        # buffers until the garbage collector ran)
+        self.grads, self.stress = ws.grads[:, cols], src[layout.stress_rows, cols]
+        k, ns = cols.stop - cols.start, len(layout.stress)
+        self.eq = ws.pools[1][:ns * k].reshape(ns, k)
+        self._gradient = ws.pools, ws.mask, src[vel, c0:c1], ws.grads[:, written], span
+
+    @cached_property
+    def velocity(self) -> _Faces:
+        """The velocity rows' MUSCL pass, with the views that turn its face
+        states into the gradients."""
+        pools, mask, block, grads, span = self._gradient
+        v = _Faces(pools, mask, block)
+        hat, diff = v.rows(pools[3]), v.rows(pools[0])
+        v.average, v.hat_rows = (v.left, v.right, hat.reshape(-1)), hat
+        v.grad_diff = _forward(hat, diff)
+        v.grad_div = diff[:, span], self.volumes[span], grads
+        return v
 
 
 class _Workspace:
     """The arrays a step of one Simulation reuses on every call.
 
-    `stage` holds the SSP stages over the padded grid and `grads` the
-    velocity gradients of the interior, kept from one step to the next inside
-    `run`. Four pool buffers hold, in turn, the MUSCL slopes, the face
-    states, the fluxes and the derivatives; `window(cols)` cuts the views of
-    a step over the columns `cols` from them (and from the right-hand side
-    and face velocity buffers), and `rows` cuts the C^1 monitor's
-    differences. All are cut from one allocation: as separate arrays of a
-    large grid, their release at the end of a run shrank the heap, and the
-    next run's set-up page-faulted its fields back in.
+    Scratch, whose values live no longer than a step: five pool buffers of
+    (fields x padded cells) each, which a plan's passes share in turn (see
+    `_Plan`), two face rows, the minmod mask and `stage`, the SSP stages
+    over the padded grid. Kept: `grads`, the velocity gradients over the
+    padded grid, which carry from one step to the next inside `run`, and
+    `areas` and `volumes`, the face areas and cell volumes by padded column,
+    1 outside the interior so that a junk lane never divides by zero (on a
+    planar grid, views of the one value 1 and of dx). `plan(src, cols)`
+    gives the views of the passes over the source `src` and the padded
+    columns `cols`, and `rows` the C^1 monitor's differences. The float
+    arrays are cut from one allocation: as separate arrays of a large grid,
+    their release at the end of a run shrank the heap, and the next run's
+    set-up page-faulted its fields back in.
     """
 
     def __init__(self, layout, grid: Grid1D):
-        nf, n = len(layout.names), grid.n_cells
-        nv = len(layout.velocity)
-        sizes = [nf * (n + 3)] * 4 + [nf * grid.n_padded, nf * n, n + 1, n + 1, nv * n]
-        parts = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
-        self._buffers = parts[:4] + parts[5:8]
-        self.stage = parts[4].reshape(nf, grid.n_padded)
-        self.grads = parts[8].reshape(nv, n)
-        self._masks = np.split(np.empty(2 * nf * (n + 2), dtype=bool), 2)
+        nf, nv, p, g = len(layout.names), len(layout.velocity), grid.n_padded, grid.n_ghost
+        sizes = [nf * p] * 6 + [p] * 2 + [nv * p, p, p]
+        memory = np.empty(sum(sizes))
+        parts = np.split(memory, np.cumsum(sizes)[:-1])
+        self.scratch = memory[:sum(sizes[:8])]
+        self.pools, self.stage, self.face_rows = parts[:5], parts[5].reshape(nf, p), parts[6:8]
+        self.grads, self.areas, self.volumes = parts[8].reshape(nv, p), parts[9], parts[10]
+        if grid.geometry == "planar":  # 1 and dx everywhere: views of one value each
+            self.areas, self.volumes = np.broadcast_to(1.0, p), np.broadcast_to(grid.dx, p)
+        else:
+            self.areas[:], self.volumes[:] = 1.0, 1.0
+            self.areas[g:g + grid.n_cells + 1] = grid.face_areas
+            self.volumes[grid.interior] = grid.cell_volumes
+        self.mask = np.empty(nf * p, dtype=bool)
         self._layout, self._grid = layout, grid
-        self._views: _WindowViews | None = None
+        self._plans: tuple[_Plan, ...] = ()
 
-    def rows(self, buffer: int, rows: int, cols: int) -> np.ndarray:
-        """A (rows, cols) view at the start of buffer `buffer`: 0-3 the pool,
-        4 the right-hand side, 5 and 6 the face velocities."""
-        return self._buffers[buffer][:rows * cols].reshape(rows, cols)
+    def rows(self, rows: int, cols: int) -> np.ndarray:
+        """A (rows, cols) view at the start of the first pool buffer."""
+        return self.pools[0][:rows * cols].reshape(rows, cols)
 
-    def masks(self, buffer: int, rows: int, cols: int) -> np.ndarray:
-        return self._masks[buffer][:rows * cols].reshape(rows, cols)
-
-    def window(self, cols: slice) -> _WindowViews:
-        """The views of a step over the padded columns `cols`; those of the
-        last window asked for are kept, so a run whose window stays put
-        builds them once."""
-        if self._views is None or self._views.cols != cols:
-            self._views = _WindowViews(self, self._layout, self._grid, cols)
-        return self._views
+    def plan(self, src: np.ndarray, cols: slice) -> _Plan:
+        """The plan of the array `src` over the padded columns `cols`. The
+        last two built are kept (a step's fields and stage), so a run whose
+        window stays put builds them once."""
+        for plan in self._plans:
+            if plan.src is src and plan.cols == cols:
+                return plan
+        self._plans = (_Plan(self, self._layout, self._grid, src, cols),) + self._plans[:1]
+        return self._plans[0]
 
 
 @dataclass(frozen=True)
@@ -420,24 +510,23 @@ def _fill_ghosts(sim: Simulation, data: np.ndarray) -> None:
         data[:, :g] = ref
 
 
-def _face_states(w: np.ndarray, v: _FaceViews) -> None:
-    """MUSCL minmod-limited left/right states at the n + 1 interior faces, into
-    v.left and v.right, from the rows `w` over the interior and two cells on
-    each side. The minmod slope is where(dl dr > 0, the one of dl, dr of least
-    magnitude, 0)."""
-    d = np.subtract(w[:, 1:], w[:, :-1], out=v.diff)
-    np.abs(d, out=v.adiff)
-    dl, dr = d[:, :-1], d[:, 1:]
-    s = np.multiply(dl, dr, out=v.slope)
-    flat = np.greater(s, 0.0, out=v.flat)
-    np.logical_not(flat, out=flat)
-    np.less_equal(v.adiff[:, :-1], v.adiff[:, 1:], out=v.pick)
-    np.copyto(s, dr)
-    np.copyto(s, dl, where=v.pick)
-    np.copyto(s, 0.0, where=flat)
-    s *= 0.5
-    np.add(w[:, 1:-2], s[:, :-1], out=v.left)
-    np.subtract(w[:, 2:-1], s[:, 1:], out=v.right)
+def _reconstruct(f: _Faces) -> None:
+    """MUSCL minmod-limited states at the faces, into f.left (w[c - 1] +
+    s[c - 1] at the face left of lane c) and f.right (w[c] - s[c]). The slope
+    is s = copysign(min(|dl|, |dr|) / 2, dl) where dl dr > 0, else +0: the one
+    of dl, dr of least magnitude, halved, with the same bits for ties, signed
+    zeros, infinities and NaNs."""
+    np.subtract(*f.diff)
+    np.abs(*f.magnitude)
+    np.multiply(*f.product)
+    np.greater(f.slope, 0.0, out=f.flat)
+    np.logical_not(f.flat, out=f.flat)
+    np.minimum(*f.least, out=f.slope)
+    f.slope *= 0.5
+    np.copysign(f.slope, f.dl, out=f.slope)
+    np.copyto(f.slope, 0.0, where=f.flat)
+    np.add(*f.states[0])
+    np.subtract(*f.states[1])
 
 
 def _transport(sim: Simulation, data: np.ndarray, cells: slice):
@@ -479,79 +568,70 @@ def _signal_speed(sim: Simulation, data: np.ndarray, cells: slice, transport):
     return cs2, shear_signal_speeds(cs2, zeta, eta, rho, tau)[1]
 
 
-def _divergence(w: _WindowViews, faces: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """((A F)_+ - (A F)_-) / V per row of the face values of the window `w`,
-    into `out`; `faces` is scaled by the areas in place."""
-    faces *= w.areas
-    np.subtract(faces[:, 1:], faces[:, :-1], out=out)
-    out /= w.volumes
-    return out
-
-
-def _hyperbolic_rhs(sim: Simulation, data: np.ndarray, cols: slice) -> np.ndarray:
-    """Method-of-lines right-hand side on the padded columns `cols` (a reused
-    buffer), read from them and two cells on either side.
+def _hyperbolic_rhs(sim: Simulation, data: np.ndarray, cols: slice) -> _Plan:
+    """Method-of-lines right-hand side on the padded columns `cols`, read
+    from them and two cells on either side, into `rhs` of the plan it
+    returns; `rhs_cells` are its lanes that an SSP stage update reads.
 
     Mass and stress rows take the conservative Rusanov flux of rho u and
     u Pi; velocity rows the primitive quasilinear form with Rusanov
     dissipation."""
-    grid, layout = sim.grid, sim.layout
-    c0, c1, dx = cols.start, cols.stop, grid.dx
-    ws = sim.work.window(cols)
-    near = slice(c0 - 1, c1 + 1)  # the cells on either side of a face of `cols`
-    cs2, fast = _signal_speed(sim, data, near, _transport(sim, data, near))
-    spd = np.abs(data[1, near])
-    spd += fast
-    s_face = np.maximum(spd[:-1], spd[1:])
-
-    v = ws.all
-    _face_states(data[:, c0 - 2:c1 + 2], v)
-    left, right = v.left, v.right
-    jump = np.subtract(right, left, out=v.jump)
-    top = layout.drive_rows.stop  # the velocity update reads the rows above it
-    hat = np.add(left[:top], right[:top], out=v.hat[:top])
+    p = sim.work.plan(data, cols)
+    dx = sim.grid.dx
+    cs2, fast = _signal_speed(sim, data, p.near, _transport(sim, data, p.near))
+    _reconstruct(p.all)
+    jump = np.subtract(*p.jump)
+    hat = np.add(*p.hat)  # the face averages of the rows the velocity update reads
     hat *= 0.5
 
     # mass and stresses: flux 0.5 (uL wL + uR wR) - 0.5 s (wR - wL), formed
-    # for every row; the velocity rows of rhs are overwritten below
-    np.copyto(ws.u_left, left[1])
-    np.copyto(ws.u_right, right[1])
-    flux = left
-    flux *= ws.u_left
-    right *= ws.u_right
+    # for every row in place of the face states; the velocity rows of rhs
+    # are overwritten below
+    flux, right = p.flux, p.right
+    np.copyto(p.u_left, flux[1])
+    np.copyto(p.u_right, right[1])
+    flux *= p.u_left
+    right *= p.u_right
     flux += right
     flux *= 0.5
-    flux -= np.multiply(jump, 0.5 * s_face, out=right)
-    rhs = np.negative(_divergence(ws, flux, ws.rhs), out=ws.rhs)
+    spd = np.abs(p.u_near, out=p.spd)
+    spd += fast
+    np.maximum(*p.max_speed, out=p.s_faces)
+    flux -= np.multiply(jump, np.multiply(p.s_face, 0.5, out=p.u_right), out=right)
+    flux *= p.areas
+    np.subtract(*p.div)  # ((A F)_+ - (A F)_-) / V
+    p.rhs /= p.volumes
+    np.negative(p.rhs, out=p.rhs)
 
     # velocities: -(u du + (cs2/rho) drho + dPi_1i / rho) + dissipation
-    rho_i, u_i = data[0, cols], data[1, cols]
-    deriv = np.subtract(hat[:, 1:], hat[:, :-1], out=ws.deriv)
-    deriv /= dx
-    vel = np.multiply(deriv[layout.velocity_rows], u_i, out=rhs[layout.velocity_rows])
-    vel[0] += (cs2[1:-1] / rho_i) * deriv[0]
-    vel[1:] += 0.0  # no pressure term; keeps the signed zeros of u du + 0 + ...
-    d_stress = deriv[layout.drive_rows]
-    d_stress /= rho_i
-    vel += d_stress
+    np.subtract(*p.deriv)
+    p.deriv_top /= dx
+    vel = np.multiply(p.deriv_vel, p.u_row, out=p.vel)
+    p.vel0 += (cs2[1:-1] / p.rho_cells) * p.drho
+    p.vel_rest += 0.0  # no pressure term; keeps the signed zeros of u du + 0 + ...
+    p.deriv_drive /= p.rho_row
+    vel += p.deriv_drive
     np.negative(vel, out=vel)
-    d = np.multiply(jump[layout.velocity_rows], s_face, out=ws.diss_faces)
-    diss = np.subtract(d[:, 1:], d[:, :-1], out=ws.diss)
-    diss /= 2.0 * dx
-    vel += diss
-    return rhs
+    np.multiply(p.jump_vel, p.s_face, out=p.diss_faces)
+    np.subtract(*p.diss)
+    p.diss_cells /= 2.0 * dx
+    vel += p.diss_cells
+    return p
 
 
-def _velocity_gradients(data: np.ndarray, layout, w: _WindowViews) -> np.ndarray:
-    """Face-consistent velocity derivatives on the window `w`, into its
+def _velocity_gradients(p: _Plan) -> np.ndarray:
+    """Face-consistent velocity derivatives on the plan's window, into its
     gradient view: the divergence uses the conservative face average so its
     volume-weighted sum telescopes. Transverse rows exist only in planar
     geometry, where this is the central difference of the face averages."""
-    v = w.vel
-    _face_states(data[layout.velocity_rows, w.cols.start - 2:w.cols.stop + 2], v)
-    hat = np.add(v.left, v.right, out=v.hat)
+    v = p.velocity
+    _reconstruct(v)
+    hat = np.add(*v.average)
     hat *= 0.5
-    return _divergence(w, hat, w.grads)
+    v.hat_rows *= p.areas
+    np.subtract(*v.grad_diff)
+    np.divide(*v.grad_div)
+    return p.grads
 
 
 def _relax(sim: Simulation, data: np.ndarray, delta: float, cols: slice,
@@ -561,11 +641,11 @@ def _relax(sim: Simulation, data: np.ndarray, delta: float, cols: slice,
     substep; `carried` reuses the last relaxation's ghosts and gradients."""
     if not carried:
         _fill_ghosts(sim, data)
-    w = sim.work.window(cols)
+    p = sim.work.plan(data, cols)
     zeta, eta, tau = _transport(sim, data, cols)
-    grads = w.grads if carried else _velocity_gradients(data, sim.layout, w)
+    grads = p.grads if carried else _velocity_gradients(p)
     factor = np.exp(-delta / tau)
-    eq = w.eq  # rows in layout.stress order
+    eq = p.eq  # rows in layout.stress order
     if sim.system == "bulk":
         np.multiply(grads[0], -zeta, out=eq[0])
     else:
@@ -579,7 +659,7 @@ def _relax(sim: Simulation, data: np.ndarray, delta: float, cols: slice,
         np.negative(trace_part, out=eq[3])
         eq[4] = 0.0
         eq[5] = eq[3]
-    cur = data[sim.layout.stress_rows, cols]
+    cur = p.stress
     cur -= eq
     cur *= factor
     cur += eq
@@ -648,32 +728,28 @@ def _advance_hyperbolic(sim: Simulation, data: np.ndarray, dt: float, cols: slic
     """SSP-RK2 (or RK3) over the padded columns `cols` of `data`, in place.
     The stages live in one reused buffer; `data` itself is the stage-0
     state."""
-    inner = np.s_[:, cols]
-    stage = sim.work.stage
-    # a stage reads g cells beyond the window: interior cells, where the state
-    # holds the reference, or ghosts, which it refills before reading them
-    g = sim.grid.n_ghost
-    stage[:, cols.start - g:cols.start] = data[:, cols.start - g:cols.start]
-    stage[:, cols.stop:cols.stop + g] = data[:, cols.stop:cols.stop + g]
+    p = sim.work.plan(data, cols)
+    for halo in p.halo:
+        np.copyto(*halo)
 
     def euler(src: np.ndarray) -> None:
-        # stage[inner] = src[inner] + dt * rhs(src)
+        # stage = src + dt * rhs(src) on the plan's written columns
         _fill_ghosts(sim, src)
-        rhs = _hyperbolic_rhs(sim, src, cols)
-        rhs *= dt
-        np.add(src[inner], rhs, out=stage[inner])
+        p = _hyperbolic_rhs(sim, src, cols)
+        p.rhs *= dt
+        np.add(p.cells, p.rhs_cells, out=p.stage_cells)
 
     euler(data)
-    euler(stage)
+    euler(sim.work.stage)
+    u0, u2 = p.cells, p.stage_cells
     if sim.integrator == "ssprk2":
-        u0, u2 = data[inner], stage[inner]  # views: data = 0.5 u0 + 0.5 u2
-        u0 *= 0.5
+        u0 *= 0.5  # data = 0.5 u0 + 0.5 u2
         u2 *= 0.5
         u0 += u2
     else:
-        stage[inner] = 0.75 * data[inner] + 0.25 * stage[inner]
-        euler(stage)
-        data[inner] = data[inner] / 3.0 + 2.0 / 3.0 * stage[inner]
+        u2[:] = 0.75 * u0 + 0.25 * u2
+        euler(sim.work.stage)
+        u0[:] = u0 / 3.0 + 2.0 / 3.0 * u2
 
 
 FRONT_SLACK_CELLS = 2  # cells of slack beyond R + c_v t
@@ -787,7 +863,9 @@ def run(sim: Simulation, t_end: float, observer=None, series_cadence: int | None
     Returns (final StepOutcome, DiagnosticSeries or None). The observer is
     called with the simulation after each step, the last one included (also
     one that found no admissible time step), and sees the fields read-only: a
-    write to them raises ValueError. Identical configurations produce
+    write to them raises ValueError. A series row's dt is that of the step
+    that reached its t, also on the last row when the run ends on a step
+    that did not advance. Identical configurations produce
     bit-identical series on one platform. A `step` after `run` returns or
     raises recomputes everything.
     """
@@ -797,15 +875,18 @@ def run(sim: Simulation, t_end: float, observer=None, series_cadence: int | None
     if series is not None:
         series.record(sim, 0.0)
     eps = 1e-12 * max(1.0, abs(t_end))
-    outcome = StepOutcome("ok", 0.0)
+    outcome, dt = StepOutcome("ok", 0.0), 0.0
     sim._carry = _Carry(t_end, None, None)
     try:
         while sim.t < t_end - eps:
+            count = sim.step_count
             outcome = step(sim)
+            if sim.step_count > count:
+                dt = outcome.dt_used  # of the step that reached sim.t
             done = outcome.status != "ok" or sim.t >= t_end - eps
             if series is not None and (sim.step_count % series_cadence == 0 or done) \
                     and sim.t > series.t[-1]:
-                series.record(sim, outcome.dt_used)
+                series.record(sim, dt)
             if observer is not None:
                 sim.fields.data.flags.writeable = False
                 observer(sim)

@@ -23,7 +23,11 @@ so an optimization of the step that changes the arithmetic shows up here:
   exactly when `config.validate` does, and reject them with one of its
   messages;
 - `cli._csv_lines`, which formats each distinct bit pattern of a column
-  once, writes the bytes of one `repr` per value.
+  once, writes the bytes of one `repr` per value;
+- the MUSCL face states of a step plan, whose minmod slope is
+  copysign(min(|dl|, |dr|) / 2, dl) where dl dr > 0, have the bits of the
+  pick of the slope of least magnitude, signed zeros, infinities and NaNs
+  included, on flat rows and on a window read through 2-D views.
 """
 
 import struct
@@ -36,8 +40,8 @@ from hypothesis import strategies as st
 from viscoflow import cli, solver
 from viscoflow.config import (ScenarioConfig, default_tolerances, material_law,
                               reference_state, validate)
-from viscoflow.materials import (CoefficientFunction, ConstantCoefficient, MaterialLaw,
-                                 ReferenceState)
+from viscoflow.materials import (LAYOUTS, CoefficientFunction, ConstantCoefficient,
+                                 MaterialLaw, ReferenceState)
 from viscoflow.solver import Grid1D, Simulation, bump
 
 PROPERTY = settings(max_examples=10, deadline=None, derandomize=True, database=None)
@@ -427,3 +431,67 @@ class TestCsvWords:
         oracle = ",".join(header) + "\n" + "".join(
             ",".join(map(repr, row)) + "\n" for row in zip(*floats, map(float, counts)))
         assert "".join(cli._csv_lines(header, columns)) == oracle
+
+
+# steps that make ties |dl| = |dr|, sign changes, and products dl dr that
+# underflow to 0 (1e-200 * 1e-200)
+STEPS = [1.0, -1.0, 0.5, 3.0, 0.0, -0.0, 1e-200, -1e-200, 1e300]
+
+
+@st.composite
+def stencil_rows(draw):
+    """A system, its field rows over a padded grid of 8 to 14 cells, and a
+    window of it, the whole grid in about half the cases. One row is drawn
+    from special values and runs of equal steps; the others are it rolled by
+    the row's index, odd rows negated."""
+    system = draw(st.sampled_from(["bulk", "shear"]))
+    n = draw(st.integers(8, 14))
+    row = [draw(st.sampled_from(SPECIAL) | st.floats())]
+    for _ in range(n + 3):
+        step = draw(st.sampled_from(STEPS) | st.just(None))
+        row.append(draw(st.sampled_from(SPECIAL) | st.floats()) if step is None
+                   else row[-1] + step)
+    rows = np.array([(-1.0) ** r * np.roll(row, r) for r in range(len(LAYOUTS[system].names))])
+    if draw(st.booleans()):
+        return system, rows, 0, n  # the whole grid: flat rows
+    lo = draw(st.integers(0, n - 1))
+    return system, rows, lo, draw(st.integers(lo + 1, n))
+
+
+def picked_face_states(w):
+    """The minmod face states as a where-chain: the slope of least magnitude
+    (dl on a tie), zeroed where dl dr is not positive, then halved."""
+    d = w[:, 1:] - w[:, :-1]
+    dl, dr = d[:, :-1], d[:, 1:]
+    s = dl * dr
+    flat = ~(s > 0.0)
+    pick = np.less_equal(np.abs(dl), np.abs(dr))
+    np.copyto(s, dr)
+    np.copyto(s, dl, where=pick)
+    np.copyto(s, 0.0, where=flat)
+    s *= 0.5
+    return w[:, 1:-2] + s[:, :-1], w[:, 2:-1] - s[:, 1:]
+
+
+class TestMinmod:
+    @settings(PROPERTY, max_examples=60)
+    @given(stencil_rows())
+    @example(("bulk", np.tile(np.arange(12) * 1e-200, (3, 1)), 0, 8))  # dl dr underflows to 0
+    @example(("shear", np.tile([0.0, -0.0, PAYLOAD_NAN, 1.0, 2.0, 3.0, np.inf, 5e-324, -5e-324,
+                                -1.0, 0.0, 1.0, 1e300, -1e300], (10, 1)), 3, 7))
+    def test_face_states_match_the_picked_slope(self, case):
+        system, data, lo, hi = case
+        grid = Grid1D("planar", data.shape[1] - 4, 0.0, 1.0, bc="periodic")
+        sim = Simulation(grid, system, MaterialLaw(A=0.5, gamma=2.0), ReferenceState(1.0, 1.0))
+        sim.fields.data[:] = data
+        cols = slice(2 + lo, 2 + hi)
+        plan = sim.work.plan(sim.fields.data, cols)
+        rows = (slice(None), sim.layout.velocity_rows)
+        with np.errstate(all="ignore"):
+            for faces, block in zip((plan.all, plan.velocity), rows):
+                solver._reconstruct(faces)
+                width = hi - lo + 4
+                got = [faces.rows(f)[:, 2:width - 1] for f in (faces.left, faces.right)]
+                want = picked_face_states(data[block, lo:lo + width])
+                for g, w in zip(got, want):
+                    assert np.array_equal(g.view(np.int64), w.view(np.int64))

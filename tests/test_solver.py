@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -512,6 +515,31 @@ class TestMonitorsAndOutcomes:
         assert out.status == "ok"
         assert np.all(np.diff(series.t) > 0.0)
 
+    @pytest.mark.parametrize("refused", [16, 17], ids=["no-time-step", "failed-update"])
+    def test_last_series_row_has_the_dt_that_reached_it(self, monkeypatch, refused):
+        # zeta turns negative at evaluation `refused` of the run: 16 is the
+        # time-step choice of step 4 (dt_used nan), 17 its opening relaxation
+        # (dt_used the dt of the refused update); neither step advances
+        calls = []
+
+        def zeta(rho, pi, pi2):
+            calls.append(1)
+            return -1.0 if len(calls) == refused else 1.0
+
+        law = MaterialLaw(A=1.0, gamma=2.0, zeta=CoefficientFunction(zeta))
+        grid = Grid1D("planar", 64, -2.0, 2.0, bc="periodic")
+        sim = Simulation.uniform(grid, "bulk", law, ReferenceState(rho_bar=1.0, R=1.0))
+        sim.fields.set("rho", 1.0 + 0.5 * bump(grid.centers_interior))
+        outcomes, original = [], solver.step
+        monkeypatch.setattr(solver, "step", lambda s: outcomes.append(original(s)) or outcomes[-1])
+        calls.clear()
+        out, series = solver.run(sim, 1.0, series_cadence=5)
+        assert out.status == "invalid_state" and sim.step_count == 3 and len(outcomes) == 4
+        reached, refused_dt = outcomes[2].dt_used, outcomes[3].dt_used
+        assert np.isnan(refused_dt) if refused == 16 else refused_dt != reached
+        assert series.t == [0.0, sim.t]
+        assert series.dt == [0.0, reached]
+
     def test_observer_called_once_per_step(self, unit_law, unit_reference):
         grid = Grid1D("planar", 64, 0.0, 2 * np.pi, bc="periodic")
         sim = Simulation.uniform(grid, "bulk", unit_law, unit_reference)
@@ -581,6 +609,88 @@ class TestCoefficientEvaluations:
         per_step, results = self.count_calls(monkeypatch, law, system)
         assert 0 < per_step <= 5
         assert all(isinstance(r[0], np.ndarray) for r in results)
+
+
+class TestStepPlans:
+    @staticmethod
+    def bump_sim(system, geometry, bc, integrator):
+        law = MaterialLaw(A=0.5, gamma=1.8, zeta=CoefficientFunction(lambda r, p, q: r),
+                          eta=0.7, tau=0.5)
+        grid = Grid1D(geometry, 96, 0.0 if geometry == "spherical" else -3.0, 3.0, bc=bc)
+        sim = Simulation.uniform(grid, system, law, ReferenceState(rho_bar=1.0, R=1.0),
+                                 integrator=integrator,
+                                 tolerances={"front_tol": 1e300, "grad_factor": 1e9})
+        w = bump(grid.radii / 0.6)
+        sim.fields.set("rho", 1.0 + 0.2 * w)
+        sim.fields.data[1, grid.interior] = 0.1 * w * grid.arms
+        for f in sim.layout.stress:
+            sim.fields.data[f, grid.interior] += 0.02 * f * w
+        if system == "shear":
+            sim.fields.set("v2", 0.05 * w)
+        return sim
+
+    @pytest.mark.parametrize("system,geometry,bc", [
+        ("bulk", "planar", "fixed"), ("bulk", "planar", "periodic"),
+        ("bulk", "spherical", "fixed"), ("shear", "planar", "fixed"),
+        ("shear", "planar", "periodic")])
+    @pytest.mark.parametrize("integrator", ["ssprk2", "ssprk3"])
+    def test_junk_lanes_are_never_read(self, system, geometry, bc, integrator):
+        # NaN in every scratch buffer before each step, and True in the minmod
+        # mask, must not change a bit: only `grads` and the plan's face areas
+        # and cell volumes carry values from one step to the next
+        def poison(sim):
+            sim.work.scratch.fill(np.nan)
+            sim.work.mask.fill(True)
+
+        sims = [self.bump_sim(system, geometry, bc, integrator) for _ in range(2)]
+        poison(sims[1])
+        windows = []
+        plain, poisoned = (solver.run(sim, 0.15, observer=observer)[0] for sim, observer in
+                           zip(sims, (lambda s: windows.append(s._carry.window), poison)))
+        assert plain == poisoned and plain.status == "ok"
+        assert sims[0].step_count == sims[1].step_count > 10
+        assert np.array_equal(sims[0].fields.data.view(np.int64),
+                              sims[1].fields.data.view(np.int64))
+        stationary = bc == "fixed" and integrator == "ssprk2"
+        assert (windows[0] != sims[0].grid.interior) == stationary  # a partial window
+
+    def test_a_plan_serves_one_source_array(self, unit_law):
+        sim = periodic_wave_sim(unit_law, n=64)
+        data = sim.fields.data
+        solver._fill_ghosts(sim, data)
+        other = data.copy()
+        other[:2] *= 1.5
+
+        def rhs(s, src, window):  # the window's lanes of the right-hand side
+            with np.errstate(all="ignore"):  # as in a step: junk lanes hold anything
+                return solver._hyperbolic_rhs(s, src, window).rhs[:, 2:-2].copy()
+
+        for window in (sim.grid.interior, slice(10, 30)):
+            first = rhs(sim, data, window)
+            got = rhs(sim, other, window)
+            assert sim.work.plan(other, window).src is other
+            fresh = periodic_wave_sim(unit_law, n=64)
+            fresh.fields.data[:] = other
+            want = rhs(fresh, fresh.fields.data, window)
+            assert np.array_equal(got, want) and not np.array_equal(first, want)
+            assert np.array_equal(rhs(sim, data, window).view(np.int64), first.view(np.int64))
+
+
+    def test_a_finished_run_frees_its_workspace_without_the_collector(self, unit_law):
+        # a reference cycle through the plans would keep each finished run's
+        # buffers until the garbage collector ran: many small runs (the
+        # ring-downs) would then hold several at once
+        sim = periodic_wave_sim(unit_law, n=64)
+        solver.run(sim, 10 * solver.cfl_dt(sim))
+        work = weakref.ref(sim.work)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del sim
+            assert work() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestGeometry:
