@@ -133,6 +133,8 @@ def cmd_speeds(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int, li
 
 
 def cmd_stability(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int, list[str]]:
+    if not np.isfinite(args.k):
+        raise ConfigError([(0, f"--k must be a finite wavenumber, got {args.k!r}")])
     bg = _background(cfg)
     k = (args.k, 0.0, 0.0)
     if cfg.system == "bulk":
@@ -167,10 +169,10 @@ def cmd_dispersion(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int
     try:
         kmin, kmax, count = args.sweep.split(":")
         kmin, kmax, count = float(kmin), float(kmax), int(count)
-        if count < 1 or kmin <= 0 or kmax < kmin:
+        if count < 1 or not 0 < kmin <= kmax < np.inf:
             raise ValueError
     except ValueError:
-        raise ConfigError([(0, f"--sweep must be kmin:kmax:n with 0 < kmin <= kmax, "
+        raise ConfigError([(0, f"--sweep must be kmin:kmax:n with 0 < kmin <= kmax < inf, "
                                f"got {args.sweep!r}")])
     bg = _background(cfg)
     ks = np.linspace(kmin, kmax, count)

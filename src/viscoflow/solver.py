@@ -20,15 +20,14 @@ of two relaxations, the right-hand sides of two SSP stages) changes a cell
 only if it or a neighbour differs, since a minmod slope vanishes beside two
 equal cells, so that reach is four cells. Where the reference state is a
 fixed point of the step, the cells outside the window would come out of it
-unchanged, so the step leaves them alone: the relaxations, the SSP stages
-(whose halo in the stage buffer is copied from the state), `cfl_dt`, the
-validity check, the C^1 monitor and the front check all read the window.
-The window is the whole interior on a periodic grid, with a uniform stress
-Pi_bar != 0 (which relaxes toward 0), with a moving spherical background,
-with SSP-RK3 (whose closing u/3 + 2u/3 need not give u), and when the
-disturbance spans the grid. The diagnostic series stays whole-grid: its
-pairwise sums fix the bits. Inside `run`, an ok step finds the next step's
-window by scanning its own.
+unchanged, so the step leaves them alone: the relaxations, the SSP stages,
+`cfl_dt`, the validity check, the C^1 monitor and the front check all read
+the window. The window is the whole interior on a periodic grid, with a
+uniform stress Pi_bar != 0 (which relaxes toward 0), with a moving spherical
+background, with SSP-RK3 (whose closing u/3 + 2u/3 need not give u), and
+when the disturbance spans the grid. The diagnostic series stays whole-grid:
+its pairwise sums fix the bits. Inside `run`, an ok step finds the next
+step's window by scanning its own.
 
 The transport coefficients are evaluated in three places: `cfl_dt`, each
 relaxation half-step and each SSP stage of the hyperbolic update (the window
@@ -39,33 +38,36 @@ the float enters the arithmetic directly, with the same bits as a per-cell
 array of it. A law whose three coefficients are constant
 (`MaterialLaw.has_constant_transport`) also skips the stress invariants. The
 field rows of each group (velocities, driving stresses, stresses) are
-contiguous and are updated as one block. A step allocates little: the SSP
-stage, the right-hand side, the MUSCL slopes and face states, the fluxes and
-the derivatives live in one `_Workspace` per Simulation, made at its first
-step and filled in place; the grid's face areas, cell volumes and quadrature
-weights are computed once per `Grid1D`. At a few hundred cells a step costs
-its numpy calls, not its arithmetic, and a call on shifted 2-D views costs
-about three times one on contiguous 1-D slices. So the stencil passes (the
-MUSCL face states, the right-hand side, the velocity gradients) run on flat
-work buffers: a window of k cells and two on either side is a row W = k + 4
-wide, the rows sit end to end, a shift along x is one contiguous 1-D slice,
-and a per-face or per-cell factor is one W-wide row broadcast over the
-(rows, W) block. The lanes past a row's valid span hold junk that nothing
-reads (a NaN there changes no bit). Every view of these passes is cut once,
-in a `_Plan` of one source array (the fields or the SSP stage) over one
-window, which is rebuilt only when the window or the source array changes.
-A window that spans whole padded rows (every periodic run) is read as flat
-rows of the source; on any other the three steps that read the source read
-2-D views of it. The choice is made when the plan is built. `step` is the
-one place that chooses a time step: `run` only calls it, and inside `run`
-it clips the CFL step to the run's end. Inside `run`, which owns the state
-between steps, a step after an ok one skips the check before it (the
-previous step's check after it read the same fields) and, unless its window
-is wider than the last one, its opening relaxation's velocity gradients (the
-previous closing one left them in the workspace and changed only the stress
-rows). The C^1 monitor differences the density and velocity rows as one
-block. One floating-point error state covers a step's update, one a
-`cfl_dt`.
+contiguous and are updated as one block. The fields are the one array a
+step's passes read and write: the SSP update runs in Shu-Osher form, each
+stage adding dt * rhs to the fields in place, and the closing combinations
+read u0, the state the update began from, from a stage buffer that holds
+nothing else. A step allocates little: that buffer, the right-hand side, the
+MUSCL slopes and face states, the fluxes and the derivatives live in one
+`_Workspace` per Simulation, made at its first step and filled in place; the
+grid's face areas, cell volumes and quadrature weights are computed once per
+`Grid1D`. At a few hundred cells a step costs its numpy calls, not its
+arithmetic, and a call on shifted 2-D views costs about three times one on
+contiguous 1-D slices. So the stencil passes (the MUSCL face states, the
+right-hand side, the velocity gradients) run on flat work buffers: a window
+of k cells and two on either side is a row W = k + 4 wide, the rows sit end
+to end, a shift along x is one contiguous 1-D slice, and a per-face or
+per-cell factor is one W-wide row broadcast over the (rows, W) block. The
+lanes past a row's valid span hold junk that nothing reads (a NaN there
+changes no bit). Every view of these passes is cut once, in a `_Plan` of the
+fields over one window, which serves the step's two relaxations and its SSP
+stages and is rebuilt only when the window changes. A window that spans
+whole padded rows (every periodic run) is read as flat rows of the fields;
+on any other the three steps that read the fields read 2-D views of them.
+The choice is made when the plan is built. `step` is the one place that
+chooses a time step: `run` only calls it, and inside `run` it clips the CFL
+step to the run's end. Inside `run`, which owns the state between steps, a
+step after an ok one skips the check before it (the previous step's check
+after it read the same fields) and, unless its window is wider than the last
+one, its opening relaxation's velocity gradients (the previous closing one
+left them in the workspace and changed only the stress rows). The C^1
+monitor differences the density and velocity rows as one block. One
+floating-point error state covers a step's update, one a `cfl_dt`.
 """
 
 from __future__ import annotations
@@ -266,21 +268,24 @@ def _forward(a: np.ndarray, out: np.ndarray) -> tuple:
 
 
 class _Plan:
-    """A step's stencil passes over one source array `src` (the fields or
-    the SSP stage) and the padded columns `cols`: every view they read or
-    write, cut once. A per-face or per-cell factor is a W-wide row, broadcast
-    over a contiguous (rows, W) block. An SSP stage update and the velocity
-    gradients write whole padded rows where the window spans them (their
-    ghost columns are refilled before anything reads them), else the
-    window."""
+    """A step's stencil passes over the fields and the padded columns
+    `cols`: every view they read or write, cut once. A per-face or per-cell
+    factor is a W-wide row, broadcast over a contiguous (rows, W) block. An
+    SSP stage update, the copy of its u0 into the stage buffer and the
+    velocity gradients write whole padded rows where the window spans them
+    (their ghost columns are refilled before anything reads them), else the
+    window. A plan holds no reference to the workspace, which holds it: a
+    cycle would keep a finished run's buffers until the garbage collector
+    ran."""
 
-    def __init__(self, ws: "_Workspace", layout, grid: Grid1D, src: np.ndarray, cols: slice):
+    def __init__(self, ws: "_Workspace", cols: slice):
+        layout, grid, data = ws.layout, ws.grid, ws.data
         g = grid.n_ghost
         c0, c1 = cols.start - g, cols.stop + g
         width, vel, drive = c1 - c0, layout.velocity_rows, layout.drive_rows
         span = slice(0, width) if width == grid.n_padded else slice(g, width - g)
         written = slice(c0 + span.start, c0 + span.stop)
-        self.src, self.cols, self.near = src, cols, slice(cols.start - 1, cols.stop + 1)
+        self.cols, self.near = cols, slice(cols.start - 1, cols.stop + 1)
         self.areas, self.volumes = ws.areas[c0:c1], ws.volumes[c0:c1]
         # the right-hand side; the five pool buffers hold in turn
         #   0: differences, left states, fluxes, derivatives
@@ -289,12 +294,12 @@ class _Plan:
         #   3: face averages (rows up to the last driving stress), velocity
         #      dissipation at the cells
         #   4: the right-hand side
-        self.all = f = _Faces(ws.pools, ws.mask, src[:, c0:c1])
+        self.all = f = _Faces(ws.pools, ws.mask, data[:, c0:c1])
         flux, right, jump, hat, rhs = (f.rows(b) for b in ws.pools)
         # the face rows: uL, then the Rusanov speeds s; uR, then the signal
         # speeds of the cells, then s / 2
         self.u_left, self.u_right = (r[:width] for r in ws.face_rows)
-        self.spd, self.u_near = self.u_right[1:-1], src[1, self.near]
+        self.spd, self.u_near = self.u_right[1:-1], data[1, self.near]
         self.max_speed, self.s_face = (self.spd[:-1], self.spd[1:]), self.u_left
         self.s_faces = self.s_face[g:-1]
         self.flux, self.right, self.jump = flux, right, (right, flux, jump)
@@ -302,40 +307,25 @@ class _Plan:
         top, deriv = drive.stop, flux
         self.hat, self.deriv_top = (flux[:top], right[:top], hat[:top]), deriv[:top]
         self.deriv = _forward(hat[:top], deriv[:top])
-        self.u_row, self.rho_row, self.rho_cells = src[1, c0:c1], src[0, c0:c1], src[0, cols]
+        self.u_row, self.rho_row, self.rho_cells = data[1, c0:c1], data[0, c0:c1], data[0, cols]
         self.vel, self.vel_rest = rhs[vel], rhs[vel.start + 1:vel.stop]
         self.vel0, self.drho = rhs[vel.start, g:-g], deriv[0, g:-g]
         self.deriv_vel, self.deriv_drive, self.jump_vel = deriv[vel], deriv[drive], jump[vel]
         nv = vel.stop - vel.start
         self.diss_faces, self.diss_cells = right[:nv], hat[:nv]
         self.diss = _forward(right[:nv], hat[:nv])
-        # an SSP stage update; a stage reads g cells beyond the window, copied
-        # from the state (interior cells at the reference) unless they are
-        # ghosts, which it refills before reading them
-        self.cells, self.stage_cells, self.rhs_cells = src[:, written], ws.stage[:, written], \
-            rhs[:, span]
-        self.halo = [(ws.stage[:, a:b], src[:, a:b]) for a, b in ((c0, cols.start), (cols.stop, c1))
-                     if span.start]
-        # the relaxation; its velocity gradients are cut at their first use,
-        # since only the fields' plans need them (a plan holds no reference to
-        # the workspace, which holds it: a cycle would keep a finished run's
-        # buffers until the garbage collector ran)
-        self.grads, self.stress = ws.grads[:, cols], src[layout.stress_rows, cols]
+        # an SSP stage update of the fields, and u0, the state it began from
+        self.cells, self.u0, self.rhs_cells = data[:, written], ws.stage[:, written], rhs[:, span]
+        # the relaxation, and the velocity rows' MUSCL pass with the views
+        # that turn its face states into the gradients
+        self.grads, self.stress = ws.grads[:, cols], data[layout.stress_rows, cols]
         k, ns = cols.stop - cols.start, len(layout.stress)
         self.eq = ws.pools[1][:ns * k].reshape(ns, k)
-        self._gradient = ws.pools, ws.mask, src[vel, c0:c1], ws.grads[:, written], span
-
-    @cached_property
-    def velocity(self) -> _Faces:
-        """The velocity rows' MUSCL pass, with the views that turn its face
-        states into the gradients."""
-        pools, mask, block, grads, span = self._gradient
-        v = _Faces(pools, mask, block)
-        hat, diff = v.rows(pools[3]), v.rows(pools[0])
+        self.velocity = v = _Faces(ws.pools, ws.mask, data[vel, c0:c1])
+        hat, diff = v.rows(ws.pools[3]), v.rows(ws.pools[0])
         v.average, v.hat_rows = (v.left, v.right, hat.reshape(-1)), hat
         v.grad_diff = _forward(hat, diff)
-        v.grad_div = diff[:, span], self.volumes[span], grads
-        return v
+        v.grad_div = diff[:, span], self.volumes[span], ws.grads[:, written]
 
 
 class _Workspace:
@@ -343,20 +333,21 @@ class _Workspace:
 
     Scratch, whose values live no longer than a step: five pool buffers of
     (fields x padded cells) each, which a plan's passes share in turn (see
-    `_Plan`), two face rows, the minmod mask and `stage`, the SSP stages
-    over the padded grid. Kept: `grads`, the velocity gradients over the
-    padded grid, which carry from one step to the next inside `run`, and
-    `areas` and `volumes`, the face areas and cell volumes by padded column,
-    1 outside the interior so that a junk lane never divides by zero (on a
-    planar grid, views of the one value 1 and of dx). `plan(src, cols)`
-    gives the views of the passes over the source `src` and the padded
+    `_Plan`), two face rows, the minmod mask and `stage`, which holds u0, the
+    state an SSP update began from, over the padded grid. Kept: `grads`, the
+    velocity gradients over the padded grid, which carry from one step to
+    the next inside `run`, and `areas` and `volumes`, the face areas and
+    cell volumes by padded column, 1 outside the interior so that a junk
+    lane never divides by zero (on a planar grid, views of the one value 1
+    and of dx). `plan(cols)` gives the views of the passes over `data`, the
+    fields' array (which a Simulation never replaces), and the padded
     columns `cols`, and `rows` the C^1 monitor's differences. The float
     arrays are cut from one allocation: as separate arrays of a large grid,
     their release at the end of a run shrank the heap, and the next run's
     set-up page-faulted its fields back in.
     """
 
-    def __init__(self, layout, grid: Grid1D):
+    def __init__(self, layout, grid: Grid1D, data: np.ndarray):
         nf, nv, p, g = len(layout.names), len(layout.velocity), grid.n_padded, grid.n_ghost
         sizes = [nf * p] * 6 + [p] * 2 + [nv * p, p, p]
         memory = np.empty(sum(sizes))
@@ -371,22 +362,19 @@ class _Workspace:
             self.areas[g:g + grid.n_cells + 1] = grid.face_areas
             self.volumes[grid.interior] = grid.cell_volumes
         self.mask = np.empty(nf * p, dtype=bool)
-        self._layout, self._grid = layout, grid
-        self._plans: tuple[_Plan, ...] = ()
+        self.layout, self.grid, self.data = layout, grid, data
+        self._plan: _Plan | None = None
 
     def rows(self, rows: int, cols: int) -> np.ndarray:
         """A (rows, cols) view at the start of the first pool buffer."""
         return self.pools[0][:rows * cols].reshape(rows, cols)
 
-    def plan(self, src: np.ndarray, cols: slice) -> _Plan:
-        """The plan of the array `src` over the padded columns `cols`. The
-        last two built are kept (a step's fields and stage), so a run whose
-        window stays put builds them once."""
-        for plan in self._plans:
-            if plan.src is src and plan.cols == cols:
-                return plan
-        self._plans = (_Plan(self, self._layout, self._grid, src, cols),) + self._plans[:1]
-        return self._plans[0]
+    def plan(self, cols: slice) -> _Plan:
+        """The plan over the padded columns `cols`. The last one built is
+        kept, so a run whose window stays put builds it once."""
+        if self._plan is None or self._plan.cols != cols:
+            self._plan = _Plan(self, cols)
+        return self._plan
 
 
 @dataclass(frozen=True)
@@ -460,7 +448,7 @@ class Simulation:
     @cached_property
     def work(self) -> _Workspace:
         """The step's reused buffers, allocated at the first step."""
-        return _Workspace(self.layout, self.grid)
+        return _Workspace(self.layout, self.grid, self.fields.data)
 
     @cached_property
     def _stationary(self) -> bool:
@@ -529,56 +517,53 @@ def _reconstruct(f: _Faces) -> None:
     np.subtract(*f.states[1])
 
 
-def _transport(sim: Simulation, data: np.ndarray, cells: slice):
-    """(zeta, eta, tau) on the padded cells `cells`; the law's floats when it
-    is constant. A law violation is reported at its interior cell, the one
-    an evaluation over the whole interior names."""
-    rho = data[0, cells]
+def _transport(sim: Simulation, cells: slice):
+    """(zeta, eta, tau) on the padded cells `cells` of the fields; the law's
+    floats when it is constant. A law violation is reported at its interior
+    cell, the one an evaluation over the whole interior names."""
+    rho = sim.fields.data[0, cells]
     if sim.law.has_constant_transport:
         return eval_transport(sim.law, rho)  # floats; no invariants needed
     if sim.system == "bulk":
-        pi = data[sim.layout.stress[0], cells]
+        pi = sim.fields.data[sim.layout.stress[0], cells]
         pi2 = 3.0 * pi * pi
     else:
-        p11, p12, p13, p22, p23, p33 = data[sim.layout.stress_rows, cells]
+        p11, p12, p13, p22, p23, p33 = sim.fields.data[sim.layout.stress_rows, cells]
         pi = (p11 + p22 + p33) / 3.0
         pi2 = p11**2 + p22**2 + p33**2 + 2.0 * (p12**2 + p13**2 + p23**2)
     try:
         return eval_transport(sim.law, rho, pi, pi2)
     except MaterialLawError:
-        inner = sim.grid.interior
-        if cells != inner:
-            # outside `cells` a whole-grid step holds the reference state,
-            # which the law accepts (Simulation evaluated it there)
-            whole = np.repeat(sim.reference_vector[:, None], data.shape[1], axis=1)
-            keep = slice(max(cells.start, inner.start), min(cells.stop, inner.stop))
-            whole[:, keep] = data[:, keep]
-            _transport(sim, whole, inner)  # raises, naming the interior cell
+        if cells != sim.grid.interior:
+            # outside `cells` the interior holds the reference state, which
+            # the law accepts (Simulation evaluated it there)
+            _transport(sim, sim.grid.interior)  # raises, naming the interior cell
         raise
 
 
-def _signal_speed(sim: Simulation, data: np.ndarray, cells: slice, transport):
-    """(cs2, fastest characteristic speed) on the padded cells `cells`."""
+def _signal_speed(sim: Simulation, cells: slice):
+    """(cs2, fastest characteristic speed) on the padded cells `cells` of the fields."""
     law = sim.law
-    rho = data[0, cells]
-    zeta, eta, tau = transport
+    rho = sim.fields.data[0, cells]
+    zeta, eta, tau = _transport(sim, cells)
     cs2 = law.A * law.gamma * rho ** (law.gamma - 1.0)
     if sim.system == "bulk":
         return cs2, bulk_signal_speed(cs2, zeta, rho, tau)
     return cs2, shear_signal_speeds(cs2, zeta, eta, rho, tau)[1]
 
 
-def _hyperbolic_rhs(sim: Simulation, data: np.ndarray, cols: slice) -> _Plan:
-    """Method-of-lines right-hand side on the padded columns `cols`, read
-    from them and two cells on either side, into `rhs` of the plan it
-    returns; `rhs_cells` are its lanes that an SSP stage update reads.
+def _hyperbolic_rhs(sim: Simulation, cols: slice) -> _Plan:
+    """Method-of-lines right-hand side of the fields on the padded columns
+    `cols`, read from them and two cells on either side, into `rhs` of the
+    plan it returns; `rhs_cells` are its lanes that an SSP stage update
+    reads.
 
     Mass and stress rows take the conservative Rusanov flux of rho u and
     u Pi; velocity rows the primitive quasilinear form with Rusanov
     dissipation."""
-    p = sim.work.plan(data, cols)
+    p = sim.work.plan(cols)
     dx = sim.grid.dx
-    cs2, fast = _signal_speed(sim, data, p.near, _transport(sim, data, p.near))
+    cs2, fast = _signal_speed(sim, p.near)
     _reconstruct(p.all)
     jump = np.subtract(*p.jump)
     hat = np.add(*p.hat)  # the face averages of the rows the velocity update reads
@@ -634,15 +619,14 @@ def _velocity_gradients(p: _Plan) -> np.ndarray:
     return p.grads
 
 
-def _relax(sim: Simulation, data: np.ndarray, delta: float, cols: slice,
-           carried: bool) -> None:
+def _relax(sim: Simulation, delta: float, cols: slice, carried: bool) -> None:
     """Exact exponential update of the stress toward its Navier-Stokes value
     on the padded columns `cols`, with the velocity gradient frozen over the
     substep; `carried` reuses the last relaxation's ghosts and gradients."""
     if not carried:
-        _fill_ghosts(sim, data)
-    p = sim.work.plan(data, cols)
-    zeta, eta, tau = _transport(sim, data, cols)
+        _fill_ghosts(sim, sim.fields.data)
+    p = sim.work.plan(cols)
+    zeta, eta, tau = _transport(sim, cols)
     grads = p.grads if carried else _velocity_gradients(p)
     factor = np.exp(-delta / tau)
     eq = p.eq  # rows in layout.stress order
@@ -709,14 +693,13 @@ def cfl_dt(sim: Simulation) -> float:
     active window: unless it is the whole interior, it reaches past the
     cells that differ into cells at the reference state, whose speed every
     cell outside it shares."""
-    data = sim.fields.data
     cols = _active(sim)
     try:
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            _, fast = _signal_speed(sim, data, cols, _transport(sim, data, cols))
+            _, fast = _signal_speed(sim, cols)
     except ValueError as exc:
         raise InvalidStateError(str(exc)) from exc
-    spd = np.abs(data[1, cols])
+    spd = np.abs(sim.fields.data[1, cols])
     spd += fast
     smax = float(spd.max())
     if not np.isfinite(smax) or smax <= 0.0:
@@ -724,32 +707,37 @@ def cfl_dt(sim: Simulation) -> float:
     return sim.cfl * sim.grid.dx / smax
 
 
-def _advance_hyperbolic(sim: Simulation, data: np.ndarray, dt: float, cols: slice) -> None:
-    """SSP-RK2 (or RK3) over the padded columns `cols` of `data`, in place.
-    The stages live in one reused buffer; `data` itself is the stage-0
-    state."""
-    p = sim.work.plan(data, cols)
-    for halo in p.halo:
-        np.copyto(*halo)
+def _advance_hyperbolic(sim: Simulation, dt: float, cols: slice) -> None:
+    """SSP-RK2 (or RK3) of the fields over the padded columns `cols`, in
+    place, in Shu-Osher form: each stage adds dt * rhs to the fields, and the
+    closing combinations read u0, the state the update began from, from the
+    stage buffer. A law violation in any stage leaves the fields as they
+    were before the update."""
+    p = sim.work.plan(cols)
+    np.copyto(p.u0, p.cells)
 
-    def euler(src: np.ndarray) -> None:
-        # stage = src + dt * rhs(src) on the plan's written columns
-        _fill_ghosts(sim, src)
-        p = _hyperbolic_rhs(sim, src, cols)
-        p.rhs *= dt
-        np.add(p.cells, p.rhs_cells, out=p.stage_cells)
+    def euler() -> None:
+        # u += dt * rhs(u) on the plan's written columns
+        _fill_ghosts(sim, sim.fields.data)
+        _hyperbolic_rhs(sim, cols).rhs *= dt
+        p.cells += p.rhs_cells
 
-    euler(data)
-    euler(sim.work.stage)
-    u0, u2 = p.cells, p.stage_cells
-    if sim.integrator == "ssprk2":
-        u0 *= 0.5  # data = 0.5 u0 + 0.5 u2
-        u2 *= 0.5
-        u0 += u2
-    else:
-        u2[:] = 0.75 * u0 + 0.25 * u2
-        euler(sim.work.stage)
-        u0[:] = u0 / 3.0 + 2.0 / 3.0 * u2
+    try:
+        euler()
+        euler()
+        if sim.integrator == "ssprk2":
+            p.u0 *= 0.5  # u = 0.5 u0 + 0.5 u
+            p.cells *= 0.5
+            p.cells += p.u0
+        else:
+            p.cells[:] = 0.75 * p.u0 + 0.25 * p.cells
+            euler()
+            p.cells[:] = p.u0 / 3.0 + 2.0 / 3.0 * p.cells
+    except ValueError:
+        # refused: the fields as they were, their ghosts filled from them
+        np.copyto(p.cells, p.u0)
+        _fill_ghosts(sim, sim.fields.data)
+        raise
 
 
 FRONT_SLACK_CELLS = 2  # cells of slack beyond R + c_v t
@@ -806,7 +794,6 @@ def step(sim: Simulation, dt: float | None = None) -> StepOutcome:
     chosen. Without `dt` the step takes `cfl_dt`, clipped inside `run` to the
     run's end. Inside `run`, a step after an ok one skips what that one
     already computed."""
-    data = sim.fields.data
     carry = sim._carry
     carried = carry is not None and carry.window is not None
     window = _active(sim)
@@ -829,9 +816,9 @@ def step(sim: Simulation, dt: float | None = None) -> StepOutcome:
     reuse = carried and carry.grads.start <= window.start and window.stop <= carry.grads.stop
     try:
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            _relax(sim, data, 0.5 * dt, window, reuse)
-            _advance_hyperbolic(sim, data, dt, window)
-            _relax(sim, data, 0.5 * dt, window, False)
+            _relax(sim, 0.5 * dt, window, reuse)
+            _advance_hyperbolic(sim, dt, window)
+            _relax(sim, 0.5 * dt, window, False)
     except ValueError as exc:
         return StepOutcome("invalid_state", dt,
                            f"state became invalid during the update: {exc}")

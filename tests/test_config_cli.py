@@ -201,9 +201,20 @@ class TestCli:
         assert lines[0].startswith("k,re_omega_1,im_omega_1")
         assert len(lines) == 5
 
-    def test_dispersion_bad_sweep_is_config_error(self, run_cli, config_path):
-        cp = run_cli("dispersion", "--config", str(config_path), "--sweep", "nope")
+    @pytest.mark.parametrize("sweep", ["nope", "nan:1:3", "1:inf:2", "-inf:1:2", "1:nan:2"])
+    def test_dispersion_bad_sweep_is_config_error(self, run_cli, config_path, sweep):
+        cp = run_cli("dispersion", "--config", str(config_path), f"--sweep={sweep}")
         assert cp.returncode == 2
+        assert f"--sweep must be kmin:kmax:n with 0 < kmin <= kmax < inf, got {sweep!r}" \
+            in cp.stderr
+
+    @pytest.mark.parametrize("system", ["bulk", "shear"])
+    @pytest.mark.parametrize("k", ["inf", "-inf", "nan"])
+    def test_stability_nonfinite_k_is_config_error(self, run_cli, config_path, system, k):
+        cp = run_cli("stability", "--config", str(config_path), f"--k={k}", "--override",
+                     f"scenario.system={system}", "--override", "scenario.geometry=planar")
+        assert cp.returncode == 2 and cp.stdout == ""
+        assert f"--k must be a finite wavenumber, got {float(k)!r}" in cp.stderr
 
     def test_blowup_cert(self, run_cli, config_path):
         cp = run_cli("blowup-cert", "--config", str(config_path),

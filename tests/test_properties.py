@@ -485,7 +485,7 @@ class TestMinmod:
         sim = Simulation(grid, system, MaterialLaw(A=0.5, gamma=2.0), ReferenceState(1.0, 1.0))
         sim.fields.data[:] = data
         cols = slice(2 + lo, 2 + hi)
-        plan = sim.work.plan(sim.fields.data, cols)
+        plan = sim.work.plan(cols)
         rows = (slice(None), sim.layout.velocity_rows)
         with np.errstate(all="ignore"):
             for faces, block in zip((plan.all, plan.velocity), rows):

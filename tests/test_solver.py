@@ -444,7 +444,7 @@ class TestMonitorsAndOutcomes:
         sim, cell = self._negative_zeta_bump()
         solver._fill_ghosts(sim, sim.fields.data)
         with pytest.raises(MaterialLawError, match=f"at index {cell} "):
-            solver._hyperbolic_rhs(sim, sim.fields.data, sim.grid.interior)
+            solver._hyperbolic_rhs(sim, sim.grid.interior)
 
     @staticmethod
     def _negative_zeta_bump_in_a_window():
@@ -458,26 +458,87 @@ class TestMonitorsAndOutcomes:
         sim.fields.set("rho", rho)
         window = solver._window(sim)
         assert (window.start, window.stop) == (2 + 52, 2 + 76)  # cells 56-71 differ
-        return sim, int(np.argmax(rho >= 1.5)), window
+        return sim, int(np.argmax(rho >= 1.5))
 
     @pytest.mark.parametrize("dt", [None, 1e-3, "run"])
     def test_law_violation_in_a_window_names_the_interior_cell(self, dt):
-        sim, cell, _ = self._negative_zeta_bump_in_a_window()
+        sim, cell = self._negative_zeta_bump_in_a_window()
         out = solver.run(sim, 0.1)[0] if dt == "run" else solver.step(sim, dt)
         assert out.status == "invalid_state"
         assert f"zeta = {1.5 - sim.fields.get('rho')[cell]:.6g} " in out.message
         assert f"at index {cell} " in out.message
 
     def test_law_violation_in_a_window_stage_names_the_interior_cell(self):
-        # an SSP stage reads the stage buffer over the window and its halo
-        # only; what it holds elsewhere must not change the report
-        sim, cell, window = self._negative_zeta_bump_in_a_window()
-        solver._fill_ghosts(sim, sim.fields.data)
-        stage = np.full_like(sim.fields.data, np.nan)
-        halo = slice(window.start - 2, window.stop + 2)
-        stage[:, halo] = sim.fields.data[:, halo]
-        with pytest.raises(MaterialLawError, match=f"at index {cell} "):
-            solver._hyperbolic_rhs(sim, stage, window)
+        # zeta turns negative where rho reaches the highest density the second
+        # SSP stage of the step reads (its fifth evaluation, after the set-up,
+        # cfl_dt, the relaxation and the first stage), which a converging flow
+        # makes higher than any before it: the first stage has then updated
+        # the window of the fields in place
+        limit, seen = [np.inf], []
+
+        def zeta(rho, pi, pi2):
+            seen.append(np.copy(rho))
+            if len(seen) == 5:
+                limit[0] = rho.max()
+            return 1.0 - 2.0 * (rho >= limit[0])
+
+        law = MaterialLaw(A=1.0, gamma=2.0, zeta=CoefficientFunction(zeta))
+        grid = Grid1D("planar", 128, -4.0, 4.0)
+        sim = Simulation.uniform(grid, "bulk", law, ReferenceState(rho_bar=1.0, R=1.0))
+        w = bump(grid.centers_interior / 0.5)
+        sim.fields.set("rho", 1.0 + 0.3 * w)
+        u = sim.fields.get("u")
+        u -= grid.centers_interior * w  # +0.0 outside the bump, as at the reference
+        window = solver._window(sim)
+        assert (window.start, window.stop) == (2 + 52, 2 + 76)
+        out = solver.step(sim)
+        assert out.message.startswith("state became invalid during the update: "
+                                      "transport coefficient zeta")
+        assert seen[4].size == window.stop - window.start + 2  # the window and a cell beyond
+        assert limit[0] > seen[2].max()  # no earlier evaluation read rho that high
+        cell = window.start - 1 - grid.n_ghost + int(np.argmax(seen[4] >= limit[0]))
+        assert 56 <= cell < 72 and f"at index {cell} " in out.message
+
+    @pytest.mark.parametrize("system,bc,integrator,failing", [
+        ("bulk", "periodic", "ssprk2", 4), ("bulk", "fixed", "ssprk2", 4),
+        ("shear", "periodic", "ssprk2", 4), ("bulk", "periodic", "ssprk3", 4),
+        ("bulk", "periodic", "ssprk3", 5)],
+        ids=["stage-2", "window-stage-2", "shear-stage-2", "rk3-stage-2", "rk3-stage-3"])
+    def test_failed_update_leaves_density_and_velocities_as_they_were(self, system, bc,
+                                                                      integrator, failing):
+        # zeta turns negative at one cell at evaluation `failing` of the step
+        # (cfl_dt, the relaxation, then one per SSP stage): a stage after the
+        # first, when the fields already hold an updated stage
+        calls = []
+
+        def zeta(rho, pi, pi2):
+            calls.append(1)
+            out = np.ones_like(rho)
+            if len(calls) == failing:
+                out[rho.size // 2] = -1.0
+            return out
+
+        law = MaterialLaw(A=1.0, gamma=2.0, zeta=CoefficientFunction(zeta))
+        grid = Grid1D("planar", 64, -2.0, 2.0, bc=bc)
+        sim = Simulation.uniform(grid, system, law, ReferenceState(rho_bar=1.0, R=1.0),
+                                 integrator=integrator)
+        # on a periodic grid the bump reaches the edges, whose ghosts then move
+        w = bump(grid.centers_interior / (2.5 if bc == "periodic" else 1.0))
+        sim.fields.set("rho", 1.0 + 0.5 * w)
+        rows = [0, *sim.layout.velocity]
+        sim.fields.data[rows[1], grid.interior] = 0.2 * w
+        before = sim.fields.interior()[rows]
+        calls.clear()
+        out = solver.step(sim)
+        assert out.status == "invalid_state" and len(calls) > failing
+        assert out.message.startswith("state became invalid during the update: "
+                                      "transport coefficient zeta")
+        assert sim.step_count == 0 and sim.t == 0.0
+        after = sim.fields.interior()[rows]
+        assert np.array_equal(after.view(np.int64), before.view(np.int64))
+        filled = sim.fields.data.copy()  # and the ghosts are those of the interior
+        solver._fill_ghosts(sim, filled)
+        assert np.array_equal(filled.view(np.int64), sim.fields.data.view(np.int64))
 
     @pytest.mark.parametrize("change", [{}, {"bc": "periodic"}, {"Pi_bar": 0.05},
                                         {"integrator": "ssprk3"},
@@ -654,27 +715,23 @@ class TestStepPlans:
         stationary = bc == "fixed" and integrator == "ssprk2"
         assert (windows[0] != sims[0].grid.interior) == stationary  # a partial window
 
-    def test_a_plan_serves_one_source_array(self, unit_law):
-        sim = periodic_wave_sim(unit_law, n=64)
-        data = sim.fields.data
-        solver._fill_ghosts(sim, data)
-        other = data.copy()
-        other[:2] *= 1.5
-
-        def rhs(s, src, window):  # the window's lanes of the right-hand side
-            with np.errstate(all="ignore"):  # as in a step: junk lanes hold anything
-                return solver._hyperbolic_rhs(s, src, window).rhs[:, 2:-2].copy()
-
-        for window in (sim.grid.interior, slice(10, 30)):
-            first = rhs(sim, data, window)
-            got = rhs(sim, other, window)
-            assert sim.work.plan(other, window).src is other
-            fresh = periodic_wave_sim(unit_law, n=64)
-            fresh.fields.data[:] = other
-            want = rhs(fresh, fresh.fields.data, window)
-            assert np.array_equal(got, want) and not np.array_equal(first, want)
-            assert np.array_equal(rhs(sim, data, window).view(np.int64), first.view(np.int64))
-
+    def test_a_run_builds_one_plan_per_window(self, monkeypatch):
+        # a step's relaxations and SSP stages all read the fields over its
+        # window, so one plan serves them; the window widens with the bump
+        # until it spans the interior
+        sim = self.bump_sim("bulk", "planar", "fixed", "ssprk2")
+        built, used = [], []
+        build, advance = solver._Plan.__init__, solver._advance_hyperbolic
+        monkeypatch.setattr(solver._Plan, "__init__",
+                            lambda p, ws, cols: built.append(cols) or build(p, ws, cols))
+        monkeypatch.setattr(solver, "_advance_hyperbolic",
+                            lambda s, dt, cols: used.append(cols) or advance(s, dt, cols))
+        out, _ = solver.run(sim, 0.3)
+        assert out.status == "ok" and len(used) == sim.step_count > 10
+        windows = {(w.start, w.stop) for w in used}
+        assert 1 < len(windows) < len(used)
+        assert built == [w for i, w in enumerate(used) if i == 0 or w != used[i - 1]]
+        assert len(built) == len(windows)
 
     def test_a_finished_run_frees_its_workspace_without_the_collector(self, unit_law):
         # a reference cycle through the plans would keep each finished run's
