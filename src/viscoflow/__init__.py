@@ -4,9 +4,8 @@ evolution, and finite-time breakdown diagnostics."""
 
 __version__ = "0.1.0"
 
-from .materials import (BulkState, CoefficientFunction, ConstantCoefficient,
-                        MaterialLaw, MaterialLawError, ReferenceState, ShearState,
-                        eval_transport, pressure, sound_speed)
+from .materials import (BulkState, MaterialLaw, MaterialLawError, ReferenceState,
+                        ShearState, eval_transport, pressure, sound_speed)
 from .quasilinear import (CharacteristicReport, QuasilinearSystem, assemble_bulk,
                           assemble_shear, characteristic_speeds_bulk_closed,
                           characteristic_speeds_numeric,

@@ -22,11 +22,11 @@ import numpy as np
 
 from . import __version__, diagnostics, solver, stability
 from .config import ConfigError, ScenarioConfig, apply_overrides, format_config, \
-    material_law, parse_config, reference_state
+    material_law, parse_config, reference_state, symmetry_center
 from .materials import BulkState, ShearState
 from .quasilinear import assemble_bulk, assemble_shear, \
     characteristic_speeds_bulk_closed, characteristic_speeds_shear_closed, \
-    characteristic_speeds_numeric
+    characteristic_speeds_numeric, reference_signal_speed
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -135,19 +135,16 @@ def cmd_speeds(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int, li
 def cmd_stability(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int, list[str]]:
     if not np.isfinite(args.k):
         raise ConfigError([(0, f"--k must be a finite wavenumber, got {args.k!r}")])
-    bg = _background(cfg)
-    k = (args.k, 0.0, 0.0)
+    disp = _dispersion(cfg.system, _background(cfg), args.k)
     if cfg.system == "bulk":
-        problem = stability.bulk_dispersion(bg, k)
-        verdict = stability.routh_hurwitz(problem)
+        verdict = stability.routh_hurwitz(disp)
         print(f"bulk dispersion cubic at |k| = {args.k}: "
-              + ", ".join(_fmt(c) for c in problem.poly))
+              + ", ".join(_fmt(c) for c in disp.poly))
         for i, d in enumerate(verdict.deltas, start=1):
             print(f"  Delta_{i} = {_fmt(d)}")
         _print_roots(verdict)
         print("  transverse branch (k orthogonal to dv): neutral, Omega = 0")
     else:
-        disp = stability.shear_dispersion(bg, k)
         verdicts = stability.shear_verdict(disp)
         stable = all(v.stable for v in verdicts.values())
         for name, poly in disp.factors.items():
@@ -175,15 +172,18 @@ def cmd_dispersion(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int
         raise ConfigError([(0, f"--sweep must be kmin:kmax:n with 0 < kmin <= kmax < inf, "
                                f"got {args.sweep!r}")])
     bg = _background(cfg)
-    ks = np.linspace(kmin, kmax, count)
+    _dispersion(cfg.system, bg, kmax)  # the largest coefficients, before the table is made
     n_branches = 3 if cfg.system == "bulk" else 8
     header = ["k"] + [f"{p}_omega_{i}" for i in range(1, n_branches + 1) for p in ("re", "im")]
-    table = np.empty((count, 1 + 2 * n_branches))
-    table[:, 0] = ks
-    for row, k in zip(table, ks):
-        x = _branch_roots(cfg.system, bg, float(k))
+    try:
+        table = np.empty((count, 1 + 2 * n_branches))
+        table[:, 0] = np.linspace(kmin, kmax, count)
+    except (MemoryError, ValueError):
+        raise ConfigError([(0, f"--sweep {args.sweep!r} needs a table too large to allocate")])
+    for row in table:
+        x = _branch_roots(cfg.system, bg, float(row[0]))
         # x = -i Omega, omega = Omega + v0.k: lab frequency and growth rate
-        row[1::2] = bg.v0[0] * k - x.imag
+        row[1::2] = bg.v0[0] * row[0] - x.imag
         row[2::2] = x.real
     if out_dir is not None:
         path = out_dir / "dispersion.csv"
@@ -193,10 +193,22 @@ def cmd_dispersion(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int
     return EXIT_OK, []
 
 
+def _dispersion(system: str, bg: stability.Background, k: float):
+    """The bulk `DispersionProblem` or the `ShearDispersion` at |k| = k, whose
+    fields are its polynomials. A wavenumber at which a coefficient is not
+    finite (k^2 or a product with it overflows) is a configuration error."""
+    make = stability.bulk_dispersion if system == "bulk" else stability.shear_dispersion
+    with np.errstate(over="ignore", invalid="ignore"):
+        disp = make(bg, (k, 0.0, 0.0))
+    if not all(np.isfinite(poly).all() for poly in vars(disp).values()):
+        raise ConfigError([(0, f"wavenumber {k!r} makes a dispersion coefficient overflow")])
+    return disp
+
+
 def _branch_roots(system: str, bg: stability.Background, k: float) -> np.ndarray:
+    disp = _dispersion(system, bg, k)
     if system == "bulk":
-        return stability.poly_roots(stability.bulk_dispersion(bg, (k, 0, 0)).poly)
-    disp = stability.shear_dispersion(bg, (k, 0, 0))
+        return stability.poly_roots(disp.poly)
     roots = np.concatenate([np.repeat(stability.poly_roots(disp.relaxation), 3),
                             stability.poly_roots(disp.transverse),
                             stability.poly_roots(disp.acoustic)])
@@ -211,7 +223,8 @@ def _write_snapshot(path: Path, sim: solver.Simulation) -> None:
 
 
 def cmd_simulate(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int, list[str]]:
-    # the finite-propagation check and the fixed boundary assume a steady exterior
+    # the finite-propagation check and the fixed boundary assume a steady
+    # exterior, which the front must not leave before t_end
     problems = []
     if cfg.bc == "fixed" and cfg.Pi_bar != 0.0:
         problems.append((0, f"simulate with bc = fixed needs Pi_bar = 0, got {cfg.Pi_bar!r}: "
@@ -220,6 +233,12 @@ def cmd_simulate(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int, 
         problems.append((0, f"simulate with geometry = spherical needs v_bar = 0, got "
                             f"{cfg.v_bar!r}: the origin mirror reverses a radial flow and its "
                             "flux has a divergence, so the exterior is not steady"))
+    cv = reference_signal_speed(material_law(cfg), cfg.system, reference_state(cfg))
+    front = cfg.R + cv * cfg.t_end
+    wall = cfg.x_max - symmetry_center(cfg.geometry, cfg.x_min, cfg.x_max)
+    if cfg.bc == "fixed" and front >= wall:
+        problems.append((0, f"front not contained: R + c_v t_end = {front:.6g} must stay "
+                            f"below the wall's distance from the centre, {wall}"))
     if problems:
         raise ConfigError(problems)
     sim = solver.init_scenario(cfg)

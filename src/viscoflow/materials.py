@@ -5,21 +5,21 @@ law P = A * rho**gamma with A > 0 and gamma > 1; transport coefficients
 (bulk viscosity zeta, shear viscosity eta, relaxation time tau) are either
 positive constants or functions of the rotational invariants of the state:
 the density rho, the normalized stress trace pi = Pi_ii / 3, and the full
-contraction pi2 = Pi_ij Pi_ij.
+contraction pi2 = Pi_ij Pi_ij. `MaterialLaw` holds a constant as a float and
+a function as the callable fn(rho, pi, pi2) itself; a function accepts
+scalars and numpy arrays alike and returns strictly positive, finite values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, ClassVar, Union
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "MaterialLawError",
-    "ConstantCoefficient",
-    "CoefficientFunction",
     "MaterialLaw",
     "BulkState",
     "ShearState",
@@ -37,70 +37,38 @@ class MaterialLawError(ValueError):
 
 
 @dataclass(frozen=True)
-class ConstantCoefficient:
-    """Transport coefficient that does not depend on the state."""
-
-    value: float
-    is_constant: ClassVar[bool] = True
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
-        if not np.isfinite(self.value) or self.value <= 0.0:
-            raise MaterialLawError(f"constant coefficient must be positive, got {self.value}")
-
-    def __call__(self, rho, pi=0.0, pi2=0.0):
-        """The value as a float, whatever the shape of the state."""
-        return self.value
-
-
-@dataclass(frozen=True)
-class CoefficientFunction:
-    """Transport coefficient given by a function of (rho, pi, pi2).
-
-    `fn` must accept scalars and numpy arrays alike and return strictly
-    positive, finite values on every admissible state.
-    """
-
-    fn: Callable[..., Union[float, np.ndarray]]
-    is_constant: ClassVar[bool] = False
-
-    def __call__(self, rho, pi=0.0, pi2=0.0):
-        return self.fn(rho, pi, pi2)
-
-
-CoefficientLaw = Union[ConstantCoefficient, CoefficientFunction]
-
-
-def _as_law(value) -> CoefficientLaw:
-    if isinstance(value, (ConstantCoefficient, CoefficientFunction)):
-        return value
-    if callable(value):
-        return CoefficientFunction(value)
-    return ConstantCoefficient(value)
-
-
-@dataclass(frozen=True)
 class MaterialLaw:
-    """Equation of state P = A rho**gamma plus transport-coefficient laws."""
+    """Equation of state P = A rho**gamma plus transport-coefficient laws.
+
+    Each of zeta, eta and tau is a positive finite constant, stored as a
+    float, or a law: the caller's callable fn(rho, pi, pi2), kept as given.
+    A law must accept scalars and numpy arrays alike and return strictly
+    positive, finite values on every admissible state; `eval_transport`
+    checks each value it returns.
+    """
 
     A: float
     gamma: float
-    zeta: CoefficientLaw = field(default_factory=lambda: ConstantCoefficient(1.0))
-    eta: CoefficientLaw = field(default_factory=lambda: ConstantCoefficient(1.0))
-    tau: CoefficientLaw = field(default_factory=lambda: ConstantCoefficient(1.0))
+    zeta: float | Callable = 1.0
+    eta: float | Callable = 1.0
+    tau: float | Callable = 1.0
 
     def __post_init__(self):
         if not (np.isfinite(self.A) and self.A > 0.0):
             raise ValueError(f"EOS amplitude A must be positive, got {self.A}")
         if not (np.isfinite(self.gamma) and self.gamma > 1.0):
             raise ValueError(f"adiabatic exponent gamma must exceed 1, got {self.gamma}")
-        object.__setattr__(self, "zeta", _as_law(self.zeta))
-        object.__setattr__(self, "eta", _as_law(self.eta))
-        object.__setattr__(self, "tau", _as_law(self.tau))
+        for name in ("zeta", "eta", "tau"):
+            value = getattr(self, name)
+            if not callable(value):
+                value = float(value)
+                if not (np.isfinite(value) and value > 0.0):
+                    raise MaterialLawError(f"constant coefficient must be positive, got {value}")
+                object.__setattr__(self, name, value)
 
-    @property
+    @cached_property
     def has_constant_transport(self) -> bool:
-        return self.zeta.is_constant and self.eta.is_constant and self.tau.is_constant
+        return not any(map(callable, (self.zeta, self.eta, self.tau)))
 
 
 def pressure(law: MaterialLaw, rho):
@@ -126,14 +94,14 @@ def eval_transport(law: MaterialLaw, rho, pi=0.0, pi2=0.0):
 
     A constant coefficient gives its float whatever the shape of the state:
     it was checked when the law was built, and it broadcasts against any
-    array. Every other value is checked to be strictly positive and finite;
-    a violation raises MaterialLawError naming the offending coefficient.
+    array. A law's value is checked to be strictly positive and finite; a
+    violation raises MaterialLawError naming the offending coefficient.
     """
     out = []
     for name in ("zeta", "eta", "tau"):
         coeff = getattr(law, name)
-        if coeff.is_constant:
-            out.append(coeff.value)
+        if not callable(coeff):
+            out.append(coeff)
             continue
         val = coeff(rho, pi, pi2)
         arr = np.asarray(val, dtype=float)

@@ -79,8 +79,8 @@ from typing import ClassVar
 import numpy as np
 
 from . import diagnostics
-from .config import (ScenarioConfig, default_tolerances, grid_problems, material_law,
-                     reference_state, run_problems, symmetry_center)
+from .config import (ConfigError, ScenarioConfig, default_tolerances, grid_problems,
+                     material_law, reference_state, run_problems, symmetry_center)
 from .materials import LAYOUTS, MaterialLaw, MaterialLawError, ReferenceState, eval_transport
 from .quasilinear import bulk_signal_speed, reference_signal_speed, shear_signal_speeds
 
@@ -910,8 +910,9 @@ def init_scenario(cfg: ScenarioConfig) -> Simulation:
     origin), and a stress bump of amplitude c (isotropic for the 10-field
     system). If b_from_f0 is set, b is rescaled so the grid quadrature of
     the initial weighted momentum F(0) equals it exactly (F(0) is linear in
-    b). The initial report (max rho0, dM(0), F(0), G(0)) is stored on the
-    simulation.
+    b); a bump that covers no cell centre has F(0) = 0 for every b, which
+    raises ConfigError. The initial report (max rho0, dM(0), F(0), G(0)) is
+    stored on the simulation.
     """
     law = material_law(cfg)
     ref = reference_state(cfg)
@@ -923,7 +924,7 @@ def init_scenario(cfg: ScenarioConfig) -> Simulation:
         _apply_profiles(sim, cfg.a, 1.0, cfg.c)
         slope = diagnostics.radial_momentum(sim)
         if slope == 0.0:
-            raise ValueError("cannot scale the velocity bump: F(0) vanishes at unit amplitude")
+            raise ConfigError([(0, "cannot scale the velocity bump: F(0) vanishes at unit amplitude")])
         b = cfg.b_from_f0 / slope
     _apply_profiles(sim, cfg.a, b, cfg.c)
     rho = sim.fields.get("rho")

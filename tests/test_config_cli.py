@@ -7,7 +7,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from viscoflow import cli
+from viscoflow import cli, solver
 from viscoflow.cli import main
 from viscoflow.config import (ConfigError, ScenarioConfig, apply_overrides,
                               default_tolerances, format_config, material_law,
@@ -76,17 +76,6 @@ class TestParse:
             parse_config(MINIMAL + "\n[grid]\nn_cells = 64\nn_cells = 32\n"
                          if False else MINIMAL.replace("n_cells = 128",
                                                        "n_cells = 128\nn_cells = 64"))
-
-    def test_front_containment_checked_at_parse_time(self):
-        with pytest.raises(ConfigError, match="front not contained"):
-            parse_config(MINIMAL.replace("t_end = 0.2", "t_end = 5.0"))
-
-    def test_planar_front_is_measured_from_the_midpoint(self):
-        # the planar bump sits at the midpoint: on [0, 4] the wall is 2 from it
-        planar = "[grid]\nx_min = {}\nx_max = 4.0\n[reference]\nR = 1.0\n[run]\nt_end = 0.7\n"
-        with pytest.raises(ConfigError, match="front not contained"):
-            parse_config(planar.format(0.0))
-        assert parse_config(planar.format(-4.0)).x_min == -4.0
 
     def test_empty_config_parses(self):
         assert parse_config("") == ScenarioConfig()
@@ -216,6 +205,26 @@ class TestCli:
         assert cp.returncode == 2 and cp.stdout == ""
         assert f"--k must be a finite wavenumber, got {float(k)!r}" in cp.stderr
 
+    @pytest.mark.parametrize("args,message", [
+        (["stability", "--k=1e200"], "wavenumber 1e+200 makes a dispersion coefficient overflow"),
+        # k^2 is finite, tau k^2 (cs^2 + zeta/rho) is not
+        (["stability", "--k=1.2e154"], "wavenumber 1.2e+154 makes"),
+        (["stability", "--k=1e154", "--override", "scenario.system=shear"],
+         "wavenumber 1e+154 makes"),
+        (["dispersion", "--sweep=1:1e200:2"], "wavenumber 1e+200 makes"),
+        (["dispersion", "--sweep=1:1e154:3", "--override", "scenario.system=shear"],
+         "wavenumber 1e+154 makes"),
+        (["dispersion", "--sweep", "1:2:1000000000000000"],
+         "--sweep '1:2:1000000000000000' needs a table too large to allocate"),
+        (["dispersion", "--sweep", f"1:2:{10**30}"], "needs a table too large to allocate")])
+    def test_wavenumber_out_of_range_is_config_error(self, run_cli, tmp_path, args, message):
+        # RuntimeWarnings are errors in this suite, so none may be raised on the way
+        path = tmp_path / "planar.cfg"
+        path.write_text("", encoding="utf-8")
+        cp = run_cli(*args, "--config", str(path))
+        assert cp.returncode == 2 and cp.stdout == ""
+        assert message in cp.stderr
+
     def test_blowup_cert(self, run_cli, config_path):
         cp = run_cli("blowup-cert", "--config", str(config_path),
                      "--override", "profile.b_from_f0=30.0", "--override",
@@ -223,6 +232,14 @@ class TestCli:
         assert cp.returncode == 0, cp.stderr
         assert "momentum threshold" in cp.stdout
         assert "certificate satisfied   = True" in cp.stdout
+
+    @pytest.mark.parametrize("command", ["simulate", "blowup-cert"])
+    def test_bump_on_no_cell_centre_is_config_error(self, run_cli, config_path, command):
+        # R is below the first cell centre, dx / 2 = 0.0117: F(0) vanishes for any b
+        cp = run_cli(command, "--config", str(config_path), "--override", "reference.R=0.001",
+                     "--override", "profile.b_from_f0=30.0")
+        assert cp.returncode == 2, cp.stderr
+        assert "cannot scale the velocity bump: F(0) vanishes at unit amplitude" in cp.stderr
 
     def test_blowup_cert_refusal_is_config_error(self, run_cli, config_path):
         cp = run_cli("blowup-cert", "--config", str(config_path),
@@ -245,6 +262,34 @@ class TestCli:
         record = (out / "run_record.txt").read_text()
         assert "status     = ok" in record
         assert "[scenario]" in record  # resolved config echo
+
+    def test_simulate_diagnostics_streams_the_series(self, run_cli, config_path, tmp_path):
+        out = tmp_path / "run"
+        cp = run_cli("simulate", "--config", str(config_path), "--out", str(out),
+                     "--diagnostics", "--override", "profile.a=0.001")
+        assert cp.returncode == 0, cp.stderr
+        lines = cp.stdout.splitlines(keepends=True)
+        assert lines[0].startswith("initial report:")
+        assert lines[-1].startswith("final status: ok")
+        assert "".join(lines[1:-1]) == (out / "series.csv").read_text(encoding="utf-8")
+
+    def test_dispersion_out_writes_the_streamed_table(self, run_cli, config_path, tmp_path):
+        out = tmp_path / "out"
+        streamed = run_cli("dispersion", "--config", str(config_path), "--sweep", "0.5:2:4")
+        cp = run_cli("dispersion", "--config", str(config_path), "--sweep", "0.5:2:4",
+                     "--out", str(out))
+        assert cp.returncode == 0 and cp.stdout == "", cp.stderr
+        assert (out / "dispersion.csv").read_text(encoding="utf-8") == streamed.stdout
+        assert "outputs    = dispersion.csv" in (out / "run_record.txt").read_text()
+
+    def test_solver_error_exit_code(self, run_cli, config_path, monkeypatch):
+        def fail(cfg):
+            raise solver.SolverError("no state")
+
+        monkeypatch.setattr(solver, "init_scenario", fail)
+        cp = run_cli("simulate", "--config", str(config_path))
+        assert cp.returncode == 4
+        assert "numerical failure: no state" in cp.stderr
 
     def test_simulate_deterministic_output(self, run_cli, config_path, tmp_path):
         outs = []
@@ -327,10 +372,40 @@ class TestCli:
         assert "v_bar" in capsys.readouterr().err
         assert main(["speeds", "--config", str(config_path), *moving]) == 0
 
-    def test_speeds_on_an_empty_config(self, tmp_path):
+    @pytest.mark.parametrize("system", ["bulk", "shear"])
+    def test_speeds_on_an_empty_config(self, run_cli, tmp_path, system):
         path = tmp_path / "empty.cfg"
-        path.write_text("", encoding="utf-8")
-        assert main(["speeds", "--config", str(path)]) == 0
+        path.write_text(f"[scenario]\nsystem = {system}\n", encoding="utf-8")
+        cp = run_cli("speeds", "--config", str(path))
+        assert cp.returncode == 0, cp.stderr
+        assert f"characteristic speeds, {system} system" in cp.stdout
+
+    def test_simulate_refuses_a_front_that_reaches_the_wall(self, run_cli, config_path):
+        cp = run_cli("simulate", "--config", str(config_path), "--override", "run.t_end=5.0")
+        assert cp.returncode == 2 and cp.stdout == ""
+        assert "front not contained" in cp.stderr
+
+    def test_planar_front_is_measured_from_the_midpoint(self, run_cli, tmp_path):
+        # the planar bump sits at the midpoint: on [0, 4] the wall is 2 from it
+        path = tmp_path / "planar.cfg"
+        path.write_text("[reference]\nR = 1.0\n[run]\nt_end = 0.7\n", encoding="utf-8")
+        cp = run_cli("simulate", "--config", str(path))
+        assert cp.returncode == 2 and "front not contained" in cp.stderr
+        cp = run_cli("simulate", "--config", str(path), "--override", "grid.x_min=-4.0")
+        assert cp.returncode == 0, cp.stderr
+
+    def test_front_containment_is_a_simulate_rule(self, run_cli, tmp_path):
+        # the default grid cannot contain the shear front, which only simulate evolves
+        path = tmp_path / "shear.cfg"
+        path.write_text("[scenario]\nsystem = shear\n", encoding="utf-8")
+        for command in (["speeds"], ["stability"], ["dispersion", "--sweep=1:2:3"],
+                        ["blowup-cert"]):
+            cp = run_cli(*command, "--config", str(path))
+            assert cp.returncode == 0, cp.stderr
+        cp = run_cli("simulate", "--config", str(path))
+        assert cp.returncode == 2 and cp.stdout == ""
+        assert "front not contained: R + c_v t_end = 2.04083 must stay below the wall's " \
+               "distance from the centre, 2.0" in cp.stderr
 
     def test_missing_config_exit_code(self, run_cli):
         cp = run_cli("speeds", "--config", "/nonexistent/nope.cfg")
@@ -339,8 +414,7 @@ class TestCli:
     def test_shear_stability_factors(self, run_cli, config_path):
         cp = run_cli("stability", "--config", str(config_path),
                      "--override", "scenario.system=shear",
-                     "--override", "scenario.geometry=planar",
-                     "--override", "grid.x_min=-3.0")
+                     "--override", "scenario.geometry=planar")
         assert cp.returncode == 0, cp.stderr
         assert "relaxation factor" in cp.stdout
         assert "acoustic factor" in cp.stdout

@@ -5,10 +5,17 @@ The hashes pin the solver's arithmetic bit for bit. numpy's elementwise
 kernels (np.exp, np.power, np.log) give different last bits on different
 SIMD targets, so the hashes are kept per platform fingerprint: the numpy
 version and the highest SIMD target its kernels dispatch to. A fingerprint
-with no pinned set fails, naming itself. Two sets are pinned, both on one
-AVX-512 machine: as it runs, and with the AVX-512 kernels switched off by
+with no pinned set fails, naming itself. Two exact sets are pinned, both on
+one AVX-512 machine, and each is keyed by every fingerprint that produced
+it there under one of these settings of numpy's NPY_DISABLE_CPU_FEATURES:
 
-    NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"
+    (unset)                         numpy 2.4.6 AVX512_SPR   first set
+    "AVX512_SPR"                    numpy 2.4.6 AVX512_ICL   first set
+    "AVX512_ICL AVX512_SPR"         numpy 2.4.6 X86_V4       first set
+    "X86_V4 AVX512_ICL AVX512_SPR"  numpy 2.4.6 X86_V3       second set
+
+So a machine with AVX-512 but without the SPR (or ICL) extensions finds the
+first set. Whether other machines report these fingerprints is unverified.
 
 A refactor that changes one hash has changed the numbers; fix the refactor
 rather than the hash. The shear and spherical scenarios set front_tol = 1e-6
@@ -122,45 +129,52 @@ GOLDEN = {
     "spherical_smooth": (SPHERICAL, 0),
 }
 
+AVX512 = {
+    "blast": {
+        "series.csv": "d3cdd3f9c319c57ab3db15753644d1f89455f6de3ee8fc9de17bab4da6561356",
+    },
+    "ringdown": {
+        "series.csv": "2cf3978d62c2747fe5a6ff3a1472bca8e92e6ebd1814f0e145931541ea4d725e",
+        "snapshot_000.csv": "4f371df9214cb989b5521197c33a58201e78390ec6fa21a6fd335bea898a92b5",
+        "snapshot_001.csv": "04f244fa40a33f7d213d71df51f75b3a36899322cab5599b377a761b3f4b6f99",
+    },
+    "shear_planar": {
+        "series.csv": "528d47cd0da9b60b70817217cf5ae6e16a0b9e12176d2340968bf709dc4d1e09",
+        "snapshot_000.csv": "7771d2e5227bfabd346fc73e6b9274ddbf1ffae8c192279fde15c0201eafaaea",
+        "snapshot_001.csv": "05854555c961086832b5d8f40dc5b5a25a2a392a267c5282db59fa2a58722f18",
+    },
+    "spherical_smooth": {
+        "series.csv": "2630e985a38de1a34e31ae98eda304140711e41c15f6155b3ab65abe875231fc",
+        "snapshot_000.csv": "0e929bf28e752ff21f019f6af2372831ccc477dc116a75d9b01f78fc9ee10a51",
+    },
+}
+
+AVX2 = {
+    "blast": {
+        "series.csv": "1f0317ae8417268dbcb9e4bbe3450ed0fc54625c7a58fdd5258e75467138becd",
+    },
+    "ringdown": {
+        "series.csv": "aaf8e830a192ce4cd085f7c8098688633e94d97ce081cc0a98457f12ed6740a2",
+        "snapshot_000.csv": "118cae093b7e3dfcbd7a742c25b64a3eb6aced94c61ec0fb54b14b27149ffded",
+        "snapshot_001.csv": "2200f9934a0279d83ea06f245fa050cbb063e2069d13e8df96a308650b524475",
+    },
+    "shear_planar": {
+        "series.csv": "bf7ad43376140135afb1c0879740aaf5bee0d174b1031623a0b2a4b89bc724b9",
+        "snapshot_000.csv": "9afe3474f648c5aa06678548333bddd69d5b79d854dbd4bc122069877e2d12c8",
+        "snapshot_001.csv": "d75dc43a7ebbb508115b688f523d15ea35c7d3e234d40bcc43b4fa3d963644fc",
+    },
+    "spherical_smooth": {
+        "series.csv": "41077e49a92711a465245772f147777f4ffd66b4a01e7e4a54e8a7df6d19bad2",
+        "snapshot_000.csv": "e02bb9493b6c1293d741a50caba3796bfa4757910358af21488934543fbe14f1",
+    },
+}
+
+# each exact set under every fingerprint that produced it (see the module docstring)
 HASHES = {
-    "numpy 2.4.6 AVX512_SPR": {
-        "blast": {
-            "series.csv": "d3cdd3f9c319c57ab3db15753644d1f89455f6de3ee8fc9de17bab4da6561356",
-        },
-        "ringdown": {
-            "series.csv": "2cf3978d62c2747fe5a6ff3a1472bca8e92e6ebd1814f0e145931541ea4d725e",
-            "snapshot_000.csv": "4f371df9214cb989b5521197c33a58201e78390ec6fa21a6fd335bea898a92b5",
-            "snapshot_001.csv": "04f244fa40a33f7d213d71df51f75b3a36899322cab5599b377a761b3f4b6f99",
-        },
-        "shear_planar": {
-            "series.csv": "528d47cd0da9b60b70817217cf5ae6e16a0b9e12176d2340968bf709dc4d1e09",
-            "snapshot_000.csv": "7771d2e5227bfabd346fc73e6b9274ddbf1ffae8c192279fde15c0201eafaaea",
-            "snapshot_001.csv": "05854555c961086832b5d8f40dc5b5a25a2a392a267c5282db59fa2a58722f18",
-        },
-        "spherical_smooth": {
-            "series.csv": "2630e985a38de1a34e31ae98eda304140711e41c15f6155b3ab65abe875231fc",
-            "snapshot_000.csv": "0e929bf28e752ff21f019f6af2372831ccc477dc116a75d9b01f78fc9ee10a51",
-        },
-    },
-    "numpy 2.4.6 X86_V3": {
-        "blast": {
-            "series.csv": "1f0317ae8417268dbcb9e4bbe3450ed0fc54625c7a58fdd5258e75467138becd",
-        },
-        "ringdown": {
-            "series.csv": "aaf8e830a192ce4cd085f7c8098688633e94d97ce081cc0a98457f12ed6740a2",
-            "snapshot_000.csv": "118cae093b7e3dfcbd7a742c25b64a3eb6aced94c61ec0fb54b14b27149ffded",
-            "snapshot_001.csv": "2200f9934a0279d83ea06f245fa050cbb063e2069d13e8df96a308650b524475",
-        },
-        "shear_planar": {
-            "series.csv": "bf7ad43376140135afb1c0879740aaf5bee0d174b1031623a0b2a4b89bc724b9",
-            "snapshot_000.csv": "9afe3474f648c5aa06678548333bddd69d5b79d854dbd4bc122069877e2d12c8",
-            "snapshot_001.csv": "d75dc43a7ebbb508115b688f523d15ea35c7d3e234d40bcc43b4fa3d963644fc",
-        },
-        "spherical_smooth": {
-            "series.csv": "41077e49a92711a465245772f147777f4ffd66b4a01e7e4a54e8a7df6d19bad2",
-            "snapshot_000.csv": "e02bb9493b6c1293d741a50caba3796bfa4757910358af21488934543fbe14f1",
-        },
-    },
+    "numpy 2.4.6 AVX512_SPR": AVX512,
+    "numpy 2.4.6 AVX512_ICL": AVX512,
+    "numpy 2.4.6 X86_V4": AVX512,
+    "numpy 2.4.6 X86_V3": AVX2,
 }
 
 

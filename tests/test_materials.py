@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from viscoflow.materials import (BulkState, CoefficientFunction, ConstantCoefficient,
-                                 MaterialLaw, MaterialLawError, ReferenceState,
+from viscoflow.materials import (BulkState, MaterialLaw, MaterialLawError, ReferenceState,
                                  ShearState, eval_transport, pressure, sound_speed)
 
 
@@ -60,14 +59,13 @@ class TestTransportLaws:
         assert eval_transport(law, 3.7, 0.2, 0.5) == (1.0, 1.0, 1.0)
 
     def test_constant_law_gives_floats_for_arrays(self):
-        law = MaterialLaw(A=1.0, gamma=2.0, zeta=2, eta=0.5, tau=ConstantCoefficient(3))
+        law = MaterialLaw(A=1.0, gamma=2.0, zeta=2, eta=0.5, tau=3)
         rho = np.linspace(1.0, 2.0, 8)
         out = eval_transport(law, rho, np.zeros(8), np.zeros(8))
         assert out == (2.0, 0.5, 3.0) and all(type(c) is float for c in out)
-        assert type(ConstantCoefficient(3)(rho)) is float
         # a mixed law: the constant part is a float, the others per-cell arrays
-        mixed = MaterialLaw(A=1.0, gamma=2.0, zeta=lambda r, p, q: r,
-                            eta=ConstantCoefficient(3), tau=lambda r, p, q: 2.0 * r)
+        mixed = MaterialLaw(A=1.0, gamma=2.0, zeta=lambda r, p, q: r, eta=3,
+                            tau=lambda r, p, q: 2.0 * r)
         zeta, eta, tau = eval_transport(mixed, rho, np.zeros(8), np.zeros(8))
         assert type(eta) is float and eta == 3.0
         assert np.array_equal(zeta, rho) and np.array_equal(tau, 2.0 * rho)
@@ -79,7 +77,7 @@ class TestTransportLaws:
 
     def test_stress_dependent_law_at_equilibrium(self):
         law = MaterialLaw(A=1.0, gamma=2.0,
-                          tau=CoefficientFunction(lambda rho, pi, pi2: 1.0 / (1.0 + pi**2)))
+                          tau=lambda rho, pi, pi2: 1.0 / (1.0 + pi**2))
         _, _, tau = eval_transport(law, 1.0, 0.0, 0.0)
         assert tau == 1.0
 
@@ -114,8 +112,8 @@ class TestTransportLaws:
             assert zeta > 0.0
 
     def test_constant_coefficient_rejects_nonpositive(self):
-        with pytest.raises(MaterialLawError):
-            ConstantCoefficient(0.0)
+        with pytest.raises(MaterialLawError, match="must be positive, got 0.0"):
+            MaterialLaw(A=1.0, gamma=2.0, zeta=0.0)
 
     def test_has_constant_transport_flag(self):
         law = MaterialLaw(A=1.0, gamma=2.0)

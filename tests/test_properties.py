@@ -7,10 +7,9 @@ so an optimization of the step that changes the arithmetic shows up here:
   parity -1) stays so bit for bit;
 - discrete mass, sum(V_i rho_i), is conserved to rounding when no mass
   crosses the boundary;
-- a constant law gives the same bits whether its coefficients are
-  ConstantCoefficients, which take the scalar path, CoefficientFunctions
-  returning the constant as a float or as a per-cell array, or a mix of one
-  ConstantCoefficient and two per-cell CoefficientFunctions;
+- a constant law gives the same bits whether its coefficients are floats,
+  which take the scalar path, functions returning the constant as a float
+  or as a per-cell array, or a mix of one float and two per-cell functions;
 - `run`, which validates once per step and carries the velocity gradients
   of a step's closing relaxation into the next, gives the same bits, time
   steps and outcome as a loop of `cfl_dt` and public `step` calls;
@@ -40,8 +39,7 @@ from hypothesis import strategies as st
 from viscoflow import cli, solver
 from viscoflow.config import (ScenarioConfig, default_tolerances, material_law,
                               reference_state, validate)
-from viscoflow.materials import (LAYOUTS, CoefficientFunction, ConstantCoefficient,
-                                 MaterialLaw, ReferenceState)
+from viscoflow.materials import LAYOUTS, MaterialLaw, ReferenceState
 from viscoflow.solver import Grid1D, Simulation, bump
 
 PROPERTY = settings(max_examples=10, deadline=None, derandomize=True, database=None)
@@ -57,9 +55,9 @@ def state_dependent_law(z0, e0, t0):
     # depends on rho, the trace and the contraction only: mirror-even
     return MaterialLaw(
         A=0.5, gamma=1.8,
-        zeta=CoefficientFunction(lambda rho, pi, pi2: z0 * rho**1.5 * (1.0 + pi2)),
-        eta=CoefficientFunction(lambda rho, pi, pi2: e0 * rho * (1.0 + pi2)),
-        tau=CoefficientFunction(lambda rho, pi, pi2: t0 * (0.5 + 0.5 * rho)))
+        zeta=lambda rho, pi, pi2: z0 * rho**1.5 * (1.0 + pi2),
+        eta=lambda rho, pi, pi2: e0 * rho * (1.0 + pi2),
+        tau=lambda rho, pi, pi2: t0 * (0.5 + 0.5 * rho))
 
 
 def some_law(constant, c):
@@ -190,13 +188,12 @@ class TestScalarPath:
            const=st.integers(0, 2))
     def test_constant_law_bits_match_the_general_path(self, c, amps, case, const):
         def as_float(v):
-            return CoefficientFunction(lambda rho, pi, pi2: v)
+            return lambda rho, pi, pi2: v
 
         def per_cell(v):
-            return CoefficientFunction(lambda rho, pi, pi2: np.full_like(rho, v))
+            return lambda rho, pi, pi2: np.full_like(rho, v)
 
-        mixed = tuple(ConstantCoefficient(v) if i == const else per_cell(v)
-                      for i, v in enumerate(c))
+        mixed = tuple(v if i == const else per_cell(v) for i, v in enumerate(c))
         scalar = self.run(*case, *c, amps)
         for law in (tuple(map(as_float, c)), tuple(map(per_cell, c)), mixed):
             general = self.run(*case, *law, amps)

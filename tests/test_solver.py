@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -6,8 +7,7 @@ import pytest
 
 from viscoflow import diagnostics, solver
 from viscoflow.config import ScenarioConfig, default_tolerances
-from viscoflow.materials import (CoefficientFunction, MaterialLaw, MaterialLawError,
-                                 ReferenceState, eval_transport)
+from viscoflow.materials import MaterialLaw, MaterialLawError, ReferenceState, eval_transport
 from viscoflow.solver import Grid1D, Simulation, bump
 
 
@@ -341,6 +341,20 @@ class TestMonitorsAndOutcomes:
         assert out.status == "invalid_state"
         assert "below floor" in out.message or "invalid" in out.message
 
+    @pytest.mark.parametrize("dt,message", [
+        (0.5, r"density -2\.262e\+00 below floor 1\.0e-12 at cell \d+"),
+        (5.0, r"field rho non-finite at cell \d+")])
+    def test_diverging_update_is_caught_after_the_step(self, dt, message):
+        # an explicit dt far beyond the CFL limit: the update runs, and the
+        # check after it names the field and the cell
+        law = MaterialLaw(A=0.5, gamma=2.0)
+        grid = Grid1D("planar", 64, -2.0, 2.0, bc="periodic")
+        sim = Simulation.uniform(grid, "bulk", law, ReferenceState(rho_bar=1.0, R=1.0))
+        sim.fields.set("u", 0.5 * bump(grid.centers_interior))
+        out = solver.step(sim, dt)
+        assert (out.status, out.dt_used, sim.step_count) == ("invalid_state", dt, 1)
+        assert re.fullmatch(message, out.message), out.message
+
     def test_dt_floor_trips_breakdown(self, unit_law, unit_reference):
         grid = Grid1D("planar", 64, -2.0, 2.0, bc="periodic")
         sim = Simulation.uniform(grid, "bulk", unit_law, unit_reference,
@@ -404,7 +418,7 @@ class TestMonitorsAndOutcomes:
     def test_law_turning_negative_is_a_short_outcome(self, dt):
         # zeta = 1.5 - rho is positive at rho_bar = 1 but not on top of the bump
         law = MaterialLaw(A=1.0, gamma=2.0,
-                          zeta=CoefficientFunction(lambda rho, pi, pi2: 1.5 - rho))
+                          zeta=lambda rho, pi, pi2: 1.5 - rho)
         grid = Grid1D("planar", 64, -2.0, 2.0, bc="periodic")
         sim = Simulation.uniform(grid, "bulk", law, ReferenceState(rho_bar=1.0, R=1.0))
         sim.fields.set("rho", 1.0 + 0.8 * bump(grid.centers_interior))
@@ -420,7 +434,7 @@ class TestMonitorsAndOutcomes:
     @staticmethod
     def _negative_zeta_bump():
         law = MaterialLaw(A=1.0, gamma=2.0,
-                          zeta=CoefficientFunction(lambda rho, pi, pi2: 1.5 - rho))
+                          zeta=lambda rho, pi, pi2: 1.5 - rho)
         grid = Grid1D("planar", 64, -2.0, 2.0, bc="periodic")
         sim = Simulation.uniform(grid, "bulk", law, ReferenceState(rho_bar=1.0, R=1.0))
         rho = 1.0 + 0.8 * bump(grid.centers_interior)
@@ -451,7 +465,7 @@ class TestMonitorsAndOutcomes:
         # the bump of _negative_zeta_bump, narrower, on a fixed grid: a step
         # works on the window around it
         law = MaterialLaw(A=1.0, gamma=2.0,
-                          zeta=CoefficientFunction(lambda rho, pi, pi2: 1.5 - rho))
+                          zeta=lambda rho, pi, pi2: 1.5 - rho)
         grid = Grid1D("planar", 128, -4.0, 4.0)
         sim = Simulation.uniform(grid, "bulk", law, ReferenceState(rho_bar=1.0, R=1.0))
         rho = 1.0 + 0.8 * bump(grid.centers_interior / 0.5)
@@ -482,7 +496,7 @@ class TestMonitorsAndOutcomes:
                 limit[0] = rho.max()
             return 1.0 - 2.0 * (rho >= limit[0])
 
-        law = MaterialLaw(A=1.0, gamma=2.0, zeta=CoefficientFunction(zeta))
+        law = MaterialLaw(A=1.0, gamma=2.0, zeta=zeta)
         grid = Grid1D("planar", 128, -4.0, 4.0)
         sim = Simulation.uniform(grid, "bulk", law, ReferenceState(rho_bar=1.0, R=1.0))
         w = bump(grid.centers_interior / 0.5)
@@ -518,7 +532,7 @@ class TestMonitorsAndOutcomes:
                 out[rho.size // 2] = -1.0
             return out
 
-        law = MaterialLaw(A=1.0, gamma=2.0, zeta=CoefficientFunction(zeta))
+        law = MaterialLaw(A=1.0, gamma=2.0, zeta=zeta)
         grid = Grid1D("planar", 64, -2.0, 2.0, bc=bc)
         sim = Simulation.uniform(grid, system, law, ReferenceState(rho_bar=1.0, R=1.0),
                                  integrator=integrator)
@@ -587,7 +601,7 @@ class TestMonitorsAndOutcomes:
             calls.append(1)
             return -1.0 if len(calls) == refused else 1.0
 
-        law = MaterialLaw(A=1.0, gamma=2.0, zeta=CoefficientFunction(zeta))
+        law = MaterialLaw(A=1.0, gamma=2.0, zeta=zeta)
         grid = Grid1D("planar", 64, -2.0, 2.0, bc="periodic")
         sim = Simulation.uniform(grid, "bulk", law, ReferenceState(rho_bar=1.0, R=1.0))
         sim.fields.set("rho", 1.0 + 0.5 * bump(grid.centers_interior))
@@ -665,7 +679,7 @@ class TestCoefficientEvaluations:
 
     @pytest.mark.parametrize("system", ["bulk", "shear"])
     def test_state_dependent_law_at_most_five_per_step(self, monkeypatch, system):
-        law = MaterialLaw(A=0.5, gamma=2.0, zeta=CoefficientFunction(lambda r, p, q: r),
+        law = MaterialLaw(A=0.5, gamma=2.0, zeta=lambda r, p, q: r,
                           eta=1.0, tau=1.0)
         per_step, results = self.count_calls(monkeypatch, law, system)
         assert 0 < per_step <= 5
@@ -675,7 +689,7 @@ class TestCoefficientEvaluations:
 class TestStepPlans:
     @staticmethod
     def bump_sim(system, geometry, bc, integrator):
-        law = MaterialLaw(A=0.5, gamma=1.8, zeta=CoefficientFunction(lambda r, p, q: r),
+        law = MaterialLaw(A=0.5, gamma=1.8, zeta=lambda r, p, q: r,
                           eta=0.7, tau=0.5)
         grid = Grid1D(geometry, 96, 0.0 if geometry == "spherical" else -3.0, 3.0, bc=bc)
         sim = Simulation.uniform(grid, system, law, ReferenceState(rho_bar=1.0, R=1.0),
