@@ -10,9 +10,9 @@ from .quasilinear import (CharacteristicReport, QuasilinearSystem, assemble_bulk
                           assemble_shear, characteristic_speeds_bulk_closed,
                           characteristic_speeds_numeric,
                           characteristic_speeds_shear_closed, det_principal_symbol)
-from .stability import (Background, DispersionProblem, StabilityVerdict,
-                        bulk_dispersion, equilibrium_background, poly_roots,
-                        routh_hurwitz, shear_dispersion, verify_against_simulation)
+from .stability import (Background, StabilityVerdict, bulk_dispersion,
+                        equilibrium_background, poly_roots, polynomial_verdict,
+                        shear_dispersion, verify_against_simulation)
 from .solver import (Grid1D, Simulation, StepOutcome, cfl_dt, init_scenario, run,
                      step)
 from .diagnostics import (BlowupCertificate, DiagnosticSeries, certificate,

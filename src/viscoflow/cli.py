@@ -135,22 +135,19 @@ def cmd_speeds(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int, li
 def cmd_stability(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int, list[str]]:
     if not np.isfinite(args.k):
         raise ConfigError([(0, f"--k must be a finite wavenumber, got {args.k!r}")])
-    disp = _dispersion(cfg.system, _background(cfg), args.k)
+    polys = _dispersion(cfg.system, _background(cfg), args.k)
+    verdicts = {name: stability.polynomial_verdict(poly) for name, poly in polys.items()}
+    for name, poly in polys.items():
+        head = f"bulk dispersion cubic at |k| = {args.k}" if name == "bulk" else f"{name} factor"
+        print(f"{head}: " + ", ".join(_fmt(c) for c in poly))
+        if name == "bulk":
+            for i, d in enumerate(verdicts[name].deltas, start=1):
+                print(f"  Delta_{i} = {_fmt(d)}")
+        _print_roots(verdicts[name])
     if cfg.system == "bulk":
-        verdict = stability.routh_hurwitz(disp)
-        print(f"bulk dispersion cubic at |k| = {args.k}: "
-              + ", ".join(_fmt(c) for c in disp.poly))
-        for i, d in enumerate(verdict.deltas, start=1):
-            print(f"  Delta_{i} = {_fmt(d)}")
-        _print_roots(verdict)
         print("  transverse branch (k orthogonal to dv): neutral, Omega = 0")
     else:
-        verdicts = stability.shear_verdict(disp)
         stable = all(v.stable for v in verdicts.values())
-        for name, poly in disp.factors.items():
-            v = verdicts[name]
-            print(f"{name} factor: " + ", ".join(_fmt(c) for c in poly))
-            _print_roots(v)
         print(f"overall verdict: {'stable' if stable else 'unstable'}")
     return EXIT_OK, []
 
@@ -172,8 +169,8 @@ def cmd_dispersion(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int
         raise ConfigError([(0, f"--sweep must be kmin:kmax:n with 0 < kmin <= kmax < inf, "
                                f"got {args.sweep!r}")])
     bg = _background(cfg)
-    _dispersion(cfg.system, bg, kmax)  # the largest coefficients, before the table is made
-    n_branches = 3 if cfg.system == "bulk" else 8
+    # the largest coefficients and roots, before the table is made
+    n_branches = len(_branch_roots(cfg.system, bg, kmax))
     header = ["k"] + [f"{p}_omega_{i}" for i in range(1, n_branches + 1) for p in ("re", "im")]
     try:
         table = np.empty((count, 1 + 2 * n_branches))
@@ -193,25 +190,22 @@ def cmd_dispersion(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int
     return EXIT_OK, []
 
 
-def _dispersion(system: str, bg: stability.Background, k: float):
-    """The bulk `DispersionProblem` or the `ShearDispersion` at |k| = k, whose
-    fields are its polynomials. A wavenumber at which a coefficient is not
-    finite (k^2 or a product with it overflows) is a configuration error."""
-    make = stability.bulk_dispersion if system == "bulk" else stability.shear_dispersion
+def _dispersion(system: str, bg: stability.Background, k: float) -> dict[str, np.ndarray]:
+    """The dispersion polynomials at |k| = k by name: the bulk cubic under
+    "bulk", or the three shear factors. A wavenumber at which a coefficient is
+    not finite (k^2 or a product with it overflows) is a configuration error."""
     with np.errstate(over="ignore", invalid="ignore"):
-        disp = make(bg, (k, 0.0, 0.0))
-    if not all(np.isfinite(poly).all() for poly in vars(disp).values()):
+        polys = ({"bulk": stability.bulk_dispersion(bg, (k, 0.0, 0.0))} if system == "bulk"
+                 else stability.shear_dispersion(bg, (k, 0.0, 0.0)))
+    if not all(np.isfinite(poly).all() for poly in polys.values()):
         raise ConfigError([(0, f"wavenumber {k!r} makes a dispersion coefficient overflow")])
-    return disp
+    return polys
 
 
 def _branch_roots(system: str, bg: stability.Background, k: float) -> np.ndarray:
-    disp = _dispersion(system, bg, k)
-    if system == "bulk":
-        return stability.poly_roots(disp.poly)
-    roots = np.concatenate([np.repeat(stability.poly_roots(disp.relaxation), 3),
-                            stability.poly_roots(disp.transverse),
-                            stability.poly_roots(disp.acoustic)])
+    """Every branch's root at |k| = k, sorted: the relaxation root counts 3 times."""
+    roots = np.concatenate([np.repeat(stability.poly_roots(p), 3 if name == "relaxation" else 1)
+                            for name, p in _dispersion(system, bg, k).items()])
     order = np.lexsort((roots.imag, roots.real))
     return roots[order]
 

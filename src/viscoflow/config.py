@@ -10,7 +10,9 @@ with its line number, rather than stopping at the first.
 Each validity rule is written once. The grid and run rules live in
 `grid_problems` and `run_problems`, which `solver.Grid1D` and
 `solver.Simulation` also call; the material and reference rules live in the
-`materials` constructors, whose messages `validate` collects. The rules of
+`materials` constructors, whose messages `validate` collects, and `validate`
+refuses a reference state at which the law's coefficients or the front speed
+c_v (`quasilinear.reference_signal_speed`) overflow. The rules of
 one subcommand live in `cli`: `simulate`'s front containment and steady
 exterior, and the wavenumbers of `stability` and `dispersion`.
 """
@@ -21,7 +23,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .materials import MaterialLaw, ReferenceState, eval_transport
+from .materials import MaterialLaw, ReferenceState
+from .quasilinear import reference_signal_speed
 
 __all__ = [
     "ConfigError",
@@ -273,12 +276,17 @@ def validate(cfg: ScenarioConfig) -> list[str]:
     except ValueError as exc:
         errors.append(str(exc))
 
-    # the analyses and the solver evaluate the law at the reference state
+    # the analyses and the solver evaluate the law and c_v at the reference state
     if not errors:
         try:
-            eval_transport(law, ref.rho_bar, ref.Pi_bar, 3.0 * ref.Pi_bar**2)
+            if not np.isfinite(reference_signal_speed(law, cfg.system, ref)):
+                raise OverflowError
         except ValueError as exc:
             errors.append(str(exc))
+        except OverflowError:
+            errors.append(f"the material law overflows at the reference state rho_bar = "
+                          f"{ref.rho_bar!r}, Pi_bar = {ref.Pi_bar!r}: its transport "
+                          "coefficients and front speed c_v must be finite there")
     return errors
 
 

@@ -132,7 +132,8 @@ def certificate(sim) -> BlowupCertificate:
 
     Refused when the exterior is not at the reference state to 1e-12, when
     the transport coefficients are state dependent (the theorem assumes
-    constants), or when the background is moving.
+    constants), when the background is moving, or when the momentum
+    threshold is not a finite float.
     """
     if not sim.law.has_constant_transport:
         raise CertificateError("certificate requires constant zeta, eta, tau")
@@ -153,7 +154,12 @@ def certificate(sim) -> BlowupCertificate:
     f0 = radial_momentum(sim)
     dm0 = relative_mass(sim)
     g0 = stress_integral(sim)
-    thr = blowup_threshold(sim.cv_bar, ref.R, max_rho0)
+    try:
+        thr = blowup_threshold(sim.cv_bar, ref.R, max_rho0)
+    except OverflowError:
+        thr = np.inf
+    if not np.isfinite(thr):
+        raise CertificateError(f"the momentum threshold overflows at R = {ref.R!r}")
     satisfied = bool(dm0 >= 0.0 and g0 >= 0.0 and f0 > thr)
     return BlowupCertificate(ref.R, sim.cv_bar, max_rho0, thr, f0, dm0, g0, satisfied)
 

@@ -911,7 +911,8 @@ def init_scenario(cfg: ScenarioConfig) -> Simulation:
     system). If b_from_f0 is set, b is rescaled so the grid quadrature of
     the initial weighted momentum F(0) equals it exactly (F(0) is linear in
     b); a bump that covers no cell centre has F(0) = 0 for every b, which
-    raises ConfigError. The initial report (max rho0, dM(0), F(0), G(0)) is
+    raises ConfigError, as do initial fields that are not finite (a b that
+    overflows, say). The initial report (max rho0, dM(0), F(0), G(0)) is
     stored on the simulation.
     """
     law = material_law(cfg)
@@ -926,7 +927,11 @@ def init_scenario(cfg: ScenarioConfig) -> Simulation:
         if slope == 0.0:
             raise ConfigError([(0, "cannot scale the velocity bump: F(0) vanishes at unit amplitude")])
         b = cfg.b_from_f0 / slope
-    _apply_profiles(sim, cfg.a, b, cfg.c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _apply_profiles(sim, cfg.a, b, cfg.c)
+    if not np.all(np.isfinite(sim.fields.interior())):
+        raise ConfigError([(0, f"the initial fields are not finite: bump amplitudes "
+                               f"a, b, c = {cfg.a!r}, {b!r}, {cfg.c!r}")])
     rho = sim.fields.get("rho")
     if np.any(rho <= 0.0):
         raise ValueError("initial density profile is not positive everywhere")

@@ -2,15 +2,19 @@
 determinants, polynomial root solving, and the closed loop back to the
 nonlinear solver in its linear regime.
 
-Polynomials are in the variable x = -i*Omega where Omega = omega - v0.k is
-the frequency in the frame moving with the background; stability means every
-root has negative real part. Background velocity only shifts the real part
-of omega, so verdicts are frame independent.
+A dispersion relation is its polynomials, each an array of coefficients,
+highest degree first: `bulk_dispersion` returns the bulk cubic, and
+`shear_dispersion` a dict of the three factors of the 10-field determinant.
+`polynomial_verdict` judges any one of them. Polynomials are in the variable
+x = -i*Omega where Omega = omega - v0.k is the frequency in the frame moving
+with the background; stability means every root has negative real part.
+Background velocity only shifts the real part of omega, so verdicts are
+frame independent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,19 +22,15 @@ from .materials import MaterialLaw, ReferenceState, eval_transport, sound_speed
 
 __all__ = [
     "Background",
-    "DispersionProblem",
     "StabilityVerdict",
-    "ShearDispersion",
     "FitError",
     "equilibrium_background",
     "bulk_dispersion",
     "shear_dispersion",
-    "routh_hurwitz",
     "hurwitz_deltas",
     "poly_roots",
     "polynomial_verdict",
     "verify_against_simulation",
-    "WaveFit",
     "fit_complex_exponential",
 ]
 
@@ -60,13 +60,6 @@ def equilibrium_background(law: MaterialLaw, reference: ReferenceState) -> Backg
 
 
 @dataclass
-class DispersionProblem:
-    """Cubic dispersion polynomial of the bulk system at one wavenumber."""
-
-    poly: np.ndarray  # coefficients in x = -i Omega, highest degree first
-
-
-@dataclass
 class StabilityVerdict:
     deltas: tuple[float, ...]
     stable: bool
@@ -75,42 +68,33 @@ class StabilityVerdict:
     marginal: bool
 
 
-@dataclass
-class ShearDispersion:
-    """Factored dispersion polynomials of the 10-field system at one wavenumber."""
-
-    relaxation: np.ndarray   # (1 + tau x), root -1/tau with multiplicity 3
-    transverse: np.ndarray   # rho tau x^2 + rho x + eta k^2
-    acoustic: np.ndarray     # rho tau x^3 + rho x^2 + (3 zeta + 4 eta + cs^2 rho tau) k^2 x + cs^2 rho k^2
-
-    @property
-    def factors(self) -> dict[str, np.ndarray]:
-        return {"relaxation": self.relaxation, "transverse": self.transverse,
-                "acoustic": self.acoustic}
-
-
-def bulk_dispersion(background: Background, k_vec) -> DispersionProblem:
-    """Cubic tau x^3 + x^2 + tau k^2 (cs^2 + zeta/rho0) x + k^2 cs^2."""
+def bulk_dispersion(background: Background, k_vec) -> np.ndarray:
+    """The bulk cubic tau x^3 + x^2 + tau k^2 (cs^2 + zeta/rho0) x + k^2 cs^2,
+    as its coefficients, highest degree first."""
     k_vec = np.asarray(k_vec, dtype=float)
     k2 = float(np.dot(k_vec, k_vec))
     b = background
-    poly = np.array([b.tau, 1.0,
+    return np.array([b.tau, 1.0,
                      b.tau * k2 * (b.cs**2 + b.zeta / b.rho0),
                      k2 * b.cs**2])
-    return DispersionProblem(poly)
 
 
-def shear_dispersion(background: Background, k_vec) -> ShearDispersion:
-    """The three factors of the 10x10 linearized determinant."""
+def shear_dispersion(background: Background, k_vec) -> dict[str, np.ndarray]:
+    """The three factors of the 10x10 linearized determinant, by name, each
+    as its coefficients, highest degree first:
+
+    - relaxation: 1 + tau x, whose root -1/tau has multiplicity 3;
+    - transverse: rho tau x^2 + rho x + eta k^2;
+    - acoustic: rho tau x^3 + rho x^2 + (3 zeta + 4 eta + cs^2 rho tau) k^2 x + cs^2 rho k^2.
+    """
     k_vec = np.asarray(k_vec, dtype=float)
     k2 = float(np.dot(k_vec, k_vec))
     b = background
-    relaxation = np.array([b.tau, 1.0])
-    transverse = np.array([b.rho0 * b.tau, b.rho0, b.eta * k2])
-    acoustic = np.array([b.rho0 * b.tau, b.rho0,
-                         (3.0 * b.zeta + 4.0 * b.eta + b.cs**2 * b.rho0 * b.tau) * k2,
-                         b.cs**2 * b.rho0 * k2])
-    return ShearDispersion(relaxation, transverse, acoustic)
+    return {"relaxation": np.array([b.tau, 1.0]),
+            "transverse": np.array([b.rho0 * b.tau, b.rho0, b.eta * k2]),
+            "acoustic": np.array([b.rho0 * b.tau, b.rho0,
+                                  (3.0 * b.zeta + 4.0 * b.eta + b.cs**2 * b.rho0 * b.tau) * k2,
+                                  b.cs**2 * b.rho0 * k2])}
 
 
 def hurwitz_deltas(poly) -> tuple[float, ...]:
@@ -141,22 +125,33 @@ def _second_coefficient_positive(poly) -> bool:
 
 def poly_roots(poly):
     """All roots via the companion matrix, one Newton step each, sorted by
-    (real, imag). Vanishing leading coefficients are dropped first, so the
-    root count is the degree that remains.
+    (real, imag). Leading coefficients that are exactly zero are dropped
+    first, so the root count is the degree that remains.
+
+    The step at a root x is taken in y = x / 2^e, with 1 <= 2^e <= max(|x|, 1):
+    an exact rescaling, so it has the bits of the step in x wherever that one
+    is finite, and it stays finite near a root too large for p(x) to be a
+    float. A step that is still not finite raises ValueError.
     """
-    p = np.asarray(poly, dtype=float)
-    if p.size == 0 or not np.any(p != 0.0):
+    p = np.trim_zeros(np.asarray(poly, dtype=float), "f")
+    if p.size == 0:
         raise ValueError("polynomial has no nonzero coefficients")
-    scale = float(np.max(np.abs(p)))
-    while p.size > 1 and abs(p[0]) <= 1e-300 * scale:
-        p = p[1:]
     if p.size == 1:
         return np.array([], dtype=complex)
     roots = np.roots(p)
-    val = np.polyval(p, roots)
-    der = np.polyval(np.polyder(p), roots)
-    ok = np.abs(der) > 0
-    roots[ok] = roots[ok] - val[ok] / der[ok]
+    e = np.maximum(np.frexp(np.abs(roots))[1] - 1, 0)
+    with np.errstate(all="ignore"):
+        q = np.ldexp(p, -np.outer(e, np.arange(p.size)))  # row of x: p(2^e y) / 2^(e n)
+        y = roots / np.ldexp(1.0, e)
+        val = der = np.zeros_like(y)
+        for c in q.T:  # Horner, as np.polyval and np.polyder do it
+            val = val * y + c
+        for c in (q[:, :-1] * np.arange(p.size - 1, 0, -1)).T:
+            der = der * y + c
+        step = np.where(der != 0, val / der, 0.0)
+    if not np.all(np.isfinite(step)):
+        raise ValueError("the Newton step of a root is not finite")
+    roots = roots - step * np.ldexp(1.0, e)
     order = np.lexsort((roots.imag, roots.real))
     return roots[order]
 
@@ -173,16 +168,6 @@ def polynomial_verdict(poly) -> StabilityVerdict:
     return StabilityVerdict(deltas, stable, roots, max_re, marginal)
 
 
-def routh_hurwitz(problem: DispersionProblem) -> StabilityVerdict:
-    """Verdict for the bulk cubic: deltas (k^2 cs^2, a1 a2 - a0 a3, tau * that)."""
-    return polynomial_verdict(problem.poly)
-
-
-def shear_verdict(disp: ShearDispersion) -> dict[str, StabilityVerdict]:
-    """Per-factor verdicts; the system is stable iff every factor is."""
-    return {name: polynomial_verdict(p) for name, p in disp.factors.items()}
-
-
 # ---------------------------------------------------------------------------
 # closed loop against the nonlinear solver in its linear regime
 
@@ -194,14 +179,8 @@ class FitError(RuntimeError):
         super().__init__(f"{message} (fit residual {residual:.3e})")
 
 
-@dataclass
-class WaveFit:
-    decay_rate: float       # -Re x of the fitted exponential
-    frequency: float        # |Im x|
-
-
-def fit_complex_exponential(times: np.ndarray, signal: np.ndarray) -> WaveFit:
-    """Least-squares fit of signal ~ C exp(x t) for complex x.
+def fit_complex_exponential(times: np.ndarray, signal: np.ndarray) -> complex:
+    """Least-squares fit of signal ~ C exp(x t); returns the complex exponent x.
 
     Fits log(signal) linearly in t with phase unwrapping; raises FitError if
     the signal has zeros or the relative log-linear residual exceeds 0.05.
@@ -222,7 +201,7 @@ def fit_complex_exponential(times: np.ndarray, signal: np.ndarray) -> WaveFit:
     rms = max(rms_mag, rms_ph)
     if rms > 0.05:
         raise FitError("signal is not a single exponential", rms)
-    return WaveFit(decay_rate=-float(slope_re), frequency=abs(float(slope_im)))
+    return complex(slope_re, slope_im)
 
 
 @dataclass
@@ -268,9 +247,9 @@ def verify_against_simulation(background: Background, k: float,
     b = background
     law = _law_for_background(b)
     if system == "bulk":
-        poly = bulk_dispersion(b, (k, 0.0, 0.0)).poly
+        poly = bulk_dispersion(b, (k, 0.0, 0.0))
     elif system == "shear_transverse":
-        poly = shear_dispersion(b, (k, 0.0, 0.0)).transverse
+        poly = shear_dispersion(b, (k, 0.0, 0.0))["transverse"]
     else:
         raise ValueError(f"unknown system {system!r}")
     x_fit = _least_damped_oscillatory(poly)  # seeded mode evolves as exp(x t)
@@ -318,12 +297,13 @@ def verify_against_simulation(background: Background, k: float,
     coeffs_arr = np.asarray(coeffs)
     window = times_arr >= t_settle
     fit = fit_complex_exponential(times_arr[window], coeffs_arr[window])
+    decay, frequency = -fit.real, abs(fit.imag)
 
     decay_pred = -x_fit.real
     freq_pred = abs(x_fit.imag)
-    decay_err = abs(fit.decay_rate - decay_pred) / max(abs(decay_pred), 1e-30)
-    freq_err = abs(fit.frequency - freq_pred) / max(freq_pred, 1e-30)
+    decay_err = abs(decay - decay_pred) / max(abs(decay_pred), 1e-30)
+    freq_err = abs(frequency - freq_pred) / max(freq_pred, 1e-30)
     return SimulationComparison(
-        fitted_decay=fit.decay_rate, fitted_frequency=fit.frequency,
+        fitted_decay=decay, fitted_frequency=frequency,
         decay_error=decay_err, frequency_error=freq_err,
         passed=bool(decay_err <= tolerance and freq_err <= tolerance))

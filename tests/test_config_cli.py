@@ -7,7 +7,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from viscoflow import cli, solver
+from viscoflow import cli, solver, stability
 from viscoflow.cli import main
 from viscoflow.config import (ConfigError, ScenarioConfig, apply_overrides,
                               default_tolerances, format_config, material_law,
@@ -28,6 +28,36 @@ x_max = 3.0
 [run]
 t_end = 0.2
 """
+# `stability --k=1` on the default bulk and shear configs, as printed before the
+# dispersion builders returned bare polynomials
+STABILITY_K1 = {
+    "bulk": """\
+bulk dispersion cubic at |k| = 1.0: 1.0, 1.0, 3.0000000000000004, 2.0000000000000004
+  Delta_1 = 2.0000000000000004
+  Delta_2 = 1.0
+  Delta_3 = 1.0
+  root = -0.715225238435 +0i
+  root = -0.142387380782 -1.66614757361i
+  root = -0.142387380782 +1.66614757361i
+  max real part = -0.142387380782 -> stable
+  transverse branch (k orthogonal to dv): neutral, Omega = 0
+""",
+    "shear": """\
+relaxation factor: 1.0, 1.0
+  root = -1 +0i
+  max real part = -1 -> stable
+transverse factor: 1.0, 1.0, 1.0
+  root = -0.5 -0.866025403784i
+  root = -0.5 +0.866025403784i
+  max real part = -0.5 -> stable
+acoustic factor: 1.0, 1.0, 9.0, 2.0000000000000004
+  root = -0.386682059018 -2.94537008307i
+  root = -0.386682059018 +2.94537008307i
+  root = -0.226635881963 +0i
+  max real part = -0.226635881963 -> stable
+overall verdict: stable
+""",
+}
 # former [tolerances] keys: a config that still sets one must fail, not be ignored
 DELETED_TOLERANCES = ["rho_floor_frac", "front_slack_cells", "check_front",
                       "eig_cond_cap", "marginal_band"]
@@ -222,6 +252,85 @@ class TestCli:
         path = tmp_path / "planar.cfg"
         path.write_text("", encoding="utf-8")
         cp = run_cli(*args, "--config", str(path))
+        assert cp.returncode == 2 and cp.stdout == ""
+        assert message in cp.stderr
+
+    @pytest.mark.parametrize("system", ["bulk", "shear"])
+    def test_stability_report_on_the_default_config(self, run_cli, tmp_path, system):
+        path = tmp_path / "default.cfg"
+        path.write_text(f"[scenario]\nsystem = {system}\n", encoding="utf-8")
+        cp = run_cli("stability", "--config", str(path), "--k=1")
+        assert (cp.returncode, cp.stdout, cp.stderr) == (0, STABILITY_K1[system], "")
+
+    def test_large_wavenumbers_reach_the_asymptotic_roots(self, run_cli, tmp_path):
+        # default bulk config (cs^2 = 2, zeta = tau = rho = 1): as k grows the
+        # cubic's roots tend to -2/3 and -1/6 +- sqrt(3) k i, whose p(x) overflows
+        path = tmp_path / "default.cfg"
+        path.write_text("", encoding="utf-8")
+        for k in (1e150, 1e153):
+            cp = run_cli("stability", "--config", str(path), f"--k={k}")
+            assert cp.returncode == 0, cp.stderr
+            roots = [complex(float(re), float(im[:-1])) for re, im in
+                     (line.split()[2:] for line in cp.stdout.splitlines() if "root =" in line)]
+            expected = [-2 / 3, -1 / 6 - 3**0.5 * k * 1j, -1 / 6 + 3**0.5 * k * 1j]
+            assert len(roots) == 3
+            assert np.allclose([r.real for r in roots], [e.real for e in expected], atol=1e-6)
+            assert np.allclose([r.imag for r in roots], [e.imag for e in expected], rtol=1e-9)
+        cp = run_cli("dispersion", "--config", str(path), "--sweep", "1:1e153:3")
+        assert cp.returncode == 0, cp.stderr
+        for line in cp.stdout.splitlines()[2:]:
+            k, *values = map(float, line.split(","))
+            assert np.allclose(values[2:], [3**0.5 * k, -1 / 6, -(3**0.5) * k, -1 / 6])
+
+    def test_shear_dispersion_table(self, run_cli, tmp_path):
+        path = tmp_path / "shear.cfg"
+        path.write_text("[scenario]\nsystem = shear\n[material]\ntau = 2.0\n", encoding="utf-8")
+        cp = run_cli("dispersion", "--config", str(path), "--sweep=0.5:3:6")
+        assert cp.returncode == 0, cp.stderr
+        header, *rows = cp.stdout.splitlines()
+        assert len(header.split(",")) == 17 and len(rows) == 6
+        bg = cli._background(parse_config(path.read_text(encoding="utf-8")))
+        for line in rows:
+            k, *values = map(float, line.split(","))
+            # columns (omega, growth) of x = -i omega at rest: x = growth - i omega
+            x = np.array(values[1::2]) - 1j * np.array(values[0::2])
+            relaxation = np.isclose(x, -1.0 / bg.tau, rtol=0.0, atol=1e-12)
+            assert relaxation.sum() == 3
+            factors = stability.shear_dispersion(bg, (k, 0.0, 0.0))
+            expected = np.concatenate([stability.poly_roots(factors[name])
+                                       for name in ("transverse", "acoustic")])
+            assert np.allclose(np.sort_complex(x[~relaxation]), np.sort_complex(expected),
+                               rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("command", ["speeds", "stability", "dispersion --sweep=1:2:3",
+                                         "simulate", "blowup-cert"])
+    @pytest.mark.parametrize("text,rho_bar", [
+        ("[material]\nzeta = powerlaw:1,1000\n[reference]\nrho_bar = 10\n", 10.0),
+        ("[material]\ngamma = 1000\n[reference]\nrho_bar = 10\n", 10.0),
+        ("[material]\nA = 1e308\n", 1.0),
+        ("[material]\ntau = 1e-320\n", 1.0)], ids=["zeta", "gamma", "A", "tau"])
+    def test_overflowing_reference_state_is_config_error(self, run_cli, tmp_path, command,
+                                                         text, rho_bar):
+        # RuntimeWarnings are errors in this suite, so none may be raised on the way
+        path = tmp_path / "overflow.cfg"
+        path.write_text(text, encoding="utf-8")
+        cp = run_cli(*command.split(), "--config", str(path))
+        assert cp.returncode == 2 and cp.stdout == ""
+        assert f"the material law overflows at the reference state rho_bar = {rho_bar!r}" \
+            in cp.stderr
+
+    @pytest.mark.parametrize("command,text,message", [
+        ("blowup-cert", "[reference]\nR = 1e100\n",
+         "certificate refused: the momentum threshold overflows at R = 1e+100"),
+        *[(command, "[profile]\nb_from_f0 = 1e308\n",
+           "the initial fields are not finite: bump amplitudes a, b, c = 0.0, inf, 0.0")
+          for command in ("simulate", "blowup-cert")]],
+        ids=["R-blowup-cert", "b_from_f0-simulate", "b_from_f0-blowup-cert"])
+    def test_overflowing_threshold_or_initial_data_is_config_error(self, run_cli, tmp_path,
+                                                                   command, text, message):
+        path = tmp_path / "overflow.cfg"
+        path.write_text(text, encoding="utf-8")
+        cp = run_cli(command, "--config", str(path))
         assert cp.returncode == 2 and cp.stdout == ""
         assert message in cp.stderr
 
