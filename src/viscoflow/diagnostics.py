@@ -55,7 +55,7 @@ def radial_momentum(sim) -> float:
     theorem's geometry)."""
     w = sim.grid.quad_weights
     inner = sim.fields.interior()
-    rho, u = inner[0], inner[sim.layout.velocity[0]]
+    rho, u = inner[0], inner[1]
     return float(np.sum(w * sim.grid.arms * rho * u))
 
 
@@ -82,7 +82,7 @@ def max_gradients(sim, cells: slice | None = None) -> tuple[float, float]:
     inner = sim.grid.interior
     cells = inner if cells is None else cells
     lo, hi = max(cells.start - 1, inner.start), min(cells.stop + 1, inner.stop)
-    top = sim.layout.velocity_rows.stop
+    top = sim.layout.velocity.stop
     block = sim.fields.data[:top, lo:hi]
     work = vars(sim).get("work")
     d = np.subtract(block[:, 1:], block[:, :-1],

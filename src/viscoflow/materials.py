@@ -8,6 +8,12 @@ the density rho, the normalized stress trace pi = Pi_ii / 3, and the full
 contraction pi2 = Pi_ij Pi_ij. `MaterialLaw` holds a constant as a float and
 a function as the callable fn(rho, pi, pi2) itself; a function accepts
 scalars and numpy arrays alike and returns strictly positive, finite values.
+
+Each fact of a fluid state is stated here once, and the solver, the
+reference evaluation and the analyses read it from here: the squared sound
+speed (`sound_speed2`), the invariants (pi, pi2) of a stored stress
+(`stress_invariants`), and the rows of each system's solver fields
+(`FieldLayout`, `LAYOUTS`).
 """
 
 from __future__ import annotations
@@ -27,7 +33,9 @@ __all__ = [
     "FieldLayout",
     "LAYOUTS",
     "pressure",
+    "sound_speed2",
     "sound_speed",
+    "stress_invariants",
     "eval_transport",
 ]
 
@@ -80,13 +88,38 @@ def pressure(law: MaterialLaw, rho):
     return float(out) if out.ndim == 0 else out
 
 
+def sound_speed2(law: MaterialLaw, rho):
+    """The squared sound speed dP/drho = A gamma rho**(gamma-1), of a float
+    or an array of densities, unchecked. Every cs^2 of the program is this
+    expression: the solver's, the front speed's and the analyses'."""
+    return law.A * law.gamma * rho ** (law.gamma - 1.0)
+
+
 def sound_speed(law: MaterialLaw, rho):
-    """Adiabatic sound speed sqrt(dP/drho) = sqrt(A gamma rho**(gamma-1))."""
+    """Adiabatic sound speed sqrt(dP/drho) = sqrt(`sound_speed2`). Raises
+    ValueError for non-positive or non-finite rho."""
     rho = np.asarray(rho, dtype=float)
     if np.any(rho <= 0.0) or not np.all(np.isfinite(rho)):
         raise ValueError("sound_speed requires rho > 0 and finite")
-    out = np.sqrt(law.A * law.gamma * rho ** (law.gamma - 1.0))
+    out = np.sqrt(sound_speed2(law, rho))
     return float(out) if out.ndim == 0 else out
+
+
+def stress_invariants(stress):
+    """The invariants (pi, pi2) of a stress from its stored components.
+
+    `stress` holds the components along its first axis: the bulk scalar Pi
+    alone, whose stress Pi delta_ij has pi = Pi and pi2 = 3 Pi^2, or the six
+    Pi11, Pi12, Pi13, Pi22, Pi23, Pi33 in `SYM_INDEX` order, each counted
+    with its symmetric partner in pi2 = Pi_ij Pi_ij. A component is a float
+    or a row of cells (the stress rows of the solver fields, say), and pi and
+    pi2 take its shape.
+    """
+    if len(stress) == 1:
+        pi = stress[0]
+        return pi, 3.0 * pi * pi
+    p11, p12, p13, p22, p23, p33 = stress
+    return (p11 + p22 + p33) / 3.0, p11**2 + p22**2 + p33**2 + 2.0 * (p12**2 + p13**2 + p23**2)
 
 
 def eval_transport(law: MaterialLaw, rho, pi=0.0, pi2=0.0):
@@ -139,8 +172,8 @@ class BulkState:
 
     @property
     def invariants(self) -> tuple[float, float, float]:
-        # pure-trace stress Pi_ij = Pi * delta_ij has Pi_ij Pi_ij = 3 Pi**2
-        return (self.rho, self.Pi, 3.0 * self.Pi**2)
+        """(rho, pi, pi2), the arguments of a transport law."""
+        return (self.rho, *stress_invariants((self.Pi,)))
 
 
 # storage order of the six independent stress components
@@ -157,32 +190,22 @@ def sym_position(i: int, j: int) -> int:
 class FieldLayout:
     """Row layout of one system's solver fields.
 
-    Row 0 is the density and row 1 the x-velocity in every layout. `drive`
-    holds, per velocity row, the stress row Pi_1i whose x-derivative drives
-    it; `normal` holds the diagonal stress rows, whose sum is the trace.
-    `parity` is the sign each row takes under the mirror x -> -x. The
-    velocity, driving-stress and stress rows are contiguous, so the `*_rows`
-    slices select each group as a view.
+    Row 0 is the density and row 1 the x-velocity in every layout. The
+    groups are slices of contiguous rows, so each cuts its group as a view:
+    `velocity` the velocity rows, `stress` the stored stress components (in
+    `SYM_INDEX` order for the shear system, the order `stress_invariants`
+    reads), and `drive` per velocity row the stress row Pi_1i whose
+    x-derivative drives it. `normal` holds the diagonal stress rows, whose
+    sum is the trace. `parity` is the sign each row takes under the mirror
+    x -> -x.
     """
 
     names: tuple[str, ...]
-    velocity: tuple[int, ...]
-    stress: tuple[int, ...]
+    velocity: slice
+    stress: slice
     normal: tuple[int, ...]
-    drive: tuple[int, ...]
+    drive: slice
     parity: tuple[float, ...]
-
-    @cached_property
-    def velocity_rows(self) -> slice:
-        return _block(self.velocity)
-
-    @cached_property
-    def drive_rows(self) -> slice:
-        return _block(self.drive)
-
-    @cached_property
-    def stress_rows(self) -> slice:
-        return _block(self.stress)
 
     @cached_property
     def parity_column(self) -> np.ndarray:
@@ -195,26 +218,19 @@ class FieldLayout:
         """The field vector of the constant reference state."""
         out = np.zeros(len(self.names))
         out[0] = ref.rho_bar
-        out[list(self.velocity)] = ref.v_bar[:len(self.velocity)]
+        out[self.velocity] = ref.v_bar[:len(self.names[self.velocity])]
         out[list(self.normal)] = ref.Pi_bar
         return out
 
 
-def _block(rows: tuple[int, ...]) -> slice:
-    if rows != tuple(range(rows[0], rows[-1] + 1)):
-        raise ValueError(f"rows {rows} are not contiguous")
-    return slice(rows[0], rows[-1] + 1)
-
-
-_SHEAR_STRESS = tuple(range(4, 10))
 LAYOUTS = {
-    "bulk": FieldLayout(names=("rho", "u", "Pi"), velocity=(1,), stress=(2,), normal=(2,),
-                        drive=(2,), parity=(1.0, -1.0, 1.0)),
+    "bulk": FieldLayout(names=("rho", "u", "Pi"), velocity=slice(1, 2), stress=slice(2, 3),
+                        drive=slice(2, 3), normal=(2,), parity=(1.0, -1.0, 1.0)),
     "shear": FieldLayout(
         names=("rho", "v1", "v2", "v3") + tuple(f"Pi{i + 1}{j + 1}" for i, j in SYM_INDEX),
-        velocity=(1, 2, 3), stress=_SHEAR_STRESS,
-        normal=tuple(_SHEAR_STRESS[sym_position(i, i)] for i in range(3)),
-        drive=tuple(_SHEAR_STRESS[sym_position(0, i)] for i in range(3)),
+        # SYM_INDEX opens with Pi11, Pi12, Pi13: the driving stresses
+        velocity=slice(1, 4), stress=slice(4, 10), drive=slice(4, 7),
+        normal=tuple(4 + sym_position(i, i) for i in range(3)),
         # v1 and the stresses Pi_1j with exactly one index 1 flip sign
         parity=(1.0, -1.0, 1.0, 1.0) + tuple(-1.0 if (i == 0) != (j == 0) else 1.0
                                              for i, j in SYM_INDEX)),
@@ -260,12 +276,12 @@ class ShearState:
     @property
     def bulk_scalar(self) -> float:
         """Normalized trace Pi_ii / 3: the scalar evolved by the 5-field system."""
-        return (self.Pi_sym[0] + self.Pi_sym[3] + self.Pi_sym[5]) / 3.0
+        return stress_invariants(self.Pi_sym)[0]
 
     @property
     def invariants(self) -> tuple[float, float, float]:
-        t = self.tensor()
-        return (self.rho, self.bulk_scalar, float(np.sum(t * t)))
+        """(rho, pi, pi2), the arguments of a transport law."""
+        return (self.rho, *stress_invariants(self.Pi_sym))
 
 
 @dataclass(frozen=True)

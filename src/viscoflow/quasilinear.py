@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .materials import (BulkState, MaterialLaw, ReferenceState, ShearState, SYM_INDEX,
-                        eval_transport, sound_speed, sym_position)
+                        eval_transport, sound_speed, sound_speed2, stress_invariants,
+                        sym_position)
 
 __all__ = [
     "AssemblyError",
@@ -92,11 +93,14 @@ def shear_signal_speeds(cs2, zeta, eta, rho, tau):
 
 def reference_signal_speed(law: MaterialLaw, system: str, reference: ReferenceState) -> float:
     """The front speed c_v at the reference state: the bulk signal speed, or
-    the fast shear speed. cs^2 = A gamma rho^(gamma-1) is formed directly, as
-    the solver does, so the value matches the solver's speeds bit for bit."""
-    rho, pi_bar = reference.rho_bar, reference.Pi_bar
-    zeta, eta, tau = eval_transport(law, rho, pi_bar, 3.0 * pi_bar**2)
-    cs2 = law.A * law.gamma * rho ** (law.gamma - 1.0)
+    the fast shear speed, with the law evaluated at the isotropic stress
+    Pi_bar delta_ij and cs^2 from `sound_speed2`, as the solver forms it. The
+    value can differ from the solver's speed at the reference in the last
+    bit: numpy's vectorised power rounds apart from the scalar one for some
+    gamma."""
+    rho = reference.rho_bar
+    zeta, eta, tau = eval_transport(law, rho, *stress_invariants((reference.Pi_bar,)))
+    cs2 = sound_speed2(law, rho)
     if system == "bulk":
         return float(bulk_signal_speed(cs2, zeta, rho, tau))
     return float(shear_signal_speeds(cs2, zeta, eta, rho, tau)[1])

@@ -81,7 +81,8 @@ import numpy as np
 from . import diagnostics
 from .config import (ConfigError, ScenarioConfig, default_tolerances, grid_problems,
                      material_law, reference_state, run_problems, symmetry_center)
-from .materials import LAYOUTS, MaterialLaw, MaterialLawError, ReferenceState, eval_transport
+from .materials import (LAYOUTS, MaterialLaw, MaterialLawError, ReferenceState, eval_transport,
+                        sound_speed2, stress_invariants)
 from .quasilinear import bulk_signal_speed, reference_signal_speed, shear_signal_speeds
 
 __all__ = [
@@ -282,7 +283,7 @@ class _Plan:
         layout, grid, data = ws.layout, ws.grid, ws.data
         g = grid.n_ghost
         c0, c1 = cols.start - g, cols.stop + g
-        width, vel, drive = c1 - c0, layout.velocity_rows, layout.drive_rows
+        width, vel, drive = c1 - c0, layout.velocity, layout.drive
         span = slice(0, width) if width == grid.n_padded else slice(g, width - g)
         written = slice(c0 + span.start, c0 + span.stop)
         self.cols, self.near = cols, slice(cols.start - 1, cols.stop + 1)
@@ -318,9 +319,8 @@ class _Plan:
         self.cells, self.u0, self.rhs_cells = data[:, written], ws.stage[:, written], rhs[:, span]
         # the relaxation, and the velocity rows' MUSCL pass with the views
         # that turn its face states into the gradients
-        self.grads, self.stress = ws.grads[:, cols], data[layout.stress_rows, cols]
-        k, ns = cols.stop - cols.start, len(layout.stress)
-        self.eq = ws.pools[1][:ns * k].reshape(ns, k)
+        self.grads, self.stress = ws.grads[:, cols], data[layout.stress, cols]
+        self.eq = ws.pools[1][:self.stress.size].reshape(self.stress.shape)
         self.velocity = v = _Faces(ws.pools, ws.mask, data[vel, c0:c1])
         hat, diff = v.rows(ws.pools[3]), v.rows(ws.pools[0])
         v.average, v.hat_rows = (v.left, v.right, hat.reshape(-1)), hat
@@ -348,7 +348,8 @@ class _Workspace:
     """
 
     def __init__(self, layout, grid: Grid1D, data: np.ndarray):
-        nf, nv, p, g = len(layout.names), len(layout.velocity), grid.n_padded, grid.n_ghost
+        nf, nv = len(layout.names), len(layout.names[layout.velocity])
+        p, g = grid.n_padded, grid.n_ghost
         sizes = [nf * p] * 6 + [p] * 2 + [nv * p, p, p]
         memory = np.empty(sum(sizes))
         parts = np.split(memory, np.cumsum(sizes)[:-1])
@@ -443,7 +444,7 @@ class Simulation:
         # rho_bar c_v^2 for stresses
         self.front_scales = np.full(len(self.layout.names), self.cv_bar)
         self.front_scales[0] = reference.rho_bar
-        self.front_scales[list(self.layout.stress)] = reference.rho_bar * self.cv_bar**2
+        self.front_scales[self.layout.stress] = reference.rho_bar * self.cv_bar**2
 
     @cached_property
     def work(self) -> _Workspace:
@@ -524,15 +525,9 @@ def _transport(sim: Simulation, cells: slice):
     rho = sim.fields.data[0, cells]
     if sim.law.has_constant_transport:
         return eval_transport(sim.law, rho)  # floats; no invariants needed
-    if sim.system == "bulk":
-        pi = sim.fields.data[sim.layout.stress[0], cells]
-        pi2 = 3.0 * pi * pi
-    else:
-        p11, p12, p13, p22, p23, p33 = sim.fields.data[sim.layout.stress_rows, cells]
-        pi = (p11 + p22 + p33) / 3.0
-        pi2 = p11**2 + p22**2 + p33**2 + 2.0 * (p12**2 + p13**2 + p23**2)
     try:
-        return eval_transport(sim.law, rho, pi, pi2)
+        return eval_transport(sim.law, rho,
+                              *stress_invariants(sim.fields.data[sim.layout.stress, cells]))
     except MaterialLawError:
         if cells != sim.grid.interior:
             # outside `cells` the interior holds the reference state, which
@@ -543,10 +538,9 @@ def _transport(sim: Simulation, cells: slice):
 
 def _signal_speed(sim: Simulation, cells: slice):
     """(cs2, fastest characteristic speed) on the padded cells `cells` of the fields."""
-    law = sim.law
     rho = sim.fields.data[0, cells]
     zeta, eta, tau = _transport(sim, cells)
-    cs2 = law.A * law.gamma * rho ** (law.gamma - 1.0)
+    cs2 = sound_speed2(sim.law, rho)
     if sim.system == "bulk":
         return cs2, bulk_signal_speed(cs2, zeta, rho, tau)
     return cs2, shear_signal_speeds(cs2, zeta, eta, rho, tau)[1]
@@ -896,7 +890,7 @@ def _apply_profiles(sim: Simulation, a: float, b: float, c: float) -> None:
     w = bump(s)
     inner = sim.fields.interior()
     inner[0] = ref.rho_bar + a * w
-    inner[sim.layout.velocity[0]] = ref.v_bar[0] + b * s * w
+    inner[1] = ref.v_bar[0] + b * s * w  # the x-velocity
     for f in sim.layout.normal:
         inner[f] = ref.Pi_bar + c * w
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .materials import MaterialLaw, ReferenceState, eval_transport, sound_speed
+from .materials import MaterialLaw, ReferenceState, eval_transport, sound_speed, stress_invariants
 
 __all__ = [
     "Background",
@@ -53,8 +53,10 @@ class Background:
 
 
 def equilibrium_background(law: MaterialLaw, reference: ReferenceState) -> Background:
-    zeta, eta, tau = eval_transport(law, reference.rho_bar, reference.Pi_bar,
-                                    3.0 * reference.Pi_bar**2)
+    """The reference state as a Background, its coefficients evaluated at
+    its isotropic stress Pi_bar delta_ij."""
+    zeta, eta, tau = eval_transport(law, reference.rho_bar,
+                                    *stress_invariants((reference.Pi_bar,)))
     return Background(rho0=reference.rho_bar, cs=sound_speed(law, reference.rho_bar),
                       zeta=zeta, tau=tau, eta=eta, v0=reference.v_bar)
 
@@ -69,13 +71,20 @@ class StabilityVerdict:
 
 
 def bulk_dispersion(background: Background, k_vec) -> np.ndarray:
-    """The bulk cubic tau x^3 + x^2 + tau k^2 (cs^2 + zeta/rho0) x + k^2 cs^2,
-    as its coefficients, highest degree first."""
+    """The bulk cubic tau x^3 + x^2 + (tau cs^2 + zeta/rho0) k^2 x + cs^2 k^2,
+    as its coefficients, highest degree first.
+
+    A mode exp(i k x + x t) of the linearised equations has x rho = -i k rho0 u,
+    (1 + tau x) Pi = -i k zeta u and rho0 x u + i k (cs^2 rho + Pi) = 0;
+    eliminating rho and Pi and multiplying by x (1 + tau x) / rho0 gives the
+    cubic. Its complex pair tends to x = +-i c_v k at large k, with
+    c_v^2 = cs^2 + zeta/(rho0 tau), the characteristic speed
+    (`quasilinear.bulk_signal_speed`)."""
     k_vec = np.asarray(k_vec, dtype=float)
     k2 = float(np.dot(k_vec, k_vec))
     b = background
     return np.array([b.tau, 1.0,
-                     b.tau * k2 * (b.cs**2 + b.zeta / b.rho0),
+                     (b.tau * b.cs**2 + b.zeta / b.rho0) * k2,
                      k2 * b.cs**2])
 
 
@@ -84,8 +93,14 @@ def shear_dispersion(background: Background, k_vec) -> dict[str, np.ndarray]:
     as its coefficients, highest degree first:
 
     - relaxation: 1 + tau x, whose root -1/tau has multiplicity 3;
-    - transverse: rho tau x^2 + rho x + eta k^2;
-    - acoustic: rho tau x^3 + rho x^2 + (3 zeta + 4 eta + cs^2 rho tau) k^2 x + cs^2 rho k^2.
+    - transverse: rho tau x^2 + rho x + eta k^2, twice (v2 and v3);
+    - acoustic: rho tau x^3 + rho x^2 + (zeta + 4 eta/3 + cs^2 rho tau) k^2 x + cs^2 rho k^2,
+      the bulk cubic times rho with the longitudinal viscosity zeta + 4 eta/3
+      in place of zeta.
+
+    At large k the transverse pair tends to x = +-i k sqrt(eta/(rho tau)) and
+    the acoustic pair to x = +-i k sqrt(cs^2 + (zeta + 4 eta/3)/(rho tau)):
+    the slow and fast characteristic speeds (`quasilinear.shear_signal_speeds`).
     """
     k_vec = np.asarray(k_vec, dtype=float)
     k2 = float(np.dot(k_vec, k_vec))
@@ -93,7 +108,7 @@ def shear_dispersion(background: Background, k_vec) -> dict[str, np.ndarray]:
     return {"relaxation": np.array([b.tau, 1.0]),
             "transverse": np.array([b.rho0 * b.tau, b.rho0, b.eta * k2]),
             "acoustic": np.array([b.rho0 * b.tau, b.rho0,
-                                  (3.0 * b.zeta + 4.0 * b.eta + b.cs**2 * b.rho0 * b.tau) * k2,
+                                  (b.zeta + 4.0 * b.eta / 3.0 + b.cs**2 * b.rho0 * b.tau) * k2,
                                   b.cs**2 * b.rho0 * k2])}
 
 

@@ -123,7 +123,7 @@ def test_criterion_3_hurwitz_root_equivalence():
     assert not shear_stable(tau=-1.0)
     assert not shear_stable(rho0=-1.0)
     assert not shear_stable(eta=-1.0)
-    # the longitudinal factor couples zeta with eta (through 3 zeta + 4 eta),
+    # the longitudinal factor couples zeta with eta (through zeta + 4 eta/3),
     # so a lone sign flip of zeta needs magnitude beyond 4 eta / 3
     assert not shear_stable(zeta=-2.0)
     print("\nACCEPTANCE 3 PASS: Routh-Hurwitz versus root signs, 1000 backgrounds, "

@@ -50,11 +50,11 @@ transverse factor: 1.0, 1.0, 1.0
   root = -0.5 -0.866025403784i
   root = -0.5 +0.866025403784i
   max real part = -0.5 -> stable
-acoustic factor: 1.0, 1.0, 9.0, 2.0000000000000004
-  root = -0.386682059018 -2.94537008307i
-  root = -0.386682059018 +2.94537008307i
-  root = -0.226635881963 +0i
-  max real part = -0.226635881963 -> stable
+acoustic factor: 1.0, 1.0, 4.333333333333334, 2.0000000000000004
+  root = -0.48978339843 +0i
+  root = -0.255108300785 -2.00458411326i
+  root = -0.255108300785 +2.00458411326i
+  max real part = -0.255108300785 -> stable
 overall verdict: stable
 """,
 }
@@ -443,16 +443,46 @@ class TestCli:
         assert cp.returncode == 2
         assert "system must be" in cp.stderr
 
-    @pytest.mark.parametrize("section,entry", [("reference", "rho_bar = inf"),
-                                               ("reference", "Pi_bar = inf"),
-                                               ("reference", "v_bar = inf"),
-                                               ("profile", "a = nan"),
-                                               ("run", "snapshot_times = 0.1, nan")])
-    def test_nonfinite_number_exit_code(self, tmp_path, capsys, section, entry):
-        path = tmp_path / "nonfinite.cfg"
-        path.write_text(MINIMAL + f"\n[{section}]\n{entry}\n", encoding="utf-8")
-        assert main(["simulate", "--config", str(path)]) == 2
-        assert f"{entry.split()[0]} must be finite" in capsys.readouterr().err
+    @pytest.mark.parametrize("text,overrides,message", [
+        *(pytest.param(MINIMAL + f"\n[{section}]\n{entry}\n", [],
+                       f"{entry.split()[0]} must be finite", id=entry.split()[0])
+          for section, entry in [("reference", "rho_bar = inf"), ("reference", "Pi_bar = inf"),
+                                 ("reference", "v_bar = inf"), ("profile", "a = nan"),
+                                 ("run", "snapshot_times = 0.1, nan")]),
+        pytest.param("[material]\nzeta = powerlaw:1\n", [],
+                     "powerlaw needs two parameters, got 'powerlaw:1'", id="powerlaw-arity"),
+        pytest.param("[material]\nzeta = powerlaw:0,1\n", [],
+                     "powerlaw coefficient must be positive", id="powerlaw-coefficient"),
+        pytest.param("[grid]\nn_cells\n", [], "line 2: expected key = value, got 'n_cells'",
+                     id="no-equals"),
+        pytest.param("n_cells = 64\n[grid]\n", [], "line 1: key outside any [section]",
+                     id="no-section"),
+        pytest.param("[profile]\na = -1.5\n", [],
+                     "density bump amplitude drives rho non-positive", id="a"),
+        pytest.param("[run]\nt_end = -1\n", [], "t_end must be non-negative, got -1.0",
+                     id="t_end"),
+        pytest.param("[run]\nseries_cadence = 0\n", [], "series_cadence must be at least 1",
+                     id="series_cadence"),
+        pytest.param("[run]\nsnapshot_times = -0.1, 0.2\n", [],
+                     "snapshot_times must be non-negative", id="snapshot_times"),
+        pytest.param("", ["gridn_cells"],
+                     "override must look like section.key=value, got 'gridn_cells'",
+                     id="override-form"),
+        pytest.param("", ["grid.n_cells=abc"], "'n_cells' must be of type int, got 'abc'",
+                     id="override-type"),
+        # the law is 10 rho^-400 = 0 at the reference density
+        pytest.param("[material]\nzeta = powerlaw:1,-400\n[reference]\nrho_bar = 10\n", [],
+                     "transport coefficient zeta = 0 is non-positive or non-finite "
+                     "(rho=10, pi=0)", id="law-vanishes-at-reference"),
+    ])
+    def test_refused_config_exit_code(self, tmp_path, capsys, text, overrides, message):
+        path = tmp_path / "refused.cfg"
+        path.write_text(text, encoding="utf-8")
+        argv = ["simulate", "--config", str(path)]
+        for override in overrides:
+            argv += ["--override", override]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
 
     def test_deleted_tolerance_override_exit_code(self, config_path, capsys):
         assert main(["simulate", "--config", str(config_path),

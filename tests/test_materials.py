@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from viscoflow.materials import (BulkState, MaterialLaw, MaterialLawError, ReferenceState,
-                                 ShearState, eval_transport, pressure, sound_speed)
+from viscoflow.materials import (LAYOUTS, BulkState, MaterialLaw, MaterialLawError,
+                                 ReferenceState, ShearState, eval_transport, pressure,
+                                 sound_speed, stress_invariants)
 
 
 class TestPressure:
@@ -167,6 +168,24 @@ class TestStates:
         assert rho == 2.0
         assert pi == pytest.approx(1.0 / 3.0)
         assert pi2 == pytest.approx(1.0 + 2.0 * 1.0)  # Pi11^2 + 2 Pi12^2
+
+    def test_shear_invariants_are_those_of_the_tensor(self, rng):
+        for _ in range(50):
+            st = ShearState(1.0, Pi_sym=tuple(rng.uniform(-2.0, 2.0, 6)))
+            t = st.tensor()
+            _, pi, pi2 = st.invariants
+            assert pi == pytest.approx(np.trace(t) / 3.0, rel=1e-14, abs=1e-15)
+            assert pi2 == pytest.approx(np.sum(t * t), rel=1e-14)
+
+    @pytest.mark.parametrize("system", ["bulk", "shear"])
+    def test_invariants_of_rows_have_the_bits_of_each_cell(self, rng, system):
+        # the solver passes the stress rows of its fields; the point states
+        # pass their stored components
+        layout = LAYOUTS[system]
+        stress = rng.uniform(-2.0, 2.0, size=(len(layout.names), 40))[layout.stress]
+        pi, pi2 = stress_invariants(stress)
+        for c in range(stress.shape[1]):
+            assert (pi[c], pi2[c]) == stress_invariants(tuple(float(x) for x in stress[:, c]))
 
     def test_reference_state_validation(self):
         with pytest.raises(ValueError):

@@ -23,6 +23,9 @@ so an optimization of the step that changes the arithmetic shows up here:
   messages;
 - `cli._csv_lines`, which formats each distinct bit pattern of a column
   once, writes the bytes of one `repr` per value;
+- scale invariance: scaling x_min, x_max, R, t_end and the laws of zeta,
+  eta and tau by a power of two lam leaves the fields of every step
+  unchanged, bit for bit, and scales each time step by exactly lam;
 - the MUSCL face states of a step plan, whose minmod slope is
   copysign(min(|dl|, |dr|) / 2, dl) where dl dr > 0, have the bits of the
   pick of the slope of least magnitude, signed zeros, infinities and NaNs
@@ -470,6 +473,44 @@ def picked_face_states(w):
     return w[:, 1:-2] + s[:, :-1], w[:, 2:-1] - s[:, 1:]
 
 
+class TestScaleInvariance:
+    """x -> lam x and t -> lam t, with zeta, eta and tau -> lam zeta, lam eta,
+    lam tau, map a solution to a solution with rho, v and Pi unchanged. For lam
+    a power of two every product and quotient of a step scales exactly, so the
+    scaled run repeats the bits of the unscaled one."""
+
+    LAWS = {"constant": [(1.3, None), (0.8, None), (0.9, None)],
+            "power": [(1.3, 1.5), (0.8, 1.0), (0.9, 0.5)]}
+
+    @staticmethod
+    def scenario(system, geometry, bc, laws, lam):
+        zeta, eta, tau = (repr(lam * c) if p is None else f"powerlaw:{lam * c!r},{p!r}"
+                          for c, p in laws)
+        x_min = 0.0 if geometry == "spherical" else -2.0
+        return solver.init_scenario(ScenarioConfig(
+            system=system, geometry=geometry, bc=bc, zeta=zeta, eta=eta, tau=tau, R=lam,
+            a=0.2, b=0.3, c=0.05, n_cells=96, x_min=lam * x_min, x_max=lam * 2.0,
+            t_end=lam * 0.5, tolerances=default_tolerances() | UNTRIPPED))
+
+    @pytest.mark.parametrize("law", ["constant", "power"])
+    @pytest.mark.parametrize("system,geometry,bc", [
+        ("bulk", "planar", "fixed"), ("bulk", "planar", "periodic"),
+        ("bulk", "spherical", "fixed"), ("shear", "planar", "fixed"),
+        ("shear", "planar", "periodic")])
+    def test_power_of_two_scaling_scales_every_step(self, system, geometry, bc, law):
+        base = self.scenario(system, geometry, bc, self.LAWS[law], 1.0)
+        scaled = {lam: self.scenario(system, geometry, bc, self.LAWS[law], lam)
+                  for lam in (2.0**-3, 2.0**2)}
+        for _ in range(40):
+            out = solver.step(base)
+            assert out.status == "ok", out.message
+            for lam, sim in scaled.items():
+                assert solver.step(sim).dt_used == lam * out.dt_used
+                assert sim.t == lam * base.t
+                assert np.array_equal(sim.fields.data.view(np.int64),
+                                      base.fields.data.view(np.int64))
+
+
 class TestMinmod:
     @settings(PROPERTY, max_examples=60)
     @given(stencil_rows())
@@ -483,7 +524,7 @@ class TestMinmod:
         sim.fields.data[:] = data
         cols = slice(2 + lo, 2 + hi)
         plan = sim.work.plan(cols)
-        rows = (slice(None), sim.layout.velocity_rows)
+        rows = (slice(None), sim.layout.velocity)
         with np.errstate(all="ignore"):
             for faces, block in zip((plan.all, plan.velocity), rows):
                 solver._reconstruct(faces)

@@ -539,7 +539,7 @@ class TestMonitorsAndOutcomes:
         # on a periodic grid the bump reaches the edges, whose ghosts then move
         w = bump(grid.centers_interior / (2.5 if bc == "periodic" else 1.0))
         sim.fields.set("rho", 1.0 + 0.5 * w)
-        rows = [0, *sim.layout.velocity]
+        rows = [0, *range(sim.layout.velocity.start, sim.layout.velocity.stop)]
         sim.fields.data[rows[1], grid.interior] = 0.2 * w
         before = sim.fields.interior()[rows]
         calls.clear()
@@ -698,7 +698,7 @@ class TestStepPlans:
         w = bump(grid.radii / 0.6)
         sim.fields.set("rho", 1.0 + 0.2 * w)
         sim.fields.data[1, grid.interior] = 0.1 * w * grid.arms
-        for f in sim.layout.stress:
+        for f in range(sim.layout.stress.start, sim.layout.stress.stop):
             sim.fields.data[f, grid.interior] += 0.02 * f * w
         if system == "shear":
             sim.fields.set("v2", 0.05 * w)

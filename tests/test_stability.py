@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from viscoflow.materials import MaterialLaw, ReferenceState
+from viscoflow.materials import BulkState, MaterialLaw, ReferenceState, ShearState
+from viscoflow.quasilinear import (assemble_bulk, assemble_shear, bulk_signal_speed,
+                                   shear_signal_speeds)
 from viscoflow.stability import (Background, FitError, bulk_dispersion,
                                  equilibrium_background, fit_complex_exponential,
                                  hurwitz_deltas, poly_roots, polynomial_verdict,
@@ -182,8 +184,8 @@ class TestShearFactors:
 
     def test_acoustic_cubic_unit_coefficients(self):
         disp = shear_dispersion(unit_background(), (1, 0, 0))
-        # 3 zeta + 4 eta + cs^2 rho tau = 8
-        assert np.allclose(disp["acoustic"], [1.0, 1.0, 8.0, 1.0])
+        # zeta + 4 eta/3 + cs^2 rho tau = 10/3
+        assert np.allclose(disp["acoustic"], [1.0, 1.0, 10.0 / 3.0, 1.0])
         verdict = polynomial_verdict(disp["acoustic"])
         assert verdict.stable
         assert verdict.max_real_part < 0.0
@@ -203,10 +205,56 @@ class TestShearFactors:
         assert not verdicts["transverse"].stable
 
     def test_strongly_negative_zeta_unstable(self):
-        # the acoustic factor destabilizes once 3 zeta + 4 eta < 0
+        # the acoustic factor destabilizes once zeta + 4 eta/3 < 0
         disp = shear_dispersion(unit_background(zeta=-2.0), (1, 0, 0))
         verdicts = {n: polynomial_verdict(p) for n, p in disp.items()}
         assert not verdicts["acoustic"].stable
+
+
+class TestFactorsAreTheLinearisedSystem:
+    """The dispersion factors against the linearised system that
+    `quasilinear.assemble_*` builds: a mode exp(i k x + x t) of
+    a0 Phi_t + a1 Phi_x + b Phi = 0 has x an eigenvalue of -a0^-1 (i k a1 + b)."""
+
+    @staticmethod
+    def eigenvalues(system, k):
+        return np.linalg.eigvals(-np.linalg.solve(system.a0, 1j * k * system.a1 + system.b))
+
+    def test_roots_are_the_eigenvalues_of_the_assembled_system(self, rng):
+        for _ in range(300):
+            rho, A, zeta, eta, tau = np.exp(rng.uniform(np.log(0.03), np.log(30.0), 5))
+            gamma, k = rng.uniform(1.1, 3.0), rng.uniform(0.1, 10.0)
+            law = MaterialLaw(A=A, gamma=gamma, zeta=zeta, eta=eta, tau=tau)
+            bg = equilibrium_background(law, ReferenceState(rho_bar=rho, R=1.0))
+            factors = shear_dispersion(bg, (k, 0.0, 0.0))
+            cases = [
+                (assemble_bulk(BulkState(rho), law),
+                 # the transverse velocities v2, v3 are neutral
+                 [poly_roots(bulk_dispersion(bg, (k, 0.0, 0.0))), [0.0, 0.0]]),
+                (assemble_shear(ShearState(rho), law),
+                 [poly_roots(factors["relaxation"]).repeat(3),
+                  poly_roots(factors["transverse"]).repeat(2), poly_roots(factors["acoustic"])]),
+            ]
+            for system, roots in cases:
+                eigs = list(self.eigenvalues(system, k))
+                scale = max(np.abs(eigs))
+                for root in np.concatenate(roots):
+                    nearest = int(np.argmin(np.abs(np.array(eigs) - root)))
+                    assert abs(eigs.pop(nearest) - root) <= 1e-9 * scale, (rho, A, gamma, zeta,
+                                                                          eta, tau, k)
+
+    def test_branches_tend_to_their_characteristic_speeds(self):
+        bg = unit_background(rho0=1.3, cs=0.7, zeta=0.9, eta=0.4, tau=2.5)
+        k = 1e4
+        factors = shear_dispersion(bg, (k, 0.0, 0.0))
+        cs2, rho = bg.cs**2, bg.rho0
+        expected = {"bulk": bulk_signal_speed(cs2, bg.zeta, rho, bg.tau),
+                    "transverse": shear_signal_speeds(cs2, bg.zeta, bg.eta, rho, bg.tau)[0],
+                    "acoustic": shear_signal_speeds(cs2, bg.zeta, bg.eta, rho, bg.tau)[1]}
+        polys = {"bulk": bulk_dispersion(bg, (k, 0.0, 0.0)), **factors}
+        for name, speed in expected.items():
+            top = max(poly_roots(polys[name]).imag)
+            assert top / k == pytest.approx(speed, rel=1e-6), name
 
 
 class TestHurwitzDeltas:
@@ -256,9 +304,10 @@ class TestRingDownFit:
 
 @pytest.mark.slow
 class TestVerifyAgainstSimulation:
-    def test_bulk_ring_down_matches_cubic_roots(self):
-        rec = verify_against_simulation(unit_background(), k=1.0, system="bulk",
-                                        cells_per_wavelength=256)
+    @pytest.mark.parametrize("tau,cells", [(1.0, 256), (0.5, 128), (2.0, 128)])
+    def test_bulk_ring_down_matches_cubic_roots(self, tau, cells):
+        rec = verify_against_simulation(unit_background(tau=tau), k=1.0, system="bulk",
+                                        cells_per_wavelength=cells)
         assert rec.passed
         assert rec.decay_error <= 0.02 and rec.frequency_error <= 0.02
 
