@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__, diagnostics, solver, stability
 from .config import ConfigError, ScenarioConfig, apply_overrides, format_config, \
     material_law, parse_config, reference_state, symmetry_center
-from .materials import BulkState, ShearState
+from .materials import LAYOUTS, BulkState, ShearState
 from .quasilinear import assemble_bulk, assemble_shear, \
     characteristic_speeds_bulk_closed, characteristic_speeds_shear_closed, \
     characteristic_speeds_numeric, reference_signal_speed
@@ -210,10 +210,15 @@ def _branch_roots(system: str, bg: stability.Background, k: float) -> np.ndarray
     return roots[order]
 
 
-def _write_snapshot(path: Path, sim: solver.Simulation) -> None:
-    header = ("t", "cell_center") + tuple(sim.fields.names)
+def _write_snapshot(path: Path, sim: solver.Simulation, names: tuple[str, ...]) -> None:
+    """The fields `names` at sim.t, one row per cell; a field the simulation
+    does not store (a transverse one of a longitudinal shear run, which stays
+    zero) is a column of 0.0."""
+    zero = np.zeros(sim.grid.n_cells)
+    stored = dict(zip(sim.fields.names, sim.fields.interior()))
     t = np.full(sim.grid.n_cells, sim.t)
-    _write_csv(path, header, (t, sim.grid.centers_interior, *sim.fields.interior()))
+    _write_csv(path, ("t", "cell_center") + names,
+               (t, sim.grid.centers_interior, *(stored.get(n, zero) for n in names)))
 
 
 def cmd_simulate(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int, list[str]]:
@@ -252,7 +257,7 @@ def cmd_simulate(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int, 
                 break
         if out_dir is not None and t_stop in snaps:
             path = out_dir / f"snapshot_{len(outputs):03d}.csv"
-            _write_snapshot(path, sim)
+            _write_snapshot(path, sim, LAYOUTS[cfg.system].names)
             outputs.append(path.name)
 
     series_columns = [getattr(full_series, name) for name in full_series.COLUMNS]

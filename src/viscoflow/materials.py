@@ -109,15 +109,21 @@ def stress_invariants(stress):
     """The invariants (pi, pi2) of a stress from its stored components.
 
     `stress` holds the components along its first axis: the bulk scalar Pi
-    alone, whose stress Pi delta_ij has pi = Pi and pi2 = 3 Pi^2, or the six
-    Pi11, Pi12, Pi13, Pi22, Pi23, Pi33 in `SYM_INDEX` order, each counted
-    with its symmetric partner in pi2 = Pi_ij Pi_ij. A component is a float
-    or a row of cells (the stress rows of the solver fields, say), and pi and
-    pi2 take its shape.
+    alone, whose stress Pi delta_ij has pi = Pi and pi2 = 3 Pi^2; the normal
+    Pi11, Pi22, Pi33 of a diagonal stress; or the six Pi11, Pi12, Pi13,
+    Pi22, Pi23, Pi33 in `SYM_INDEX` order, each counted with its symmetric
+    partner in pi2 = Pi_ij Pi_ij. A diagonal stress gives the bits of its
+    six components: the off-diagonal squares add 2.0 * (+0.0) to a sum of
+    squares, which leaves it as it is. A component is a float or a row of
+    cells (the stress rows of the solver fields, say), and pi and pi2 take
+    its shape.
     """
     if len(stress) == 1:
         pi = stress[0]
         return pi, 3.0 * pi * pi
+    if len(stress) == 3:
+        p11, p22, p33 = stress
+        return (p11 + p22 + p33) / 3.0, p11**2 + p22**2 + p33**2
     p11, p12, p13, p22, p23, p33 = stress
     return (p11 + p22 + p33) / 3.0, p11**2 + p22**2 + p33**2 + 2.0 * (p12**2 + p13**2 + p23**2)
 
@@ -198,6 +204,16 @@ class FieldLayout:
     x-derivative drives it. `normal` holds the diagonal stress rows, whose
     sum is the trace. `parity` is the sign each row takes under the mirror
     x -> -x.
+
+    `LAYOUTS` names one layout per evolved system: "bulk" (rho, u, Pi),
+    "shear" (rho, v1, v2, v3 and the six stresses) and "shear_longitudinal"
+    (rho, v1, Pi11, Pi22, Pi33). The last is the shear system on planar data
+    that is even under y -> -y and z -> -z, for which v2, v3, Pi12, Pi13 and
+    Pi23 stay zero for all time: every step gives its rows the bits the
+    10-row layout gives them, at half the rows. A shear config's data (the
+    bump family seeds rho, v1 and the normal stresses) is such data, so
+    `solver.init_scenario` evolves it in this layout; data with transverse
+    motion needs "shear".
     """
 
     names: tuple[str, ...]
@@ -234,6 +250,10 @@ LAYOUTS = {
         # v1 and the stresses Pi_1j with exactly one index 1 flip sign
         parity=(1.0, -1.0, 1.0, 1.0) + tuple(-1.0 if (i == 0) != (j == 0) else 1.0
                                              for i, j in SYM_INDEX)),
+    # the rows that stay nonzero on data without transverse motion (see above)
+    "shear_longitudinal": FieldLayout(
+        names=("rho", "v1", "Pi11", "Pi22", "Pi33"), velocity=slice(1, 2), stress=slice(2, 5),
+        drive=slice(2, 3), normal=(2, 3, 4), parity=(1.0, -1.0, 1.0, 1.0, 1.0)),
 }
 
 

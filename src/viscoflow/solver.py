@@ -1,5 +1,6 @@
 """Finite-volume method-of-lines evolution of the 3-field (bulk) and 10-field
-(shear) systems in planar and spherically symmetric one-dimensional geometry.
+(shear) systems in planar and spherically symmetric one-dimensional geometry,
+the shear system in 5 rows where its data has no transverse motion.
 
 Scheme: MUSCL reconstruction with a minmod limiter and local Lax-Friedrichs
 (Rusanov) dissipation built from the fastest local characteristic speed.
@@ -12,10 +13,14 @@ source is integrated by Strang splitting with an exact exponential update
 toward the local Navier-Stokes value, stable for arbitrarily small
 relaxation time. Time integration is SSP-RK2 (SSP-RK3 optional).
 
-Cost of a step. A step works on its active window only (`_window`): the
-span of the interior cells that differ, bit for bit, from the reference
-state, widened by the cells one step can carry a difference and clipped to
-the interior. Each of a step's four stencil passes (the velocity gradients
+Cost of a step. A shear config runs in the 5-row longitudinal layout
+(`materials.LAYOUTS`), since its data has no transverse motion: every pass,
+buffer and check of a step covers half the rows of the 10-row layout and
+gives those rows the same bits (`_relax` writes the off-diagonal stresses
+only where the layout stores them). A step works on its active window only
+(`_window`): the span of the interior cells that differ, bit for bit, from
+the reference state, widened by the cells one step can carry a difference
+and clipped to the interior. Each of a step's four stencil passes (the velocity gradients
 of two relaxations, the right-hand sides of two SSP stages) changes a cell
 only if it or a neighbour differs, since a minmod slope vanishes beside two
 equal cells, so that reach is four cells. Where the reference state is a
@@ -421,7 +426,9 @@ class Simulation:
                  integrator: str = "ssprk2",
                  tolerances: dict[str, float] | None = None):
         tolerances = tolerances or {}
-        problems = run_problems(system, grid.geometry, integrator, cfl, tolerances)
+        # the longitudinal layout evolves the shear system: its rules apply
+        problems = run_problems("shear" if system == "shear_longitudinal" else system,
+                                grid.geometry, integrator, cfl, tolerances)
         if problems:
             raise ValueError(problems[0])
         self.tolerances = default_tolerances() | tolerances
@@ -627,16 +634,18 @@ def _relax(sim: Simulation, delta: float, cols: slice, carried: bool) -> None:
     if sim.system == "bulk":
         np.multiply(grads[0], -zeta, out=eq[0])
     else:
-        # Pi11, Pi12, Pi13, Pi22, Pi23, Pi33
+        # Pi11, Pi12, Pi13, Pi22, Pi23, Pi33, or Pi11, Pi22, Pi33 alone
         dv1 = grads[0]
         trace_part = (zeta - 2.0 * eta / 3.0) * dv1
         np.multiply(2.0 * eta, dv1, out=eq[0])
         eq[0] += trace_part
         np.negative(eq[0], out=eq[0])
-        np.multiply(grads[1:3], -eta, out=eq[1:3])
-        np.negative(trace_part, out=eq[3])
-        eq[4] = 0.0
-        eq[5] = eq[3]
+        p22, p33 = (f - sim.layout.stress.start for f in sim.layout.normal[1:])
+        np.negative(trace_part, out=eq[p22])
+        eq[p33] = eq[p22]
+        if len(eq) == 6:  # the off-diagonal rows
+            np.multiply(grads[1:3], -eta, out=eq[1:3])
+            eq[4] = 0.0
     cur = p.stress
     cur -= eq
     cur *= factor
@@ -902,17 +911,19 @@ def init_scenario(cfg: ScenarioConfig) -> Simulation:
     bump of amplitude a, an outward velocity bump b * (r/R) * w(r/R) (the
     odd radial factor keeps the velocity field differentiable at the
     origin), and a stress bump of amplitude c (isotropic for the 10-field
-    system). If b_from_f0 is set, b is rescaled so the grid quadrature of
-    the initial weighted momentum F(0) equals it exactly (F(0) is linear in
-    b); a bump that covers no cell centre has F(0) = 0 for every b, which
-    raises ConfigError, as do initial fields that are not finite (a b that
-    overflows, say). The initial report (max rho0, dM(0), F(0), G(0)) is
-    stored on the simulation.
+    system). A shear config runs in the "shear_longitudinal" layout, the
+    rows its data moves (see `materials.FieldLayout`). If b_from_f0 is set,
+    b is rescaled so the grid quadrature of the initial weighted momentum
+    F(0) equals it exactly (F(0) is linear in b); a bump that covers no cell
+    centre has F(0) = 0 for every b, which raises ConfigError, as do initial
+    fields that are not finite (a b that overflows, say). The initial report
+    (max rho0, dM(0), F(0), G(0)) is stored on the simulation.
     """
     law = material_law(cfg)
     ref = reference_state(cfg)
     grid = Grid1D(cfg.geometry, cfg.n_cells, cfg.x_min, cfg.x_max, bc=cfg.bc)
-    sim = Simulation.uniform(grid, cfg.system, law, ref, cfl=cfg.cfl,
+    system = "shear_longitudinal" if cfg.system == "shear" else cfg.system
+    sim = Simulation.uniform(grid, system, law, ref, cfl=cfg.cfl,
                              integrator=cfg.integrator, tolerances=cfg.tolerances)
     b = cfg.b
     if cfg.b_from_f0 is not None:

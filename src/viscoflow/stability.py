@@ -172,12 +172,21 @@ def poly_roots(poly):
 
 
 def polynomial_verdict(poly) -> StabilityVerdict:
-    """Stability of one factor judged by its deltas, cross-checked by roots."""
+    """Stability of one factor, judged by its Hurwitz deltas and the sign of
+    its second coefficient; a factor whose largest real part of a root lies
+    within MARGINAL_BAND of zero is marginal, never stable. The roots check a
+    stable verdict: beside a polished root with Re x > MARGINAL_BAND it
+    raises ValueError naming that root, since the verdict or the roots must
+    then be wrong."""
     roots = poly_roots(poly)
     max_re = float(np.max(roots.real)) if roots.size else -np.inf
     deltas = hurwitz_deltas(poly)
     stable = all(d > 0.0 for d in deltas) and _second_coefficient_positive(poly)
     marginal = bool(abs(max_re) <= MARGINAL_BAND)
+    if stable and max_re > MARGINAL_BAND:
+        x = roots[np.argmax(roots.real)]
+        raise ValueError(f"the Hurwitz verdict is stable, but the root {x.real:+.12g} "
+                         f"{x.imag:+.12g}i lies in the right half plane")
     if marginal:
         stable = False
     return StabilityVerdict(deltas, stable, roots, max_re, marginal)

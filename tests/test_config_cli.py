@@ -12,6 +12,7 @@ from viscoflow.cli import main
 from viscoflow.config import (ConfigError, ScenarioConfig, apply_overrides,
                               default_tolerances, format_config, material_law,
                               parse_config)
+from viscoflow.materials import LAYOUTS
 
 MINIMAL = """
 [scenario]
@@ -262,6 +263,18 @@ class TestCli:
         cp = run_cli("stability", "--config", str(path), "--k=1")
         assert (cp.returncode, cp.stdout, cp.stderr) == (0, STABILITY_K1[system], "")
 
+    def test_stability_refuses_a_verdict_its_roots_contradict(self, run_cli, tmp_path):
+        # at tau = 1e-100 the roots span 100 decades: the companion matrix
+        # loses the acoustic pair and its Newton step lands on +1, beside a
+        # Hurwitz-stable cubic. A root finder that resolves them would make
+        # this run print "stable" with the pair -0.5 +- 1.3229i.
+        path = tmp_path / "tau.cfg"
+        path.write_text("[scenario]\nsystem = bulk\n[material]\ntau = 1e-100\n",
+                        encoding="utf-8")
+        cp = run_cli("stability", "--config", str(path))
+        assert (cp.returncode, cp.stdout) == (4, "")
+        assert "the root +1 +0i lies in the right half plane" in cp.stderr
+
     def test_large_wavenumbers_reach_the_asymptotic_roots(self, run_cli, tmp_path):
         # default bulk config (cs^2 = 2, zeta = tau = rho = 1): as k grows the
         # cubic's roots tend to -2/3 and -1/6 +- sqrt(3) k i, whose p(x) overflows
@@ -371,6 +384,33 @@ class TestCli:
         record = (out / "run_record.txt").read_text()
         assert "status     = ok" in record
         assert "[scenario]" in record  # resolved config echo
+
+    def test_shear_snapshot_keeps_the_transverse_columns(self, run_cli, tmp_path):
+        # the run stores the five longitudinal rows; the snapshot writes all
+        # ten shear fields, with 0.0 for the transverse ones
+        path = tmp_path / "shear.cfg"
+        path.write_text("[scenario]\nsystem = shear\n[profile]\na = 0.01\nb = 0.02\n"
+                        "c = 0.01\n[grid]\nn_cells = 64\nx_min = -4.0\n[run]\nt_end = 0.05\n"
+                        "snapshot_times = 0.0, 0.05\n[tolerances]\nfront_tol = 1e-6\n",
+                        encoding="utf-8")
+        cp = run_cli("simulate", "--config", str(path), "--out", str(tmp_path / "run"))
+        assert cp.returncode == 0, cp.stdout + cp.stderr
+        transverse = ("v2", "v3", "Pi12", "Pi13", "Pi23")
+        for snap in sorted((tmp_path / "run").glob("snapshot_*.csv")):
+            header, *rows = snap.read_text(encoding="utf-8").splitlines()
+            names = header.split(",")
+            assert names == ["t", "cell_center", *LAYOUTS["shear"].names]
+            assert len(rows) == 64
+            columns = dict(zip(names, zip(*(row.split(",") for row in rows))))
+            assert all(set(columns[n]) == {"0.0"} for n in transverse)
+            assert set(columns["Pi11"]) != {"0.0"}
+        sim = solver.init_scenario(parse_config(path.read_text(encoding="utf-8")))
+        assert sim.system == "shear_longitudinal" and sim.fields.data.shape[0] == 5
+        with pytest.raises(KeyError):
+            sim.fields.get("v2")
+        uniform = solver.Simulation.uniform(sim.grid, "shear", sim.law, sim.reference)
+        assert uniform.fields.names == LAYOUTS["shear"].names
+        assert uniform.fields.data.shape[0] == 10
 
     def test_simulate_diagnostics_streams_the_series(self, run_cli, config_path, tmp_path):
         out = tmp_path / "run"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from viscoflow import stability
 from viscoflow.materials import BulkState, MaterialLaw, ReferenceState, ShearState
 from viscoflow.quasilinear import (assemble_bulk, assemble_shear, bulk_signal_speed,
                                    shear_signal_speeds)
@@ -60,6 +61,19 @@ class TestRouthHurwitz:
         verdict = polynomial_verdict(bulk_dispersion(unit_background(), (1, 0, 0)))
         assert verdict.deltas == pytest.approx((1.0, 1.0, 1.0))
         assert verdict.stable
+
+    def test_stable_deltas_beside_a_right_half_plane_root_raise(self, monkeypatch):
+        # the verdict checks its roots: a Hurwitz-stable factor whose roots
+        # cross the axis means one of the two is wrong
+        poly = bulk_dispersion(unit_background(), (1, 0, 0))
+        roots = stability.poly_roots(poly)
+        monkeypatch.setattr(stability, "poly_roots", lambda p: roots + 1.0)
+        with pytest.raises(ValueError, match=r"root \+0\.7849\d+ -1\.3071\d+i lies in the right"):
+            polynomial_verdict(poly)
+        # a root within the marginal band is marginal, as before
+        monkeypatch.setattr(stability, "poly_roots", lambda p: roots - roots.real.max() + 1e-10)
+        verdict = polynomial_verdict(poly)
+        assert verdict.marginal and not verdict.stable
 
     def test_negative_bulk_viscosity_unstable(self):
         problem = bulk_dispersion(unit_background(zeta=-1.0), (1, 0, 0))
