@@ -7,8 +7,13 @@ detected by `simulate` (a successful detection, distinct from a crash),
 
 All CSV output uses the shortest round-trip decimal form of each value, so
 identical configurations yield bit-identical files on one platform. Each
-value is formatted once per distinct bit pattern of its column; the bytes
-are those of formatting every value.
+value is formatted once per distinct column per run: `repr` runs once per
+distinct bit pattern of a column, once for a constant column, and not at
+all for a column whose bits repeat those of an earlier column of the file
+(Pi33 beside Pi22 in a shear snapshot) or the cell centres of an earlier
+snapshot of the same `simulate`, which takes the words already made. The
+bytes are those of formatting every value, and no formatted word outlives
+its command.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +38,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BREAKDOWN = 3
 EXIT_NUMERICAL = 4
+CSV_CHUNK_ROWS = 256
 
 
 def _run_record(subcommand: str, exit_code: int, outputs: list[str], wall_time: float,
@@ -57,8 +64,11 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _words(col) -> list[str]:
-    """`repr` of each float of `col`, called once per distinct bit pattern.
+def _words(col, done: list) -> list[str]:
+    """`repr` of each float of `col`, called once per distinct bit pattern,
+    and once for a constant column. `done` holds (int64 bits, words) pairs of
+    the columns formatted before: a column with the bits of one of them takes
+    its words, and any other adds its own pair.
 
     The int64 view keeps -0.0 apart from 0.0 and each NaN payload apart, and
     `repr` of a float depends only on its bits, so the words are unchanged.
@@ -66,26 +76,39 @@ def _words(col) -> list[str]:
     sorted runs of a snapshot it is faster, and it pages in less sort code.
     """
     bits = np.asarray(col, dtype=float).view(np.int64)
-    order = np.argsort(bits, kind="stable")
-    ordered = bits[order]
-    first = np.ones(len(bits), dtype=bool)  # first of its value in sorted order
-    first[1:] = ordered[1:] != ordered[:-1]
-    inverse = np.empty(len(bits), dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    words = [repr(x) for x in ordered[first].view(float).tolist()]
-    return [words[i] for i in inverse.tolist()]
+    for seen, words in done:
+        if np.array_equal(seen, bits):
+            return words
+    if bits.size and (bits == bits[0]).all():
+        words = [repr(bits[:1].view(float).tolist()[0])] * len(bits)
+    else:
+        order = np.argsort(bits, kind="stable")
+        ordered = bits[order]
+        first = np.ones(len(bits), dtype=bool)  # first of its value in sorted order
+        first[1:] = ordered[1:] != ordered[:-1]
+        inverse = np.empty(len(bits), dtype=np.intp)
+        inverse[order] = np.cumsum(first) - 1
+        distinct = [repr(x) for x in ordered[first].view(float).tolist()]
+        words = [distinct[i] for i in inverse.tolist()]
+    done.append((bits, words))
+    return words
 
 
-def _csv_lines(header, columns):
-    """CSV lines of `header` and equal-length `columns`, each value a float."""
+def _csv_lines(header, columns, known=()):
+    """CSV lines of `header` and equal-length `columns`, each value a float,
+    yielded CSV_CHUNK_ROWS rows at a time (one write each, not one a row);
+    a column takes the words of an earlier one, or of a `_words` pair in
+    `known`, with its bits."""
+    done = list(known)
     yield ",".join(header) + "\n"
-    for row in zip(*map(_words, columns)):
-        yield ",".join(row) + "\n"
+    rows = map(",".join, zip(*(_words(col, done) for col in columns)))
+    for chunk in iter(lambda: list(islice(rows, CSV_CHUNK_ROWS)), []):
+        yield "\n".join(chunk) + "\n"
 
 
-def _write_csv(path: Path, header, columns) -> None:
+def _write_csv(path: Path, header, columns, known=()) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_csv_lines(header, columns))
+        fh.writelines(_csv_lines(header, columns, known))
 
 
 def _background(cfg: ScenarioConfig) -> stability.Background:
@@ -203,22 +226,31 @@ def _dispersion(system: str, bg: stability.Background, k: float) -> dict[str, np
 
 
 def _branch_roots(system: str, bg: stability.Background, k: float) -> np.ndarray:
-    """Every branch's root at |k| = k, sorted: the relaxation root counts 3 times."""
-    roots = np.concatenate([np.repeat(stability.poly_roots(p), 3 if name == "relaxation" else 1)
-                            for name, p in _dispersion(system, bg, k).items()])
+    """Every branch's root at |k| = k, sorted: the relaxation root counts 3 times.
+    Roots that contradict their factor's verdict raise ValueError, as in
+    `stability` (see `stability.polynomial_verdict`)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # deltas of huge coefficients
+        roots = np.concatenate([
+            np.repeat(stability.polynomial_verdict(p).roots, 3 if name == "relaxation" else 1)
+            for name, p in _dispersion(system, bg, k).items()])
     order = np.lexsort((roots.imag, roots.real))
     return roots[order]
 
 
-def _write_snapshot(path: Path, sim: solver.Simulation, names: tuple[str, ...]) -> None:
+def _write_snapshot(path: Path, sim: solver.Simulation, names: tuple[str, ...],
+                    centres: list) -> None:
     """The fields `names` at sim.t, one row per cell; a field the simulation
     does not store (a transverse one of a longitudinal shear run, which stays
-    zero) is a column of 0.0."""
+    zero) is a column of 0.0. The cell centres are the same in every
+    snapshot of a run: the first one formats them into `centres`, a list
+    the run keeps, and the later ones take their words from it."""
     zero = np.zeros(sim.grid.n_cells)
     stored = dict(zip(sim.fields.names, sim.fields.interior()))
     t = np.full(sim.grid.n_cells, sim.t)
+    if not centres:
+        _words(sim.grid.centers_interior, centres)
     _write_csv(path, ("t", "cell_center") + names,
-               (t, sim.grid.centers_interior, *(stored.get(n, zero) for n in names)))
+               (t, sim.grid.centers_interior, *(stored.get(n, zero) for n in names)), centres)
 
 
 def cmd_simulate(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int, list[str]]:
@@ -243,6 +275,7 @@ def cmd_simulate(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int, 
     sim = solver.init_scenario(cfg)
     outputs: list[str] = []
     snaps = {t for t in cfg.snapshot_times if t <= cfg.t_end}
+    centres: list = []  # the cell centres' words, made by the first snapshot
     print(f"initial report: max_rho0={_fmt(sim.initial.max_rho0)} "
           f"dM0={_fmt(sim.initial.dm0)} F0={_fmt(sim.initial.f0)} G0={_fmt(sim.initial.g0)}")
 
@@ -257,7 +290,7 @@ def cmd_simulate(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int, 
                 break
         if out_dir is not None and t_stop in snaps:
             path = out_dir / f"snapshot_{len(outputs):03d}.csv"
-            _write_snapshot(path, sim, LAYOUTS[cfg.system].names)
+            _write_snapshot(path, sim, LAYOUTS[cfg.system].names, centres)
             outputs.append(path.name)
 
     series_columns = [getattr(full_series, name) for name in full_series.COLUMNS]

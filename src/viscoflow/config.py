@@ -107,7 +107,7 @@ _SCHEMA: dict[str, dict[str, type]] = {
 
 def _parse_law_spec(spec: str):
     """A coefficient from its config string: a float for a constant, a
-    function of (rho, pi, pi2) for powerlaw:c,p."""
+    function of rho alone for powerlaw:c,p."""
     spec = spec.strip()
     if spec.startswith("powerlaw:"):
         parts = spec[len("powerlaw:"):].split(",")
@@ -116,7 +116,7 @@ def _parse_law_spec(spec: str):
         coeff, expo = float(parts[0]), float(parts[1])
         if coeff <= 0.0:
             raise ValueError("powerlaw coefficient must be positive")
-        return lambda rho, pi=0.0, pi2=0.0, _c=coeff, _p=expo: _c * rho**_p
+        return lambda rho: coeff * rho**expo
     return float(spec)
 
 

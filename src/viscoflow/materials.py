@@ -6,8 +6,9 @@ law P = A * rho**gamma with A > 0 and gamma > 1; transport coefficients
 positive constants or functions of the rotational invariants of the state:
 the density rho, the normalized stress trace pi = Pi_ii / 3, and the full
 contraction pi2 = Pi_ij Pi_ij. `MaterialLaw` holds a constant as a float and
-a function as the callable fn(rho, pi, pi2) itself; a function accepts
-scalars and numpy arrays alike and returns strictly positive, finite values.
+a function as the callable itself, fn(rho) or fn(rho, pi, pi2); a function
+accepts scalars and numpy arrays alike and returns strictly positive, finite
+values.
 
 Each fact of a fluid state is stated here once, and the solver, the
 reference evaluation and the analyses read it from here: the squared sound
@@ -18,6 +19,8 @@ speed (`sound_speed2`), the invariants (pi, pi2) of a stored stress
 
 from __future__ import annotations
 
+import inspect
+import types
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -49,10 +52,16 @@ class MaterialLaw:
     """Equation of state P = A rho**gamma plus transport-coefficient laws.
 
     Each of zeta, eta and tau is a positive finite constant, stored as a
-    float, or a law: the caller's callable fn(rho, pi, pi2), kept as given.
-    A law must accept scalars and numpy arrays alike and return strictly
-    positive, finite values on every admissible state; `eval_transport`
-    checks each value it returns.
+    float, or a law: the caller's callable, kept as given, in one of two
+    forms. fn(rho, pi, pi2) receives the stress invariants. fn(rho), a
+    callable that cannot take three positional arguments, reads the density
+    alone, and the solver forms no invariants for a law whose functions all
+    take that form (the config's powerlaw:c,p does). The form is told apart
+    once, here, from the callable's signature, and `stress_readers` names the
+    coefficients of the first form; a callable whose signature cannot be read
+    is taken to be fn(rho, pi, pi2). A law must accept scalars and numpy
+    arrays alike and return strictly positive, finite values on every
+    admissible state; `eval_transport` checks each value it returns.
     """
 
     A: float
@@ -73,10 +82,31 @@ class MaterialLaw:
                 if not (np.isfinite(value) and value > 0.0):
                     raise MaterialLawError(f"constant coefficient must be positive, got {value}")
                 object.__setattr__(self, name, value)
+        object.__setattr__(self, "stress_readers", frozenset(
+            name for name in ("zeta", "eta", "tau")
+            if callable(getattr(self, name)) and _reads_stress(getattr(self, name))))
 
     @cached_property
     def has_constant_transport(self) -> bool:
         return not any(map(callable, (self.zeta, self.eta, self.tau)))
+
+
+def _reads_stress(fn: Callable) -> bool:
+    """Whether a law is fn(rho, pi, pi2): whether it takes three positional
+    arguments, or has no signature to read. Else it is fn(rho). A plain
+    function's code object tells in well under a microsecond, where
+    `inspect.signature` takes about 15 us, and a run's set-up builds its law
+    twice."""
+    if type(fn) is types.FunctionType and not hasattr(fn, "__wrapped__"):
+        code = fn.__code__
+        return code.co_argcount >= 3 or bool(code.co_flags & inspect.CO_VARARGS)
+    try:
+        inspect.signature(fn).bind(0.0, 0.0, 0.0)
+    except TypeError:  # fn(rho)
+        return False
+    except ValueError:  # no signature to read
+        pass
+    return True
 
 
 def pressure(law: MaterialLaw, rho):
@@ -133,8 +163,10 @@ def eval_transport(law: MaterialLaw, rho, pi=0.0, pi2=0.0):
 
     A constant coefficient gives its float whatever the shape of the state:
     it was checked when the law was built, and it broadcasts against any
-    array. A law's value is checked to be strictly positive and finite; a
-    violation raises MaterialLawError naming the offending coefficient.
+    array. A law of rho alone is called with rho, one of the stress with
+    (rho, pi, pi2). A law's value is checked to be strictly positive and
+    finite; a violation raises MaterialLawError naming the offending
+    coefficient, its first offending point and the rho and pi given there.
     """
     out = []
     for name in ("zeta", "eta", "tau"):
@@ -142,11 +174,12 @@ def eval_transport(law: MaterialLaw, rho, pi=0.0, pi2=0.0):
         if not callable(coeff):
             out.append(coeff)
             continue
-        val = coeff(rho, pi, pi2)
-        arr = np.asarray(val, dtype=float)
-        bad = ~(np.isfinite(arr) & (arr > 0.0))
-        if np.any(bad):
+        arr = np.asarray(coeff(rho, pi, pi2) if name in law.stress_readers else coeff(rho),
+                         dtype=float)
+        # min() is NaN when any value is, so a NaN fails the first test
+        if not (arr.size == 0 or arr.min() > 0.0 and arr.max() < np.inf):
             # report the first offending point, never whole arrays
+            bad = ~(np.isfinite(arr) & (arr > 0.0))
             bad, val, r, p = np.broadcast_arrays(bad, arr, rho, pi)
             i = int(np.argmax(bad))
             where = f" at index {i}" if bad.ndim else ""

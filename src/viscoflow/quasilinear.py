@@ -85,10 +85,10 @@ def bulk_signal_speed(cs2, zeta, rho, tau):
 
 
 def shear_signal_speeds(cs2, zeta, eta, rho, tau):
-    """(transverse, fast) speeds: sqrt(eta/(rho tau)), sqrt(cs^2 + (zeta + 4 eta/3)/(rho tau))."""
-    slow = np.sqrt(eta / (rho * tau))
-    fast = np.sqrt(cs2 + (zeta + 4.0 * eta / 3.0) / (rho * tau))
-    return slow, fast
+    """Fast characteristic speed of the shear system, sqrt(cs^2 + (zeta + 4 eta/3)/(rho tau)),
+    the one the solver and the front read. The transverse speed
+    sqrt(eta/(rho tau)) is formed by `characteristic_speeds_shear_closed`."""
+    return np.sqrt(cs2 + (zeta + 4.0 * eta / 3.0) / (rho * tau))
 
 
 def reference_signal_speed(law: MaterialLaw, system: str, reference: ReferenceState) -> float:
@@ -103,7 +103,7 @@ def reference_signal_speed(law: MaterialLaw, system: str, reference: ReferenceSt
     cs2 = sound_speed2(law, rho)
     if system == "bulk":
         return float(bulk_signal_speed(cs2, zeta, rho, tau))
-    return float(shear_signal_speeds(cs2, zeta, eta, rho, tau)[1])
+    return float(shear_signal_speeds(cs2, zeta, eta, rho, tau))
 
 
 def _coefficients(state: BulkState | ShearState, law: MaterialLaw):
@@ -218,7 +218,8 @@ def characteristic_speeds_shear_closed(state: ShearState, law: MaterialLaw, dire
     cs, zeta, eta, tau = _coefficients(state, law)
     n = _unit(direction)
     vn = float(np.dot(state.v, n))
-    slow, fast = shear_signal_speeds(cs * cs, zeta, eta, state.rho, tau)
+    slow = np.sqrt(eta / (state.rho * tau))
+    fast = shear_signal_speeds(cs * cs, zeta, eta, state.rho, tau)
     return np.sort(np.array([vn - fast, vn - slow, vn, vn + slow, vn + fast]))
 
 

@@ -40,8 +40,11 @@ plus one cell on either side) -- five evaluations per SSP-RK2 step. A
 constant coefficient costs no per-cell work: `eval_transport` gives its
 float, with no positivity check (it passed one when the law was built), and
 the float enters the arithmetic directly, with the same bits as a per-cell
-array of it. A law whose three coefficients are constant
-(`MaterialLaw.has_constant_transport`) also skips the stress invariants. The
+array of it. The stress invariants are formed only for a law with a
+coefficient of the form fn(rho, pi, pi2) (`MaterialLaw.stress_readers`): a
+law of constants and functions of rho alone (every law a config can name)
+skips them, and the check of a law's values is one min and one max over the
+cells unless it fails. The signal speed is the fast one alone. The
 field rows of each group (velocities, driving stresses, stresses) are
 contiguous and are updated as one block. The fields are the one array a
 step's passes read and write: the SSP update runs in Shu-Osher form, each
@@ -527,19 +530,21 @@ def _reconstruct(f: _Faces) -> None:
 
 def _transport(sim: Simulation, cells: slice):
     """(zeta, eta, tau) on the padded cells `cells` of the fields; the law's
-    floats when it is constant. A law violation is reported at its interior
-    cell, the one an evaluation over the whole interior names."""
-    rho = sim.fields.data[0, cells]
-    if sim.law.has_constant_transport:
-        return eval_transport(sim.law, rho)  # floats; no invariants needed
+    floats when it is constant. The stress invariants are formed only for a
+    law that reads them. A law violation is reported at its interior cell,
+    with the invariants there, as an evaluation over the whole interior
+    names it."""
+    data = sim.fields.data
     try:
-        return eval_transport(sim.law, rho,
-                              *stress_invariants(sim.fields.data[sim.layout.stress, cells]))
+        if not sim.law.stress_readers:
+            return eval_transport(sim.law, data[0, cells])
+        return eval_transport(sim.law, data[0, cells],
+                              *stress_invariants(data[sim.layout.stress, cells]))
     except MaterialLawError:
-        if cells != sim.grid.interior:
-            # outside `cells` the interior holds the reference state, which
-            # the law accepts (Simulation evaluated it there)
-            _transport(sim, sim.grid.interior)  # raises, naming the interior cell
+        # outside `cells` the interior holds the reference state, which the
+        # law accepts (Simulation evaluated it there)
+        inner = sim.grid.interior
+        eval_transport(sim.law, data[0, inner], *stress_invariants(data[sim.layout.stress, inner]))
         raise
 
 
@@ -550,7 +555,7 @@ def _signal_speed(sim: Simulation, cells: slice):
     cs2 = sound_speed2(sim.law, rho)
     if sim.system == "bulk":
         return cs2, bulk_signal_speed(cs2, zeta, rho, tau)
-    return cs2, shear_signal_speeds(cs2, zeta, eta, rho, tau)[1]
+    return cs2, shear_signal_speeds(cs2, zeta, eta, rho, tau)
 
 
 def _hyperbolic_rhs(sim: Simulation, cols: slice) -> _Plan:
@@ -635,9 +640,9 @@ def _relax(sim: Simulation, delta: float, cols: slice, carried: bool) -> None:
         np.multiply(grads[0], -zeta, out=eq[0])
     else:
         # Pi11, Pi12, Pi13, Pi22, Pi23, Pi33, or Pi11, Pi22, Pi33 alone
-        dv1 = grads[0]
-        trace_part = (zeta - 2.0 * eta / 3.0) * dv1
-        np.multiply(2.0 * eta, dv1, out=eq[0])
+        dv1, two_eta = grads[0], 2.0 * eta
+        trace_part = (zeta - two_eta / 3.0) * dv1
+        np.multiply(two_eta, dv1, out=eq[0])
         eq[0] += trace_part
         np.negative(eq[0], out=eq[0])
         p22, p33 = (f - sim.layout.stress.start for f in sim.layout.normal[1:])

@@ -100,7 +100,8 @@ def shear_dispersion(background: Background, k_vec) -> dict[str, np.ndarray]:
 
     At large k the transverse pair tends to x = +-i k sqrt(eta/(rho tau)) and
     the acoustic pair to x = +-i k sqrt(cs^2 + (zeta + 4 eta/3)/(rho tau)):
-    the slow and fast characteristic speeds (`quasilinear.shear_signal_speeds`).
+    the slow and fast characteristic speeds
+    (`quasilinear.characteristic_speeds_shear_closed`).
     """
     k_vec = np.asarray(k_vec, dtype=float)
     k2 = float(np.dot(k_vec, k_vec))

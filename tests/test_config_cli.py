@@ -275,6 +275,17 @@ class TestCli:
         assert (cp.returncode, cp.stdout) == (4, "")
         assert "the root +1 +0i lies in the right half plane" in cp.stderr
 
+    def test_dispersion_refuses_the_roots_stability_refuses(self, run_cli, tmp_path):
+        # the roots of the test above reach the sweep through the same check
+        path = tmp_path / "tau.cfg"
+        path.write_text("[scenario]\nsystem = bulk\n[material]\ntau = 1e-100\n",
+                        encoding="utf-8")
+        refused = run_cli("stability", "--config", str(path))
+        for out in ([], ["--out", str(tmp_path / "run")]):
+            cp = run_cli("dispersion", "--config", str(path), "--sweep=1:1:1", *out)
+            assert (cp.returncode, cp.stdout, cp.stderr) == (4, "", refused.stderr)
+        assert not (tmp_path / "run" / "dispersion.csv").exists()
+
     def test_large_wavenumbers_reach_the_asymptotic_roots(self, run_cli, tmp_path):
         # default bulk config (cs^2 = 2, zeta = tau = rho = 1): as k grows the
         # cubic's roots tend to -2/3 and -1/6 +- sqrt(3) k i, whose p(x) overflows
@@ -598,6 +609,53 @@ class TestCli:
         assert "relaxation factor" in cp.stdout
         assert "acoustic factor" in cp.stdout
         assert "overall verdict: stable" in cp.stdout
+
+
+def plain_lines(header, columns, *known):
+    """One `repr` per value: the bytes `cli._csv_lines` writes."""
+    yield ",".join(header) + "\n"
+    for row in zip(*columns):
+        yield ",".join(repr(float(v)) for v in row) + "\n"
+
+
+class TestCsvBytes:
+    def test_csv_lines_match_a_repr_per_value(self):
+        first = np.array([1.5, -0.0, 0.0, np.nan, np.inf, -np.inf, 1.5, 0.1, -0.0])
+        twin = first.copy()  # a separate array with the bits of `first`
+        signs = first.copy()
+        signs[-1] = 0.0  # equal to `first` as floats, not as bits
+        columns = [first, np.full(9, 0.1), twin, signs, np.full(9, -0.0), np.zeros(9),
+                   first[::-1], np.full(9, np.nan), np.full(9, -np.inf), twin, [3] * 9]
+        header = [f"c{i}" for i in range(len(columns))]
+        plain = "".join(plain_lines(header, columns))
+        assert "".join(cli._csv_lines(header, columns)) == plain
+        # words made for an earlier file serve a column with their bits, and only it
+        known = []
+        for column in (signs, first[:4]):
+            cli._words(column, known)
+        assert "".join(cli._csv_lines(header, columns, known)) == plain
+        assert "".join(cli._csv_lines(["a"], [[]])) == "a\n"
+
+    def test_simulate_snapshots_match_a_repr_per_value(self, run_cli, tmp_path, monkeypatch):
+        # three shear snapshots: the cell centres repeat in each, Pi33 repeats
+        # Pi22, t and the transverse fields are constant
+        path = tmp_path / "shear.cfg"
+        path.write_text("[scenario]\nsystem = shear\n[material]\neta = powerlaw:0.5,1.0\n"
+                        "[profile]\na = 0.2\nb = 0.3\nc = 0.05\n[grid]\nn_cells = 64\n"
+                        "x_min = -4.0\n[run]\nt_end = 0.05\n"
+                        "snapshot_times = 0.0, 0.025, 0.05\n[tolerances]\nfront_tol = 1e-3\n",
+                        encoding="utf-8")
+        runs = {}
+        for name in ("words", "plain"):
+            if name == "plain":
+                monkeypatch.setattr(cli, "_csv_lines", plain_lines)
+            cp = run_cli("simulate", "--config", str(path), "--out", str(tmp_path / name))
+            assert cp.returncode == 0, cp.stderr
+            runs[name] = {f.name: f.read_bytes() for f in (tmp_path / name).glob("*.csv")}
+        assert len(runs["words"]) == 4 and runs["words"] == runs["plain"]
+        final = runs["words"]["snapshot_002.csv"].decode().splitlines()
+        pi22, pi33 = zip(*(row.split(",")[-3::2] for row in final[1:]))
+        assert pi22 == pi33 and len(set(pi22)) > 10
 
 
 def test_every_tolerance_has_a_reader():

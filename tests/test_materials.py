@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,54 @@ class TestTransportLaws:
     def test_constant_coefficient_rejects_nonpositive(self):
         with pytest.raises(MaterialLawError, match="must be positive, got 0.0"):
             MaterialLaw(A=1.0, gamma=2.0, zeta=0.0)
+
+    def test_law_forms_are_told_apart_when_built(self):
+        # fn(rho) cannot take three positional arguments; neither can np.exp
+        seen = []
+        law = MaterialLaw(A=1.0, gamma=2.0, zeta=lambda rho: 2.0 * rho,
+                          eta=lambda rho, pi, pi2: seen.append(pi2) or rho, tau=np.exp)
+        assert law.stress_readers == {"eta"}
+        rho = np.array([1.0, 2.0])
+        zeta, eta, tau = eval_transport(law, rho, np.zeros(2), np.array([0.5, 3.0]))
+        assert np.array_equal(zeta, 2.0 * rho) and np.array_equal(tau, np.exp(rho))
+        assert np.array_equal(seen[0], [0.5, 3.0])
+        assert MaterialLaw(A=1.0, gamma=2.0, zeta=lambda rho: rho).stress_readers == set()
+
+    @pytest.mark.parametrize("reads", [False, True])
+    def test_every_kind_of_callable_is_read_by_its_signature(self, reads):
+        # a plain function is read from its code, any other callable by inspect
+        def rho_law(rho, /):
+            return rho
+
+        def stress_law(rho, pi=0.0, pi2=0.0):
+            return rho
+
+        class Law:
+            def __call__(self, rho, *stress):
+                return rho
+
+            def method(self, rho):
+                return rho
+
+        base = stress_law if reads else rho_law
+        laws = [base, functools.wraps(base)(lambda *args: base(*args)),
+                functools.partial(base), Law() if reads else Law().method]
+        if reads:
+            laws.append(lambda *state: 1.0)
+        for law in laws:
+            assert MaterialLaw(A=1.0, gamma=2.0, zeta=law).stress_readers == (
+                {"zeta"} if reads else set()), law
+
+    def test_density_law_violation_names_the_point(self):
+        law = MaterialLaw(A=1.0, gamma=2.0, zeta=lambda rho: 2.0 - rho)
+        rho = np.linspace(1.0, 3.0, 64)
+        with pytest.raises(MaterialLawError, match=r"zeta = -0\.015873 .* at index 32 "
+                                                   r"\(rho=2\.01587, pi=0\.25\)"):
+            eval_transport(law, rho, np.full(64, 0.25), np.zeros(64))
+        for bad in (np.nan, -np.inf, np.inf, 0.0):
+            with pytest.raises(MaterialLawError, match="at index 3 "):
+                eval_transport(MaterialLaw(A=1.0, gamma=2.0, tau=lambda r: np.where(
+                    np.arange(5) == 3, bad, r)), np.ones(5))
 
     def test_has_constant_transport_flag(self):
         law = MaterialLaw(A=1.0, gamma=2.0)

@@ -7,7 +7,8 @@ import pytest
 
 from viscoflow import diagnostics, solver
 from viscoflow.config import ScenarioConfig, default_tolerances
-from viscoflow.materials import MaterialLaw, MaterialLawError, ReferenceState, eval_transport
+from viscoflow.materials import (MaterialLaw, MaterialLawError, ReferenceState, eval_transport,
+                                 stress_invariants)
 from viscoflow.solver import Grid1D, Simulation, bump
 
 
@@ -684,6 +685,48 @@ class TestCoefficientEvaluations:
         per_step, results = self.count_calls(monkeypatch, law, system)
         assert 0 < per_step <= 5
         assert all(isinstance(r[0], np.ndarray) for r in results)
+
+
+class TestLawForms:
+    """A law of rho alone is evaluated without the stress invariants; a law
+    of (rho, pi, pi2) receives them, and both give the same bits when they
+    compute the same values."""
+
+    CONFIG = ScenarioConfig(system="shear", zeta="powerlaw:1.0,1.5", eta="powerlaw:0.5,1.0",
+                            a=0.2, b=0.3, c=0.05, n_cells=64, x_min=-2.0, x_max=2.0,
+                            t_end=0.1, tolerances=default_tolerances() | {"front_tol": 1e300})
+
+    def test_density_law_runs_without_the_invariants(self, monkeypatch):
+        sim = solver.init_scenario(self.CONFIG)
+        assert sim.law.stress_readers == set()
+        same = solver.init_scenario(self.CONFIG)
+        same.law = MaterialLaw(A=sim.law.A, gamma=sim.law.gamma,
+                               zeta=lambda rho, pi, pi2: 1.0 * rho**1.5,
+                               eta=lambda rho, pi, pi2: 0.5 * rho**1.0, tau=1.0)
+        out, _ = solver.run(same, self.CONFIG.t_end)
+
+        def refused(stress):
+            raise AssertionError("a law of rho alone needs no stress invariants")
+
+        monkeypatch.setattr(solver, "stress_invariants", refused)
+        assert solver.run(sim, self.CONFIG.t_end)[0] == out and out.status == "ok"
+        assert sim.step_count == same.step_count > 5
+        assert np.array_equal(sim.fields.data.view(np.int64), same.fields.data.view(np.int64))
+
+    def test_stress_law_sees_pi2(self):
+        seen = []
+
+        def eta(rho, pi, pi2):
+            seen.append(pi2)
+            return 0.5 * rho
+
+        sim = solver.init_scenario(self.CONFIG)
+        sim.law = MaterialLaw(A=sim.law.A, gamma=sim.law.gamma, zeta=1.0, eta=eta, tau=1.0)
+        window = solver._window(sim)
+        _, pi2 = stress_invariants(sim.fields.data[sim.layout.stress, window])
+        assert solver.step(sim).status == "ok"
+        assert len(seen) == 5 and np.any(pi2 > 0.0)
+        assert np.array_equal(seen[0], pi2)  # cfl_dt's evaluation on the window
 
 
 class TestStepPlans:
