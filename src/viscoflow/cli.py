@@ -371,7 +371,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, solver.SolverError, np.linalg.LinAlgError) as exc:
+    except (ValueError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -16,6 +16,10 @@ sqrt(2) Pi_ij for i < j (m_ii = Pi_ii), and the six stress rows are scaled by
 when zeta = 2 eta / 3 and the stress tensor vanishes; they are merely
 invertible-in-a0 otherwise. Rows reproduce the full equations of motion,
 including the stress-divergence transport product Pi_ij d_k v^k.
+
+Assembly at a state outside that class raises the ValueError of its cause:
+`materials.sound_speed`'s for a density that is not positive and finite,
+`MaterialLawError` (with the coefficient) for a law violation.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from .materials import (BulkState, MaterialLaw, ReferenceState, ShearState, SYM_
                         sym_position)
 
 __all__ = [
-    "AssemblyError",
     "QuasilinearSystem",
     "CharacteristicReport",
     "bulk_signal_speed",
@@ -46,10 +49,6 @@ __all__ = [
 
 OFFDIAG_WEIGHT = np.sqrt(2.0)
 EIG_COND_CAP = 1e8  # eigenvector condition limit for strong hyperbolicity
-
-
-class AssemblyError(ValueError):
-    """State violates the positivity assumptions needed to assemble the system."""
 
 
 @dataclass(frozen=True)
@@ -107,13 +106,10 @@ def reference_signal_speed(law: MaterialLaw, system: str, reference: ReferenceSt
 
 
 def _coefficients(state: BulkState | ShearState, law: MaterialLaw):
-    """(cs, zeta, eta, tau) at a state point; AssemblyError where invalid."""
-    try:
-        cs = sound_speed(law, state.rho)
-        zeta, eta, tau = eval_transport(law, *state.invariants)
-    except ValueError as exc:
-        raise AssemblyError(str(exc)) from exc
-    return cs, zeta, eta, tau
+    """(cs, zeta, eta, tau) at a state point. A density that is not positive
+    and finite raises ValueError, a law violation `MaterialLawError`."""
+    cs = sound_speed(law, state.rho)
+    return (cs, *eval_transport(law, *state.invariants))
 
 
 def assemble_bulk(state: BulkState, law: MaterialLaw) -> QuasilinearSystem:

@@ -76,6 +76,14 @@ one, its opening relaxation's velocity gradients (the previous closing one
 left them in the workspace and changed only the stress rows). The C^1
 monitor differences the density and velocity rows as one block. One
 floating-point error state covers a step's update, one a `cfl_dt`.
+
+Errors. A Simulation starts at its reference state, which is valid. Every
+refusal is a ValueError that names its cause: a setting or grid the config
+validator rejects, a law violation (`MaterialLawError`, with its coefficient
+and cell), a maximum signal speed that is not finite. `step` and `run`
+raise none of these for a state the evolution reaches: `step` reports it in
+its `StepOutcome`, whose message for a refused time step starts
+`no admissible time step: `.
 """
 
 from __future__ import annotations
@@ -94,8 +102,6 @@ from .materials import (LAYOUTS, MaterialLaw, MaterialLawError, ReferenceState, 
 from .quasilinear import bulk_signal_speed, reference_signal_speed, shear_signal_speeds
 
 __all__ = [
-    "SolverError",
-    "InvalidStateError",
     "Grid1D",
     "FluidFields",
     "InitialReport",
@@ -107,14 +113,6 @@ __all__ = [
     "step",
     "run",
 ]
-
-
-class SolverError(RuntimeError):
-    pass
-
-
-class InvalidStateError(SolverError):
-    pass
 
 
 def bump(s):
@@ -417,11 +415,14 @@ class StepOutcome:
 class Simulation:
     """Mutable evolution state: one writer, no shared mutation.
 
-    `tolerances` overrides entries of `config.default_tolerances()`; the
-    monitors read the merged dict. Settings that `config.run_problems`
-    rejects (an unknown system or integrator, a cfl outside (0, 1], a key
-    `default_tolerances()` lacks or a value that is not finite and positive)
-    raise ValueError with the first problem.
+    The fields start at the uniform reference state, ghosts included, so a
+    new Simulation holds a valid state; a caller writes its initial data
+    over the interior. `tolerances` overrides entries of
+    `config.default_tolerances()`; the monitors read the merged dict.
+    Settings that `config.run_problems` rejects (an unknown system or
+    integrator, a cfl outside (0, 1], a key `default_tolerances()` lacks or
+    a value that is not finite and positive) raise ValueError with the first
+    problem.
     """
 
     def __init__(self, grid: Grid1D, system: str, law: MaterialLaw,
@@ -450,6 +451,7 @@ class Simulation:
         self._carry: _Carry | None = None
         self.cv_bar = reference_signal_speed(law, system, reference)
         self.reference_vector = self.layout.reference(reference)
+        self.fields.data[:] = self.reference_vector[:, None]
         # front-check normalisation per row: rho_bar, c_v for velocities,
         # rho_bar c_v^2 for stresses
         self.front_scales = np.full(len(self.layout.names), self.cv_bar)
@@ -471,13 +473,6 @@ class Simulation:
                     and self.reference.Pi_bar == 0.0
                     and (self.grid.geometry == "planar" or r[1] == 0.0)
                     and np.array_equal(_bits(0.5 * (r + 0.0) + 0.5 * (r + 0.0)), _bits(r)))
-
-    @classmethod
-    def uniform(cls, grid: Grid1D, system: str, law: MaterialLaw,
-                reference: ReferenceState, **kwargs) -> "Simulation":
-        sim = cls(grid, system, law, reference, **kwargs)
-        sim.fields.data[:] = sim.reference_vector[:, None]
-        return sim
 
     def refresh_initial_report(self) -> None:
         gu, grho = diagnostics.max_gradients(self)
@@ -700,18 +695,17 @@ def cfl_dt(sim: Simulation) -> float:
     """cfl * dx / max(|u| + fastest local characteristic speed), over the
     active window: unless it is the whole interior, it reaches past the
     cells that differ into cells at the reference state, whose speed every
-    cell outside it shares."""
+    cell outside it shares. A law violation raises `MaterialLawError` naming
+    the coefficient and the interior cell; a maximum speed that is not
+    finite and positive raises ValueError."""
     cols = _active(sim)
-    try:
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            _, fast = _signal_speed(sim, cols)
-    except ValueError as exc:
-        raise InvalidStateError(str(exc)) from exc
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        _, fast = _signal_speed(sim, cols)
     spd = np.abs(sim.fields.data[1, cols])
     spd += fast
     smax = float(spd.max())
     if not np.isfinite(smax) or smax <= 0.0:
-        raise InvalidStateError(f"maximum signal speed is not finite: {smax}")
+        raise ValueError(f"maximum signal speed is not finite: {smax}")
     return sim.cfl * sim.grid.dx / smax
 
 
@@ -812,7 +806,7 @@ def step(sim: Simulation, dt: float | None = None) -> StepOutcome:
     if dt is None:
         try:
             dt = cfl_dt(sim)
-        except InvalidStateError as exc:
+        except ValueError as exc:
             return StepOutcome("invalid_state", np.nan, f"no admissible time step: {exc}")
         if carry is not None:
             dt = min(dt, carry.t_end - sim.t)
@@ -928,8 +922,8 @@ def init_scenario(cfg: ScenarioConfig) -> Simulation:
     ref = reference_state(cfg)
     grid = Grid1D(cfg.geometry, cfg.n_cells, cfg.x_min, cfg.x_max, bc=cfg.bc)
     system = "shear_longitudinal" if cfg.system == "shear" else cfg.system
-    sim = Simulation.uniform(grid, system, law, ref, cfl=cfg.cfl,
-                             integrator=cfg.integrator, tolerances=cfg.tolerances)
+    sim = Simulation(grid, system, law, ref, cfl=cfg.cfl, integrator=cfg.integrator,
+                     tolerances=cfg.tolerances)
     b = cfg.b
     if cfg.b_from_f0 is not None:
         _apply_profiles(sim, cfg.a, 1.0, cfg.c)

@@ -266,6 +266,8 @@ def verify_against_simulation(background: Background, k: float,
     spatial Fourier coefficient of the perturbed field at every step, fits a
     complex exponential over two periods after discarding the first, and
     checks decay rate and frequency against the prediction within `tolerance`.
+    A run that stops early raises FitError with the outcome's status and
+    message.
     """
     from . import solver  # local import: solver sits above this module
 
@@ -283,8 +285,8 @@ def verify_against_simulation(background: Background, k: float,
     grid = solver.Grid1D(geometry="planar", n_cells=cells_per_wavelength,
                          x_min=0.0, x_max=length, bc="periodic")
     reference = ReferenceState(rho_bar=b.rho0, R=length / 4.0)
-    sim = solver.Simulation.uniform(grid, system="bulk" if system == "bulk" else "shear",
-                                    law=law, reference=reference)
+    sim = solver.Simulation(grid, system="bulk" if system == "bulk" else "shear",
+                            law=law, reference=reference)
 
     x_cells = grid.centers_interior
     eps = amplitude_frac * b.rho0
@@ -316,7 +318,7 @@ def verify_against_simulation(background: Background, k: float,
 
     outcome, _ = solver.run(sim, t_end, observer=observer)
     if outcome.status != "ok":
-        raise FitError(f"solver stopped with status {outcome.status}", np.inf)
+        raise FitError(f"solver stopped with status {outcome.status}: {outcome.message}", np.inf)
 
     times_arr = np.asarray(times)
     coeffs_arr = np.asarray(coeffs)

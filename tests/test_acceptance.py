@@ -152,7 +152,7 @@ def test_criterion_5_navier_stokes_limit():
     tau = 1e-3
     law = MaterialLaw(A=0.5, gamma=2.0, zeta=1.0, eta=1.0, tau=tau)
     grid = Grid1D("planar", 512, 0.0, 2 * np.pi, bc="periodic")
-    sim = Simulation.uniform(grid, "bulk", law, ReferenceState(rho_bar=1.0, R=1.0))
+    sim = Simulation(grid, "bulk", law, ReferenceState(rho_bar=1.0, R=1.0))
     x = grid.centers_interior
     sim.fields.set("rho", 1.0 + 0.01 * np.sin(x))
     sim.fields.set("u", 0.01 * np.sin(x))
@@ -238,7 +238,7 @@ def test_criterion_8_shear_trace_analog():
     law = MaterialLaw(A=0.5, gamma=2.0, zeta=1.0, eta=1.0, tau=1.0)
     ref = ReferenceState(rho_bar=1.0, R=1.0)
     grid = Grid1D("planar", 1024, -3.0, 3.0)
-    sim = Simulation.uniform(grid, "shear", law, ref)
+    sim = Simulation(grid, "shear", law, ref)
     x = grid.centers_interior
     w = bump(x)
     for name in ("Pi11", "Pi22", "Pi33"):
@@ -266,7 +266,7 @@ def test_criterion_9_equilibrium_fixed_point():
     worst = 0.0
     for geometry, x_min in (("planar", -2.0), ("spherical", 0.0)):
         grid = Grid1D(geometry, 128, x_min, 2.0)
-        sim = Simulation.uniform(grid, "bulk", law, ref)
+        sim = Simulation(grid, "bulk", law, ref)
         before = sim.fields.interior().copy()
         for _ in range(1000):
             out = solver.step(sim)

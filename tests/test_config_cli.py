@@ -419,7 +419,7 @@ class TestCli:
         assert sim.system == "shear_longitudinal" and sim.fields.data.shape[0] == 5
         with pytest.raises(KeyError):
             sim.fields.get("v2")
-        uniform = solver.Simulation.uniform(sim.grid, "shear", sim.law, sim.reference)
+        uniform = solver.Simulation(sim.grid, "shear", sim.law, sim.reference)
         assert uniform.fields.names == LAYOUTS["shear"].names
         assert uniform.fields.data.shape[0] == 10
 
@@ -444,7 +444,7 @@ class TestCli:
 
     def test_solver_error_exit_code(self, run_cli, config_path, monkeypatch):
         def fail(cfg):
-            raise solver.SolverError("no state")
+            raise ValueError("no state")
 
         monkeypatch.setattr(solver, "init_scenario", fail)
         cp = run_cli("simulate", "--config", str(config_path))

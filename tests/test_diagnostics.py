@@ -60,7 +60,7 @@ class TestFunctionals:
 
     def test_planar_momentum_uses_signed_arm(self, unit_law, unit_reference):
         grid = Grid1D("planar", 256, -2.0, 2.0)
-        sim = Simulation.uniform(grid, "bulk", unit_law, unit_reference)
+        sim = Simulation(grid, "bulk", unit_law, unit_reference)
         x = grid.centers_interior
         sim.fields.set("u", x * bump(x))  # outward on both sides of the center
         assert radial_momentum(sim) > 0.0
@@ -108,7 +108,7 @@ class TestThresholdAndCertificate:
 
     def test_refused_for_nonconstant_exterior(self, unit_law, unit_reference):
         grid = Grid1D("spherical", 256, 0.0, 4.0)
-        sim = Simulation.uniform(grid, "bulk", unit_law, unit_reference)
+        sim = Simulation(grid, "bulk", unit_law, unit_reference)
         rho = sim.fields.get("rho").copy()
         rho[-10] += 0.01  # contamination outside radius R
         sim.fields.set("rho", rho)
@@ -118,7 +118,7 @@ class TestThresholdAndCertificate:
     def test_refused_for_moving_background(self, unit_law):
         grid = Grid1D("planar", 128, -2.0, 2.0)
         ref = ReferenceState(rho_bar=1.0, R=1.0, v_bar=(0.5, 0.0, 0.0))
-        sim = Simulation.uniform(grid, "bulk", unit_law, ref)
+        sim = Simulation(grid, "bulk", unit_law, ref)
         with pytest.raises(CertificateError):
             certificate(sim)
 
@@ -195,7 +195,7 @@ class TestMonitor:
 
     def test_linear_wave_gradient_decays(self, unit_law, unit_reference):
         grid = Grid1D("planar", 256, 0.0, 2 * np.pi, bc="periodic")
-        sim = Simulation.uniform(grid, "bulk", unit_law, unit_reference)
+        sim = Simulation(grid, "bulk", unit_law, unit_reference)
         x = grid.centers_interior
         sim.fields.set("rho", 1.0 + 1e-4 * np.sin(x))
         sim.fields.set("u", 1e-4 * np.sin(x))

@@ -40,7 +40,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import Phase, example, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from viscoflow import cli, solver
@@ -105,8 +105,8 @@ def bumped(system, geometry, law, amps, bc="fixed", integrator="ssprk2"):
         grid = Grid1D("spherical", 48, 0.0, 3.0)
     else:
         grid = Grid1D("planar", 48, -3.0, 3.0, bc=bc)
-    sim = Simulation.uniform(grid, system, law, ReferenceState(rho_bar=1.0, R=1.5),
-                             integrator=integrator, tolerances=UNTRIPPED)
+    sim = Simulation(grid, system, law, ReferenceState(rho_bar=1.0, R=1.5),
+                     integrator=integrator, tolerances=UNTRIPPED)
     arm = grid.centers_interior - grid.center
     w = bump(arm / 1.5)
     inner = sim.fields.interior()
@@ -133,8 +133,8 @@ class TestMirrorSymmetry:
     def test_bulk(self, amps, constant, c):
         law = some_law(constant, c)
         grid = Grid1D("planar", 48, -3.0, 3.0)
-        sim = Simulation.uniform(grid, "bulk", law, ReferenceState(rho_bar=1.0, R=1.5),
-                                 tolerances=UNTRIPPED)
+        sim = Simulation(grid, "bulk", law, ReferenceState(rho_bar=1.0, R=1.5),
+                         tolerances=UNTRIPPED)
         set_symmetric_bumps(sim, amps)
         final = evolve(sim, 15)
         assert np.array_equal(final, mirror(sim, final))
@@ -145,9 +145,9 @@ class TestMirrorSymmetry:
     def test_shear(self, amps, constant, c):
         law = some_law(constant, c)
         grid = Grid1D("planar", 48, -3.0, 3.0)
-        sim = Simulation.uniform(grid, "shear", law,
-                                 ReferenceState(rho_bar=1.0, R=1.5, Pi_bar=0.05),
-                                 tolerances=UNTRIPPED)
+        sim = Simulation(grid, "shear", law,
+                         ReferenceState(rho_bar=1.0, R=1.5, Pi_bar=0.05),
+                         tolerances=UNTRIPPED)
         set_symmetric_bumps(sim, amps)
         final = evolve(sim, 15)
         assert np.array_equal(final, mirror(sim, final))
@@ -159,8 +159,8 @@ class TestMass:
     def test_periodic_planar_mass_to_rounding(self, amps, system):
         grid = Grid1D("planar", 64, 0.0, 2.0 * np.pi, bc="periodic")
         law = state_dependent_law(1.0, 0.7, 1.2)
-        sim = Simulation.uniform(grid, system, law, ReferenceState(rho_bar=1.0, R=1.0),
-                                 tolerances=UNTRIPPED)
+        sim = Simulation(grid, system, law, ReferenceState(rho_bar=1.0, R=1.0),
+                         tolerances=UNTRIPPED)
         x = grid.centers_interior
         inner = sim.fields.interior()
         for f in range(inner.shape[0]):
@@ -174,8 +174,8 @@ class TestMass:
     def test_spherical_mass_to_rounding(self, a, b, c):
         grid = Grid1D("spherical", 96, 0.0, 3.0)
         law = MaterialLaw(A=0.5, gamma=2.0, zeta=1.0, tau=1.0)
-        sim = Simulation.uniform(grid, "bulk", law, ReferenceState(rho_bar=1.0, R=1.0),
-                                 tolerances=UNTRIPPED)
+        sim = Simulation(grid, "bulk", law, ReferenceState(rho_bar=1.0, R=1.0),
+                         tolerances=UNTRIPPED)
         r = grid.centers_interior
         w = bump(r)
         sim.fields.set("rho", 1.0 + a * w)
@@ -245,8 +245,8 @@ class TestPeriodicTranslation:
            amps=amplitudes(10))
     def test_rolled_data_gives_the_rolled_result(self, system, constant, c, shift, amps):
         grid = Grid1D("planar", 64, 0.0, 2.0 * np.pi, bc="periodic")
-        sims = [Simulation.uniform(grid, system, some_law(constant, c),
-                                   ReferenceState(rho_bar=1.0, R=1.0), tolerances=UNTRIPPED)
+        sims = [Simulation(grid, system, some_law(constant, c),
+                           ReferenceState(rho_bar=1.0, R=1.0), tolerances=UNTRIPPED)
                 for _ in range(2)]
         x = grid.centers_interior
         inner = sims[0].fields.interior()
@@ -293,7 +293,7 @@ class TestFixedPoint:
     @given(uniform_scenarios())
     def test_uniform_reference_is_unchanged(self, scenario):
         grid, system, law, reference = scenario
-        sim = Simulation.uniform(grid, system, law, reference)
+        sim = Simulation(grid, system, law, reference)
         assert sim._stationary == (grid.bc == "fixed")
         before = sim.fields.interior().copy()
         for _ in range(20):
@@ -302,9 +302,9 @@ class TestFixedPoint:
 
     def test_uniform_stress_relaxes(self, unit_law):
         grid = Grid1D("planar", 40, -2.0, 2.0)
-        sim = Simulation.uniform(grid, "bulk", unit_law,
-                                 ReferenceState(rho_bar=1.0, R=1.0, Pi_bar=0.05),
-                                 tolerances=UNTRIPPED)
+        sim = Simulation(grid, "bulk", unit_law,
+                         ReferenceState(rho_bar=1.0, R=1.0, Pi_bar=0.05),
+                         tolerances=UNTRIPPED)
         assert not sim._stationary
         before = sim.fields.interior().copy()
         assert solver.step(sim).status == "ok"
@@ -338,8 +338,8 @@ class TestActiveWindow:
         tolerances = {"grad_factor": 1e9, "front_tol": 1e-5 if front else 1e300}
 
         def bumped_sim():
-            sim = Simulation.uniform(grid, system, some_law(constant, c), reference,
-                                     tolerances=tolerances)
+            sim = Simulation(grid, system, some_law(constant, c), reference,
+                             tolerances=tolerances)
             w = bump((grid.centers_interior - middle) / width)
             inner = sim.fields.interior()
             for f in range(inner.shape[0]):
@@ -353,7 +353,9 @@ class TestActiveWindow:
             return out, times
 
         sim = bumped_sim()
-        assert solver._window(sim) != grid.interior
+        # a bump too small to change a bit leaves the uniform fixed point,
+        # whose window is the whole interior by design (TestEquilibriumFixedPoint)
+        assume(solver._window(sim) != grid.interior)
         out, times = evolve(sim)
         whole = bumped_sim()
         with pytest.MonkeyPatch.context() as patch:
@@ -576,8 +578,8 @@ class TestLongitudinalReduction:
         reference = ReferenceState(rho_bar=1.0, R=1.5, Pi_bar=Pi_bar, v_bar=(v_bar, 0.0, 0.0))
         # the default front_tol trips on some fixed runs: their messages must agree too
         tolerances = {"grad_factor": 1e9} | ({} if front else {"front_tol": 1e300})
-        full, reduced = (Simulation.uniform(grid, system, self.LAWS[law](*c), reference,
-                                            integrator=integrator, tolerances=tolerances)
+        full, reduced = (Simulation(grid, system, self.LAWS[law](*c), reference,
+                                    integrator=integrator, tolerances=tolerances)
                          for system in ("shear", "shear_longitudinal"))
         # rough data: a bump times noise on each longitudinal row
         rng = np.random.default_rng(seed)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from viscoflow.materials import (SYM_INDEX, BulkState, MaterialLaw, ShearState,
-                                 eval_transport, sound_speed)
-from viscoflow.quasilinear import (OFFDIAG_WEIGHT, AssemblyError, QuasilinearSystem,
+from viscoflow.materials import (SYM_INDEX, BulkState, MaterialLaw, MaterialLawError,
+                                 ShearState, eval_transport, sound_speed)
+from viscoflow.quasilinear import (OFFDIAG_WEIGHT, QuasilinearSystem,
                                    assemble_bulk, assemble_shear,
                                    characteristic_speeds_bulk_closed,
                                    characteristic_speeds_numeric,
@@ -58,8 +58,8 @@ class TestBulkAssembly:
             sys5 = assemble_bulk(random_bulk_state(rng), random_law(rng))
             assert np.all(np.linalg.eigvalsh(sys5.a0) > 0.0)
 
-    def test_invalid_state_raises_assembly_error(self, unit_law):
-        with pytest.raises((AssemblyError, ValueError)):
+    def test_invalid_state_raises_material_law_error(self, unit_law):
+        with pytest.raises(MaterialLawError, match="zeta"):
             assemble_bulk(BulkState(1.0), MaterialLaw(A=1.0, gamma=2.0,
                                                       zeta=lambda r, p, q: r - 10.0))
 

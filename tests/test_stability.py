@@ -315,6 +315,14 @@ class TestRingDownFit:
         with pytest.raises(FitError):
             fit_complex_exponential(t, signal)
 
+    def test_a_stopped_ring_down_says_why(self):
+        # an amplitude of twice the density seeds a negative density
+        with pytest.raises(FitError, match=r"status invalid_state: state invalid before the "
+                                           r"step \(density -5\.096e-01 below floor 1\.0e-12 "
+                                           r"at cell 1\); refusing to advance"):
+            verify_against_simulation(unit_background(), k=1.0, cells_per_wavelength=64,
+                                      amplitude_frac=2.0)
+
 
 @pytest.mark.slow
 class TestVerifyAgainstSimulation:
