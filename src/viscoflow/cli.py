@@ -8,10 +8,11 @@ detected by `simulate` (a successful detection, distinct from a crash),
 All CSV output uses the shortest round-trip decimal form of each value, so
 identical configurations yield bit-identical files on one platform. Each
 value is formatted once per distinct column per run: `repr` runs once per
-distinct bit pattern of a column, once for a constant column, and not at
-all for a column whose bits repeat those of an earlier column of the file
-(Pi33 beside Pi22 in a shear snapshot) or the cell centres of an earlier
-snapshot of the same `simulate`, which takes the words already made. The
+distinct magnitude of a column (a negative value takes "-" before its
+magnitude's word), once for a constant column, and not at all for a column
+whose bits repeat those of an earlier column of the file (Pi33 beside Pi22
+in a shear snapshot) or the cell centres of an earlier snapshot of the
+same `simulate`, which takes the words already made. The
 bytes are those of formatting every value, and no formatted word outlives
 its command.
 """
@@ -29,7 +30,7 @@ import numpy as np
 from . import __version__, diagnostics, solver, stability
 from .config import ConfigError, ScenarioConfig, apply_overrides, format_config, \
     material_law, parse_config, reference_state, symmetry_center
-from .materials import LAYOUTS, BulkState, ShearState
+from .materials import LAYOUTS, BulkState, FieldLayout, ShearState
 from .quasilinear import assemble_bulk, assemble_shear, \
     characteristic_speeds_bulk_closed, characteristic_speeds_shear_closed, \
     characteristic_speeds_numeric, reference_signal_speed
@@ -65,15 +66,18 @@ def _fmt(value) -> str:
 
 
 def _words(col, done: list) -> list[str]:
-    """`repr` of each float of `col`, called once per distinct bit pattern,
+    """`repr` of each float of `col`, called once per distinct magnitude,
     and once for a constant column. `done` holds (int64 bits, words) pairs of
     the columns formatted before: a column with the bits of one of them takes
     its words, and any other adds its own pair.
 
-    The int64 view keeps -0.0 apart from 0.0 and each NaN payload apart, and
-    `repr` of a float depends only on its bits, so the words are unchanged.
-    The groups come from a stable argsort rather than `np.unique`: on the
-    sorted runs of a snapshot it is faster, and it pages in less sort code.
+    The groups are the int64 bits with the sign bit cleared, which keep each
+    NaN payload apart, and `repr` of a float depends only on its bits; a
+    value with the sign bit set, NaN excepted, takes "-" before its
+    magnitude's word, as `repr` writes it. So the words are unchanged, and
+    an odd field (a velocity, say) costs about half the `repr` calls. The
+    groups come from a stable argsort rather than `np.unique`: on the sorted
+    runs of a snapshot it is faster, and it pages in less sort code.
     """
     bits = np.asarray(col, dtype=float).view(np.int64)
     for seen, words in done:
@@ -82,14 +86,18 @@ def _words(col, done: list) -> list[str]:
     if bits.size and (bits == bits[0]).all():
         words = [repr(bits[:1].view(float).tolist()[0])] * len(bits)
     else:
-        order = np.argsort(bits, kind="stable")
-        ordered = bits[order]
-        first = np.ones(len(bits), dtype=bool)  # first of its value in sorted order
+        magnitude = bits & np.int64(0x7FFF_FFFF_FFFF_FFFF)  # the sign bit cleared
+        order = np.argsort(magnitude, kind="stable")
+        ordered = magnitude[order]
+        first = np.ones(len(bits), dtype=bool)  # first of its magnitude in sorted order
         first[1:] = ordered[1:] != ordered[:-1]
         inverse = np.empty(len(bits), dtype=np.intp)
         inverse[order] = np.cumsum(first) - 1
         distinct = [repr(x) for x in ordered[first].view(float).tolist()]
-        words = [distinct[i] for i in inverse.tolist()]
+        # repr(-x) is "-" + repr(x) for every float but NaN, whose repr drops its sign
+        inverse[(bits < 0) & ~np.isnan(bits.view(float))] += len(distinct)
+        table = distinct + ["-" + word for word in distinct]
+        words = [table[i] for i in inverse.tolist()]
     done.append((bits, words))
     return words
 
@@ -170,16 +178,20 @@ def cmd_stability(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int,
     if cfg.system == "bulk":
         print("  transverse branch (k orthogonal to dv): neutral, Omega = 0")
     else:
-        stable = all(v.stable for v in verdicts.values())
-        print(f"overall verdict: {'stable' if stable else 'unstable'}")
+        # the worst factor's: unstable, else marginal, else stable
+        overall = max(map(_label, verdicts.values()), key=("stable", "marginal", "unstable").index)
+        print(f"overall verdict: {overall}")
     return EXIT_OK, []
 
 
 def _print_roots(verdict: stability.StabilityVerdict) -> None:
     for r in verdict.roots:
         print(f"  root = {r.real:+.12g} {r.imag:+.12g}i")
-    label = "marginal" if verdict.marginal else ("stable" if verdict.stable else "unstable")
-    print(f"  max real part = {verdict.max_real_part:.12g} -> {label}")
+    print(f"  max real part = {verdict.max_real_part:.12g} -> {_label(verdict)}")
+
+
+def _label(verdict: stability.StabilityVerdict) -> str:
+    return "marginal" if verdict.marginal else ("stable" if verdict.stable else "unstable")
 
 
 def cmd_dispersion(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int, list[str]]:
@@ -237,20 +249,26 @@ def _branch_roots(system: str, bg: stability.Background, k: float) -> np.ndarray
     return roots[order]
 
 
-def _write_snapshot(path: Path, sim: solver.Simulation, names: tuple[str, ...],
+def _write_snapshot(path: Path, sim: solver.Simulation, layout: FieldLayout,
                     centres: list) -> None:
-    """The fields `names` at sim.t, one row per cell; a field the simulation
-    does not store (a transverse one of a longitudinal shear run, which stays
-    zero) is a column of 0.0. The cell centres are the same in every
+    """The fields of `layout`, the system's 10-row (or bulk) layout, at
+    sim.t, one row per cell. A stress component takes the row that holds it
+    in the simulation's layout (Pi33 takes Pi22's in a longitudinal shear
+    run), and a field that layout does not store (a transverse one, which
+    stays zero) is a column of 0.0. The cell centres are the same in every
     snapshot of a run: the first one formats them into `centres`, a list
     the run keeps, and the later ones take their words from it."""
     zero = np.zeros(sim.grid.n_cells)
-    stored = dict(zip(sim.fields.names, sim.fields.interior()))
+    inner = sim.fields.interior()
+    stored = dict(zip(sim.fields.names, inner)) | {
+        n: inner[f] for n, f in zip(layout.names[layout.stress], sim.layout.components)
+        if f is not None}
     t = np.full(sim.grid.n_cells, sim.t)
     if not centres:
         _words(sim.grid.centers_interior, centres)
-    _write_csv(path, ("t", "cell_center") + names,
-               (t, sim.grid.centers_interior, *(stored.get(n, zero) for n in names)), centres)
+    _write_csv(path, ("t", "cell_center") + layout.names,
+               (t, sim.grid.centers_interior, *(stored.get(n, zero) for n in layout.names)),
+               centres)
 
 
 def cmd_simulate(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int, list[str]]:
@@ -290,7 +308,7 @@ def cmd_simulate(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int, 
                 break
         if out_dir is not None and t_stop in snaps:
             path = out_dir / f"snapshot_{len(outputs):03d}.csv"
-            _write_snapshot(path, sim, LAYOUTS[cfg.system].names, centres)
+            _write_snapshot(path, sim, LAYOUTS[cfg.system], centres)
             outputs.append(path.name)
 
     series_columns = [getattr(full_series, name) for name in full_series.COLUMNS]

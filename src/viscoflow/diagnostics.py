@@ -66,7 +66,9 @@ def relative_mass(sim) -> float:
 
 
 def stress_integral(sim) -> float:
-    """G = integral of Pi (bulk) or of the stress trace Pi_ii (shear)."""
+    """G = integral of Pi (bulk) or of the stress trace Pi_ii (shear), summed
+    over the layout's normal rows: a row that stands for two components (Pi22's
+    for Pi33) counts twice."""
     w = sim.grid.quad_weights
     first, *rest = (sim.fields.interior()[f] for f in sim.layout.normal)
     return float(np.sum(w * sum(rest, first)))  # (Pi11 + Pi22) + Pi33 for shear

@@ -14,7 +14,7 @@ Each fact of a fluid state is stated here once, and the solver, the
 reference evaluation and the analyses read it from here: the squared sound
 speed (`sound_speed2`), the invariants (pi, pi2) of a stored stress
 (`stress_invariants`), and the rows of each system's solver fields
-(`FieldLayout`, `LAYOUTS`).
+(`FieldLayout`, `LAYOUTS`), which say where each stress component lives.
 """
 
 from __future__ import annotations
@@ -136,24 +136,20 @@ def sound_speed(law: MaterialLaw, rho):
 
 
 def stress_invariants(stress):
-    """The invariants (pi, pi2) of a stress from its stored components.
+    """The invariants (pi, pi2) of a stress from its components.
 
     `stress` holds the components along its first axis: the bulk scalar Pi
-    alone, whose stress Pi delta_ij has pi = Pi and pi2 = 3 Pi^2; the normal
-    Pi11, Pi22, Pi33 of a diagonal stress; or the six Pi11, Pi12, Pi13,
-    Pi22, Pi23, Pi33 in `SYM_INDEX` order, each counted with its symmetric
-    partner in pi2 = Pi_ij Pi_ij. A diagonal stress gives the bits of its
-    six components: the off-diagonal squares add 2.0 * (+0.0) to a sum of
-    squares, which leaves it as it is. A component is a float or a row of
-    cells (the stress rows of the solver fields, say), and pi and pi2 take
-    its shape.
+    alone, whose stress Pi delta_ij has pi = Pi and pi2 = 3 Pi^2, or the six
+    Pi11, Pi12, Pi13, Pi22, Pi23, Pi33 in `SYM_INDEX` order, each counted
+    with its symmetric partner in pi2 = Pi_ij Pi_ij. A component is a float
+    or a row of cells, and pi and pi2 take the shape of the rows. A layout
+    gives its rows in this order (`FieldLayout.stress_components`), a
+    component it does not store as +0.0: the float enters each sum as a row
+    of +0.0 would, so every layout gives the bits of the 10-row one.
     """
     if len(stress) == 1:
         pi = stress[0]
         return pi, 3.0 * pi * pi
-    if len(stress) == 3:
-        p11, p22, p33 = stress
-        return (p11 + p22 + p33) / 3.0, p11**2 + p22**2 + p33**2
     p11, p12, p13, p22, p23, p33 = stress
     return (p11 + p22 + p33) / 3.0, p11**2 + p22**2 + p33**2 + 2.0 * (p12**2 + p13**2 + p23**2)
 
@@ -231,27 +227,38 @@ class FieldLayout:
 
     Row 0 is the density and row 1 the x-velocity in every layout. The
     groups are slices of contiguous rows, so each cuts its group as a view:
-    `velocity` the velocity rows, `stress` the stored stress components (in
-    `SYM_INDEX` order for the shear system, the order `stress_invariants`
-    reads), and `drive` per velocity row the stress row Pi_1i whose
-    x-derivative drives it. `normal` holds the diagonal stress rows, whose
-    sum is the trace. `parity` is the sign each row takes under the mirror
-    x -> -x.
+    `velocity` the velocity rows, `stress` the stored stress rows, and
+    `drive` per velocity row the stress row Pi_1i whose x-derivative drives
+    it. `components` says where each stress component lives, in the order
+    `stress_invariants` reads (Pi alone for the bulk system, `SYM_INDEX`
+    for the shear one): its row, or None where the layout does not store it
+    and it is +0.0. `normal` holds the rows of the diagonal stresses, whose
+    sum is the trace: a row that stands for two components is listed twice.
+    `parity` is the sign each row takes under the mirror x -> -x.
 
     `LAYOUTS` names one layout per evolved system: "bulk" (rho, u, Pi),
-    "shear" (rho, v1, v2, v3 and the six stresses) and "shear_longitudinal"
-    (rho, v1, Pi11, Pi22, Pi33). The last is the shear system on planar data
-    that is even under y -> -y and z -> -z, for which v2, v3, Pi12, Pi13 and
-    Pi23 stay zero for all time: every step gives its rows the bits the
-    10-row layout gives them, at half the rows. A shear config's data (the
-    bump family seeds rho, v1 and the normal stresses) is such data, so
-    `solver.init_scenario` evolves it in this layout; data with transverse
-    motion needs "shear".
+    "shear" (rho, v1, v2, v3 and the six stresses), and two layouts of the
+    shear system that store only the rows whose bits can differ:
+
+    - "shear_longitudinal" (rho, v1, Pi11, Pi22), for planar data that is
+      even under y -> -y and z -> -z and under y <-> z. v2, v3, Pi12, Pi13
+      and Pi23 stay +0.0 for all time, and Pi33 keeps the bits of Pi22, so
+      Pi22's row stands for Pi33. A shear config's data (the bump family
+      seeds rho, v1 and the normal stresses alike) is such data, so
+      `solver.init_scenario` evolves it in this layout.
+    - "shear_transverse" (rho, v1, v2, Pi11, Pi12), for planar data at
+      Pi_bar = 0 whose only non-uniform rows are v2 and Pi12 (the
+      transverse ring-down): rho and v1 stay uniform, and v3, Pi11, Pi13,
+      Pi22, Pi23 and Pi33 stay +0.0.
+
+    Every step gives a reduced layout's rows the bits the 10-row layout
+    gives them; other data needs "shear".
     """
 
     names: tuple[str, ...]
     velocity: slice
     stress: slice
+    components: tuple[int | None, ...]
     normal: tuple[int, ...]
     drive: slice
     parity: tuple[float, ...]
@@ -262,6 +269,12 @@ class FieldLayout:
         col = np.array(self.parity)[:, None]
         col.flags.writeable = False
         return col
+
+    def stress_components(self, rows) -> tuple:
+        """The stress components of `rows`, an array over the layout's rows
+        (or cut from one along its last axis), in `components` order: a
+        stored component's row, an absent one the float +0.0."""
+        return tuple(0.0 if f is None else rows[f] for f in self.components)
 
     def reference(self, ref: ReferenceState) -> np.ndarray:
         """The field vector of the constant reference state."""
@@ -274,19 +287,25 @@ class FieldLayout:
 
 LAYOUTS = {
     "bulk": FieldLayout(names=("rho", "u", "Pi"), velocity=slice(1, 2), stress=slice(2, 3),
-                        drive=slice(2, 3), normal=(2,), parity=(1.0, -1.0, 1.0)),
+                        components=(2,), drive=slice(2, 3), normal=(2,),
+                        parity=(1.0, -1.0, 1.0)),
     "shear": FieldLayout(
         names=("rho", "v1", "v2", "v3") + tuple(f"Pi{i + 1}{j + 1}" for i, j in SYM_INDEX),
         # SYM_INDEX opens with Pi11, Pi12, Pi13: the driving stresses
         velocity=slice(1, 4), stress=slice(4, 10), drive=slice(4, 7),
-        normal=tuple(4 + sym_position(i, i) for i in range(3)),
+        components=tuple(range(4, 10)), normal=tuple(4 + sym_position(i, i) for i in range(3)),
         # v1 and the stresses Pi_1j with exactly one index 1 flip sign
         parity=(1.0, -1.0, 1.0, 1.0) + tuple(-1.0 if (i == 0) != (j == 0) else 1.0
                                              for i, j in SYM_INDEX)),
-    # the rows that stay nonzero on data without transverse motion (see above)
+    # the rows whose bits can differ on each kind of data (see above)
     "shear_longitudinal": FieldLayout(
-        names=("rho", "v1", "Pi11", "Pi22", "Pi33"), velocity=slice(1, 2), stress=slice(2, 5),
-        drive=slice(2, 3), normal=(2, 3, 4), parity=(1.0, -1.0, 1.0, 1.0, 1.0)),
+        names=("rho", "v1", "Pi11", "Pi22"), velocity=slice(1, 2), stress=slice(2, 4),
+        components=(2, None, None, 3, None, 3), drive=slice(2, 3), normal=(2, 3, 3),
+        parity=(1.0, -1.0, 1.0, 1.0)),
+    "shear_transverse": FieldLayout(
+        names=("rho", "v1", "v2", "Pi11", "Pi12"), velocity=slice(1, 3), stress=slice(3, 5),
+        components=(3, 4, None, None, None, None), drive=slice(3, 5), normal=(3,),
+        parity=(1.0, -1.0, 1.0, 1.0, -1.0)),
 }
 
 

@@ -1,6 +1,7 @@
 """Finite-volume method-of-lines evolution of the 3-field (bulk) and 10-field
 (shear) systems in planar and spherically symmetric one-dimensional geometry,
-the shear system in 5 rows where its data has no transverse motion.
+the shear system in fewer rows where its data moves fewer: 4 rows for
+longitudinal data, 5 for a transverse ring-down.
 
 Scheme: MUSCL reconstruction with a minmod limiter and local Lax-Friedrichs
 (Rusanov) dissipation built from the fastest local characteristic speed.
@@ -13,11 +14,15 @@ source is integrated by Strang splitting with an exact exponential update
 toward the local Navier-Stokes value, stable for arbitrarily small
 relaxation time. Time integration is SSP-RK2 (SSP-RK3 optional).
 
-Cost of a step. A shear config runs in the 5-row longitudinal layout
-(`materials.LAYOUTS`), since its data has no transverse motion: every pass,
-buffer and check of a step covers half the rows of the 10-row layout and
-gives those rows the same bits (`_relax` writes the off-diagonal stresses
-only where the layout stores them). A step works on its active window only
+Cost of a step. A step covers only the rows whose bits can differ
+(`materials.LAYOUTS`). A shear config runs in the 4-row longitudinal layout,
+since its data has no transverse motion and keeps Pi33 equal to Pi22, whose
+row stands for both; `verify_against_simulation`'s transverse ring-down runs
+in the 5-row transverse layout. Every pass, buffer and check of a step then
+covers 4 or 5 of the 10 rows and gives them the bits the 10-row layout
+gives them: `_relax` writes each stress equilibrium once, where the layout
+stores it, and a law of the stress sees the 10-row invariants
+(`FieldLayout.stress_components`). A step works on its active window only
 (`_window`): the span of the interior cells that differ, bit for bit, from
 the reference state, widened by the cells one step can carry a difference
 and clipped to the interior. Each of a step's four stencil passes (the velocity gradients
@@ -430,8 +435,8 @@ class Simulation:
                  integrator: str = "ssprk2",
                  tolerances: dict[str, float] | None = None):
         tolerances = tolerances or {}
-        # the longitudinal layout evolves the shear system: its rules apply
-        problems = run_problems("shear" if system == "shear_longitudinal" else system,
+        # a reduced shear layout evolves the shear system: its rules apply
+        problems = run_problems("shear" if system in LAYOUTS and system != "bulk" else system,
                                 grid.geometry, integrator, cfl, tolerances)
         if problems:
             raise ValueError(problems[0])
@@ -534,12 +539,12 @@ def _transport(sim: Simulation, cells: slice):
         if not sim.law.stress_readers:
             return eval_transport(sim.law, data[0, cells])
         return eval_transport(sim.law, data[0, cells],
-                              *stress_invariants(data[sim.layout.stress, cells]))
+                              *stress_invariants(sim.layout.stress_components(data[:, cells])))
     except MaterialLawError:
         # outside `cells` the interior holds the reference state, which the
         # law accepts (Simulation evaluated it there)
-        inner = sim.grid.interior
-        eval_transport(sim.law, data[0, inner], *stress_invariants(data[sim.layout.stress, inner]))
+        inner = data[:, sim.grid.interior]
+        eval_transport(sim.law, inner[0], *stress_invariants(sim.layout.stress_components(inner)))
         raise
 
 
@@ -634,18 +639,21 @@ def _relax(sim: Simulation, delta: float, cols: slice, carried: bool) -> None:
     if sim.system == "bulk":
         np.multiply(grads[0], -zeta, out=eq[0])
     else:
-        # Pi11, Pi12, Pi13, Pi22, Pi23, Pi33, or Pi11, Pi22, Pi33 alone
+        # the stored rows of Pi11, the Pi1j that drive the transverse
+        # velocities, Pi22 and Pi33 (one row where it stands for both), Pi23
+        layout, first = sim.layout, sim.layout.stress.start
         dv1, two_eta = grads[0], 2.0 * eta
         trace_part = (zeta - two_eta / 3.0) * dv1
         np.multiply(two_eta, dv1, out=eq[0])
         eq[0] += trace_part
         np.negative(eq[0], out=eq[0])
-        p22, p33 = (f - sim.layout.stress.start for f in sim.layout.normal[1:])
-        np.negative(trace_part, out=eq[p22])
-        eq[p33] = eq[p22]
-        if len(eq) == 6:  # the off-diagonal rows
-            np.multiply(grads[1:3], -eta, out=eq[1:3])
-            eq[4] = 0.0
+        if len(grads) > 1:
+            np.multiply(grads[1:], -eta, out=eq[1:len(grads)])
+        for f in sorted(set(layout.normal[1:])):
+            np.negative(trace_part, out=eq[f - first])
+        p23 = layout.components[4]  # SYM_INDEX slot of Pi23
+        if p23 is not None:
+            eq[p23 - first] = 0.0
     cur = p.stress
     cur -= eq
     cur *= factor
@@ -910,8 +918,9 @@ def init_scenario(cfg: ScenarioConfig) -> Simulation:
     bump of amplitude a, an outward velocity bump b * (r/R) * w(r/R) (the
     odd radial factor keeps the velocity field differentiable at the
     origin), and a stress bump of amplitude c (isotropic for the 10-field
-    system). A shear config runs in the "shear_longitudinal" layout, the
-    rows its data moves (see `materials.FieldLayout`). If b_from_f0 is set,
+    system). A shear config runs in the 4-row "shear_longitudinal" layout,
+    the rows its data moves, with Pi22's row standing for Pi33 (see
+    `materials.FieldLayout`). If b_from_f0 is set,
     b is rescaled so the grid quadrature of the initial weighted momentum
     F(0) equals it exactly (F(0) is linear in b); a bump that covers no cell
     centre has F(0) = 0 for every b, which raises ConfigError, as do initial

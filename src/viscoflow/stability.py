@@ -266,8 +266,10 @@ def verify_against_simulation(background: Background, k: float,
     spatial Fourier coefficient of the perturbed field at every step, fits a
     complex exponential over two periods after discarding the first, and
     checks decay rate and frequency against the prediction within `tolerance`.
-    A run that stops early raises FitError with the outcome's status and
-    message.
+    The run steps the layout named by `system` (`materials.LAYOUTS`): the
+    transverse mode moves only v2 and Pi12, so "shear_transverse" evolves 5
+    rows with the bits of the 10-row shear layout. A run that stops early
+    raises FitError with the outcome's status and message.
     """
     from . import solver  # local import: solver sits above this module
 
@@ -285,8 +287,7 @@ def verify_against_simulation(background: Background, k: float,
     grid = solver.Grid1D(geometry="planar", n_cells=cells_per_wavelength,
                          x_min=0.0, x_max=length, bc="periodic")
     reference = ReferenceState(rho_bar=b.rho0, R=length / 4.0)
-    sim = solver.Simulation(grid, system="bulk" if system == "bulk" else "shear",
-                            law=law, reference=reference)
+    sim = solver.Simulation(grid, system, law=law, reference=reference)
 
     x_cells = grid.centers_interior
     eps = amplitude_frac * b.rho0

@@ -397,8 +397,9 @@ class TestCli:
         assert "[scenario]" in record  # resolved config echo
 
     def test_shear_snapshot_keeps_the_transverse_columns(self, run_cli, tmp_path):
-        # the run stores the five longitudinal rows; the snapshot writes all
-        # ten shear fields, with 0.0 for the transverse ones
+        # the run stores the four longitudinal rows; the snapshot writes all
+        # ten shear fields, with 0.0 for the transverse ones and Pi22's
+        # values for Pi33
         path = tmp_path / "shear.cfg"
         path.write_text("[scenario]\nsystem = shear\n[profile]\na = 0.01\nb = 0.02\n"
                         "c = 0.01\n[grid]\nn_cells = 64\nx_min = -4.0\n[run]\nt_end = 0.05\n"
@@ -415,10 +416,12 @@ class TestCli:
             columns = dict(zip(names, zip(*(row.split(",") for row in rows))))
             assert all(set(columns[n]) == {"0.0"} for n in transverse)
             assert set(columns["Pi11"]) != {"0.0"}
+            assert columns["Pi33"] == columns["Pi22"] and set(columns["Pi22"]) != {"0.0"}
         sim = solver.init_scenario(parse_config(path.read_text(encoding="utf-8")))
-        assert sim.system == "shear_longitudinal" and sim.fields.data.shape[0] == 5
-        with pytest.raises(KeyError):
-            sim.fields.get("v2")
+        assert sim.system == "shear_longitudinal" and sim.fields.data.shape[0] == 4
+        for name in ("v2", "Pi33"):
+            with pytest.raises(KeyError):
+                sim.fields.get(name)
         uniform = solver.Simulation(sim.grid, "shear", sim.law, sim.reference)
         assert uniform.fields.names == LAYOUTS["shear"].names
         assert uniform.fields.data.shape[0] == 10
@@ -610,6 +613,19 @@ class TestCli:
         assert "acoustic factor" in cp.stdout
         assert "overall verdict: stable" in cp.stdout
 
+    @pytest.mark.parametrize("k", ["0", "1e-9"])
+    def test_shear_stability_with_marginal_factors_is_marginal(self, run_cli, config_path, k):
+        # at k = 0 the transverse and acoustic factors have a root x = 0:
+        # marginal, which is not unstable
+        cp = run_cli("stability", "--config", str(config_path), "--k", k,
+                     "--override", "scenario.system=shear",
+                     "--override", "scenario.geometry=planar")
+        assert cp.returncode == 0, cp.stderr
+        labels = [line.rsplit(" ", 1)[1] for line in cp.stdout.splitlines()
+                  if "max real part" in line]
+        assert labels == ["stable", "marginal", "marginal"]
+        assert cp.stdout.endswith("overall verdict: marginal\n")
+
 
 def plain_lines(header, columns, *known):
     """One `repr` per value: the bytes `cli._csv_lines` writes."""
@@ -624,8 +640,16 @@ class TestCsvBytes:
         twin = first.copy()  # a separate array with the bits of `first`
         signs = first.copy()
         signs[-1] = 0.0  # equal to `first` as floats, not as bits
+        # magnitudes formatted once: +- pairs, -0.0 beside 0.0, +-inf, NaNs
+        # with the sign bit set (whose repr has no "-"), an all-negative column
+        pairs = np.array([0.1, -0.1, 2.5, -2.5, 1e-300, -1e-300, 5e-324, -5e-324, -0.1])
+        zeros = np.array([0.0, -0.0, -0.0, 0.0, 1.0, -1.0, -0.0, 0.0, 0.0])
+        nans = np.array([-np.nan, np.nan, -np.nan, -1.0, 1.0, np.inf, -np.inf, -np.inf, 3.0])
+        nans[3] = np.array([-2**63 | 0x7FF8000000000001]).view(float)[0]  # payload, sign set
+        assert np.signbit(nans[[0, 2, 3]]).all() and not np.signbit(nans[1])
         columns = [first, np.full(9, 0.1), twin, signs, np.full(9, -0.0), np.zeros(9),
-                   first[::-1], np.full(9, np.nan), np.full(9, -np.inf), twin, [3] * 9]
+                   first[::-1], np.full(9, np.nan), np.full(9, -np.inf), twin, [3] * 9,
+                   pairs, zeros, nans, -0.3 * np.arange(1, 10), np.full(9, -np.nan)]
         header = [f"c{i}" for i in range(len(columns))]
         plain = "".join(plain_lines(header, columns))
         assert "".join(cli._csv_lines(header, columns)) == plain

@@ -227,15 +227,34 @@ class TestStates:
             assert pi == pytest.approx(np.trace(t) / 3.0, rel=1e-14, abs=1e-15)
             assert pi2 == pytest.approx(np.sum(t * t), rel=1e-14)
 
-    @pytest.mark.parametrize("system", ["bulk", "shear"])
+    @pytest.mark.parametrize("system", sorted(LAYOUTS))
     def test_invariants_of_rows_have_the_bits_of_each_cell(self, rng, system):
-        # the solver passes the stress rows of its fields; the point states
-        # pass their stored components
+        # the solver passes the stress components of its field rows; the
+        # point states pass their stored components
         layout = LAYOUTS[system]
-        stress = rng.uniform(-2.0, 2.0, size=(len(layout.names), 40))[layout.stress]
-        pi, pi2 = stress_invariants(stress)
-        for c in range(stress.shape[1]):
-            assert (pi[c], pi2[c]) == stress_invariants(tuple(float(x) for x in stress[:, c]))
+        rows = rng.uniform(-2.0, 2.0, size=(len(layout.names), 40))
+        pi, pi2 = stress_invariants(layout.stress_components(rows))
+        for c in range(rows.shape[1]):
+            assert (pi[c], pi2[c]) == stress_invariants(
+                tuple(float(x) for x in layout.stress_components(rows[:, c])))
+
+    @pytest.mark.parametrize("system", ["shear_longitudinal", "shear_transverse"])
+    def test_reduced_layouts_give_the_invariants_of_the_ten_rows(self, rng, system):
+        # a law fn(rho, pi, pi2) sees the bits of the 10-row layout's
+        # invariants: a folded component (Pi33 in Pi22's row) counts in
+        # full, an absent one as a row of +0.0
+        layout, full = LAYOUTS[system], LAYOUTS["shear"]
+        rows = rng.uniform(-2.0, 2.0, size=(len(layout.names), 40))
+        rows[layout.stress, :6] = [[-0.0, 0.0, 1e-200, -1e-200, np.inf, -np.inf]]
+        ten = np.zeros((len(full.names), rows.shape[1]))
+        for f, r in zip(full.components, layout.components):
+            if r is not None:
+                ten[f] = rows[r]
+        with np.errstate(invalid="ignore", under="ignore"):
+            got = stress_invariants(layout.stress_components(rows))
+            want = stress_invariants(full.stress_components(ten))
+        for g, w in zip(got, want):
+            assert np.array_equal(g.view(np.int64), w.view(np.int64))
 
     def test_reference_state_validation(self):
         with pytest.raises(ValueError):

@@ -31,9 +31,12 @@ so an optimization of the step that changes the arithmetic shows up here:
   pick of the slope of least magnitude, signed zeros, infinities and NaNs
   included, on flat rows and on a window read through 2-D views;
 - shear data without transverse motion (v2, v3, Pi12, Pi13 and Pi23 zero)
-  evolves in the 5-row "shear_longitudinal" layout with the bits, times,
-  time steps and outcomes of the 10-row "shear" layout, whose transverse
-  rows stay +0.0.
+  and with Pi33 = Pi22 evolves in the 4-row "shear_longitudinal" layout
+  with the bits, times, time steps and outcomes of the 10-row "shear"
+  layout, whose transverse rows stay +0.0 and whose Pi33 keeps Pi22's
+  bits; data at Pi_bar = 0 that moves only v2 and Pi12 does so in the
+  5-row "shear_transverse" layout, the other rows of the 10-row run
+  staying uniform or +0.0.
 """
 
 import struct
@@ -546,56 +549,97 @@ class TestMinmod:
                     assert np.array_equal(g.view(np.int64), w.view(np.int64))
 
 
-class TestLongitudinalReduction:
-    """The 5-row shear layout is the 10-row one without its transverse rows,
-    bit for bit, for every law: constant, of rho alone, or of pi2 too."""
+REDUCTION_LAWS = {
+    "constant": lambda z, e, t: MaterialLaw(A=0.5, gamma=1.8, zeta=z, eta=e, tau=t),
+    "rho": lambda z, e, t: MaterialLaw(A=0.5, gamma=1.8,
+                                       zeta=lambda rho, pi, pi2: z * rho**1.5,
+                                       eta=lambda rho, pi, pi2: e * rho,
+                                       tau=lambda rho, pi, pi2: t * (0.5 + 0.5 * rho)),
+    "pi2": state_dependent_law}
 
-    LAWS = {"constant": lambda z, e, t: MaterialLaw(A=0.5, gamma=1.8, zeta=z, eta=e, tau=t),
-            "rho": lambda z, e, t: MaterialLaw(A=0.5, gamma=1.8,
-                                               zeta=lambda rho, pi, pi2: z * rho**1.5,
-                                               eta=lambda rho, pi, pi2: e * rho,
-                                               tau=lambda rho, pi, pi2: t * (0.5 + 0.5 * rho)),
-            "pi2": state_dependent_law}
 
-    @staticmethod
-    def same(full, reduced):
-        rows = [full.layout.names.index(n) for n in reduced.layout.names]
-        transverse = [f for f in range(len(full.layout.names)) if f not in rows]
+def kept_rows(full, reduced):
+    """Each row of the 10-row layout that the reduced one keeps, mapped to
+    the reduced row that holds its bits (Pi33 to Pi22's in the longitudinal
+    layout)."""
+    kept = {full.layout.names.index(n): r for r, n in enumerate(reduced.layout.names)}
+    return kept | {f: r for f, r in zip(full.layout.components, reduced.layout.components)
+                   if r is not None}
+
+
+def repeats_the_full_run(reduced_system, bc, integrator, law, reference, front, seed, amps):
+    """Rough data (a bump times noise, amps[name] on the named rows of the
+    reduced layout), evolved in the 10-row layout and in `reduced_system`,
+    step by step and then by `run`. After every step the outcomes, times
+    and step counts agree, each kept row has the bits of the reduced row
+    that holds it, and every other row of the 10-row run is +0.0."""
+    grid = Grid1D("planar", 48, -3.0, 3.0, bc=bc)
+    # the default front_tol trips on some fixed runs: their messages must agree too
+    tolerances = {"grad_factor": 1e9} | ({} if front else {"front_tol": 1e300})
+    full, reduced = (Simulation(grid, system, law, reference, integrator=integrator,
+                                tolerances=tolerances)
+                     for system in ("shear", reduced_system))
+    rng = np.random.default_rng(seed)
+    w = bump((grid.centers_interior - grid.center) / reference.R)
+    for name, a in amps.items():
+        reduced.fields.set(name, reduced.fields.get(name)
+                           + a * w * rng.uniform(0.5, 1.5, grid.n_cells))
+    kept = kept_rows(full, reduced)
+    full.fields.data[list(kept)] = reduced.fields.data[list(kept.values())]
+    dropped = [f for f in range(len(full.layout.names)) if f not in kept]
+
+    def same():
         assert full.t == reduced.t and full.step_count == reduced.step_count
-        assert np.array_equal(bits(full.fields.data[rows]), bits(reduced.fields.data))
-        assert not bits(full.fields.data[transverse]).any()  # +0.0 everywhere
+        assert np.array_equal(bits(full.fields.data[list(kept)]),
+                              bits(reduced.fields.data[list(kept.values())]))
+        assert not bits(full.fields.data[dropped]).any()  # +0.0 everywhere
+
+    for _ in range(8):
+        out = solver.step(full)
+        assert solver.step(reduced) == out
+        same()
+        if out.status != "ok":
+            return
+    # `run` carries gradients and windows from step to step
+    t_end = full.t + 12.5 * solver.cfl_dt(full)
+    (out, _), (out_reduced, _) = (solver.run(sim, t_end) for sim in (full, reduced))
+    assert out_reduced == out
+    same()
+
+
+class TestLongitudinalReduction:
+    """The 4-row longitudinal layout is the 10-row one without its
+    transverse rows and with Pi22's row standing for Pi33, bit for bit, for
+    every law: constant, of rho alone, or of pi2 too."""
 
     @settings(PROPERTY, max_examples=4)
-    @given(c=st.tuples(coefficient, coefficient, coefficient), amps=amplitudes(5),
+    @given(c=st.tuples(coefficient, coefficient, coefficient), amps=amplitudes(4),
            v_bar=st.floats(-0.3, 0.3), Pi_bar=st.sampled_from([0.0, 0.05]),
            front=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    @pytest.mark.parametrize("law", sorted(LAWS))
+    @pytest.mark.parametrize("law", sorted(REDUCTION_LAWS))
     @pytest.mark.parametrize("integrator", ["ssprk2", "ssprk3"])
     @pytest.mark.parametrize("bc", ["fixed", "periodic"])
     def test_reduced_layout_repeats_the_full_one(self, bc, integrator, law, c, amps, v_bar,
                                                  Pi_bar, front, seed):
-        grid = Grid1D("planar", 48, -3.0, 3.0, bc=bc)
         reference = ReferenceState(rho_bar=1.0, R=1.5, Pi_bar=Pi_bar, v_bar=(v_bar, 0.0, 0.0))
-        # the default front_tol trips on some fixed runs: their messages must agree too
-        tolerances = {"grad_factor": 1e9} | ({} if front else {"front_tol": 1e300})
-        full, reduced = (Simulation(grid, system, self.LAWS[law](*c), reference,
-                                    integrator=integrator, tolerances=tolerances)
-                         for system in ("shear", "shear_longitudinal"))
-        # rough data: a bump times noise on each longitudinal row
-        rng = np.random.default_rng(seed)
-        w = bump((grid.centers_interior - grid.center) / reference.R)
-        for a, name in zip(amps, reduced.layout.names):
-            values = full.fields.get(name) + a * w * rng.uniform(0.5, 1.5, grid.n_cells)
-            full.fields.set(name, values)
-            reduced.fields.set(name, values)
-        for _ in range(8):
-            out = solver.step(full)
-            assert solver.step(reduced) == out
-            self.same(full, reduced)
-            if out.status != "ok":
-                return
-        # `run` carries gradients and windows from step to step
-        t_end = full.t + 12.5 * solver.cfl_dt(full)
-        (out, _), (out_reduced, _) = (solver.run(sim, t_end) for sim in (full, reduced))
-        assert out_reduced == out
-        self.same(full, reduced)
+        repeats_the_full_run("shear_longitudinal", bc, integrator, REDUCTION_LAWS[law](*c),
+                             reference, front, seed,
+                             dict(zip(LAYOUTS["shear_longitudinal"].names, amps)))
+
+
+class TestTransverseReduction:
+    """The 5-row transverse layout is the 10-row one on data at Pi_bar = 0
+    whose only non-uniform rows are v2 and Pi12, bit for bit, for every law:
+    rho and v1 stay uniform, and v3, Pi13, Pi22, Pi23 and Pi33 stay +0.0."""
+
+    @settings(PROPERTY, max_examples=4)
+    @given(c=st.tuples(coefficient, coefficient, coefficient), amps=amplitudes(2),
+           v_bar=st.floats(-0.3, 0.3), front=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @pytest.mark.parametrize("law", sorted(REDUCTION_LAWS))
+    @pytest.mark.parametrize("integrator", ["ssprk2", "ssprk3"])
+    @pytest.mark.parametrize("bc", ["fixed", "periodic"])
+    def test_reduced_layout_repeats_the_full_one(self, bc, integrator, law, c, amps, v_bar,
+                                                 front, seed):
+        reference = ReferenceState(rho_bar=1.0, R=1.5, v_bar=(v_bar, 0.0, 0.0))
+        repeats_the_full_run("shear_transverse", bc, integrator, REDUCTION_LAWS[law](*c),
+                             reference, front, seed, dict(zip(("v2", "Pi12"), amps)))
