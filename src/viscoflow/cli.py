@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__, diagnostics, solver, stability
 from .config import ConfigError, ScenarioConfig, apply_overrides, format_config, \
     material_law, parse_config, reference_state, symmetry_center
-from .materials import LAYOUTS, BulkState, FieldLayout, ShearState
+from .materials import LAYOUTS, BulkState, ShearState
 from .quasilinear import assemble_bulk, assemble_shear, \
     characteristic_speeds_bulk_closed, characteristic_speeds_shear_closed, \
     characteristic_speeds_numeric, reference_signal_speed
@@ -249,26 +249,18 @@ def _branch_roots(system: str, bg: stability.Background, k: float) -> np.ndarray
     return roots[order]
 
 
-def _write_snapshot(path: Path, sim: solver.Simulation, layout: FieldLayout,
-                    centres: list) -> None:
-    """The fields of `layout`, the system's 10-row (or bulk) layout, at
-    sim.t, one row per cell. A stress component takes the row that holds it
-    in the simulation's layout (Pi33 takes Pi22's in a longitudinal shear
-    run), and a field that layout does not store (a transverse one, which
-    stays zero) is a column of 0.0. The cell centres are the same in every
-    snapshot of a run: the first one formats them into `centres`, a list
-    the run keeps, and the later ones take their words from it."""
-    zero = np.zeros(sim.grid.n_cells)
-    inner = sim.fields.interior()
-    stored = dict(zip(sim.fields.names, inner)) | {
-        n: inner[f] for n, f in zip(layout.names[layout.stress], sim.layout.components)
-        if f is not None}
+def _write_snapshot(path: Path, sim: solver.Simulation, centres: list) -> None:
+    """Every field of the simulation's system (all 10 of a shear run, as
+    `sim.fields.get` answers them) at sim.t, one row per cell. The cell
+    centres are the same in every snapshot of a run: the first one formats
+    them into `centres`, a list the run keeps, and the later ones take
+    their words from it."""
+    names = LAYOUTS[sim.system].names
     t = np.full(sim.grid.n_cells, sim.t)
     if not centres:
         _words(sim.grid.centers_interior, centres)
-    _write_csv(path, ("t", "cell_center") + layout.names,
-               (t, sim.grid.centers_interior, *(stored.get(n, zero) for n in layout.names)),
-               centres)
+    _write_csv(path, ("t", "cell_center") + names,
+               (t, sim.grid.centers_interior, *map(sim.fields.get, names)), centres)
 
 
 def cmd_simulate(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int, list[str]]:
@@ -308,7 +300,7 @@ def cmd_simulate(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int, 
                 break
         if out_dir is not None and t_stop in snaps:
             path = out_dir / f"snapshot_{len(outputs):03d}.csv"
-            _write_snapshot(path, sim, LAYOUTS[cfg.system], centres)
+            _write_snapshot(path, sim, centres)
             outputs.append(path.name)
 
     series_columns = [getattr(full_series, name) for name in full_series.COLUMNS]

@@ -14,7 +14,10 @@ Each fact of a fluid state is stated here once, and the solver, the
 reference evaluation and the analyses read it from here: the squared sound
 speed (`sound_speed2`), the invariants (pi, pi2) of a stored stress
 (`stress_invariants`), and the rows of each system's solver fields
-(`FieldLayout`, `LAYOUTS`), which say where each stress component lives.
+(`FieldLayout`), which say where each stress component lives. A caller
+names a system, "bulk" or "shear" (`LAYOUTS`); the two reduced shear
+layouts, which store fewer rows for data in a subspace, are private to the
+solver's builders.
 """
 
 from __future__ import annotations
@@ -236,23 +239,25 @@ class FieldLayout:
     sum is the trace: a row that stands for two components is listed twice.
     `parity` is the sign each row takes under the mirror x -> -x.
 
-    `LAYOUTS` names one layout per evolved system: "bulk" (rho, u, Pi),
-    "shear" (rho, v1, v2, v3 and the six stresses), and two layouts of the
-    shear system that store only the rows whose bits can differ:
+    `LAYOUTS` names one layout per evolved system, the name a caller gives:
+    "bulk" (rho, u, Pi) and "shear" (rho, v1, v2, v3 and the six stresses).
+    Two private layouts of the shear system store only the rows whose bits
+    can differ on data in a subspace, and only a builder of such data steps
+    one (`solver._reduced`); the Simulation's system is "shear" still:
 
-    - "shear_longitudinal" (rho, v1, Pi11, Pi22), for planar data that is
+    - `_SHEAR_LONGITUDINAL` (rho, v1, Pi11, Pi22), for planar data that is
       even under y -> -y and z -> -z and under y <-> z. v2, v3, Pi12, Pi13
       and Pi23 stay +0.0 for all time, and Pi33 keeps the bits of Pi22, so
       Pi22's row stands for Pi33. A shear config's data (the bump family
       seeds rho, v1 and the normal stresses alike) is such data, so
       `solver.init_scenario` evolves it in this layout.
-    - "shear_transverse" (rho, v1, v2, Pi11, Pi12), for planar data at
+    - `_SHEAR_TRANSVERSE` (rho, v1, v2, Pi11, Pi12), for planar data at
       Pi_bar = 0 whose only non-uniform rows are v2 and Pi12 (the
-      transverse ring-down): rho and v1 stay uniform, and v3, Pi11, Pi13,
-      Pi22, Pi23 and Pi33 stay +0.0.
+      transverse ring-down of `stability.verify_against_simulation`): rho
+      and v1 stay uniform, and v3, Pi11, Pi13, Pi22, Pi23 and Pi33 stay +0.0.
 
     Every step gives a reduced layout's rows the bits the 10-row layout
-    gives them; other data needs "shear".
+    gives them; other data needs the 10 rows.
     """
 
     names: tuple[str, ...]
@@ -297,16 +302,17 @@ LAYOUTS = {
         # v1 and the stresses Pi_1j with exactly one index 1 flip sign
         parity=(1.0, -1.0, 1.0, 1.0) + tuple(-1.0 if (i == 0) != (j == 0) else 1.0
                                              for i, j in SYM_INDEX)),
-    # the rows whose bits can differ on each kind of data (see above)
-    "shear_longitudinal": FieldLayout(
-        names=("rho", "v1", "Pi11", "Pi22"), velocity=slice(1, 2), stress=slice(2, 4),
-        components=(2, None, None, 3, None, 3), drive=slice(2, 3), normal=(2, 3, 3),
-        parity=(1.0, -1.0, 1.0, 1.0)),
-    "shear_transverse": FieldLayout(
-        names=("rho", "v1", "v2", "Pi11", "Pi12"), velocity=slice(1, 3), stress=slice(3, 5),
-        components=(3, 4, None, None, None, None), drive=slice(3, 5), normal=(3,),
-        parity=(1.0, -1.0, 1.0, 1.0, -1.0)),
 }
+
+# the shear rows whose bits can differ on each kind of data (see FieldLayout)
+_SHEAR_LONGITUDINAL = FieldLayout(
+    names=("rho", "v1", "Pi11", "Pi22"), velocity=slice(1, 2), stress=slice(2, 4),
+    components=(2, None, None, 3, None, 3), drive=slice(2, 3), normal=(2, 3, 3),
+    parity=(1.0, -1.0, 1.0, 1.0))
+_SHEAR_TRANSVERSE = FieldLayout(
+    names=("rho", "v1", "v2", "Pi11", "Pi12"), velocity=slice(1, 3), stress=slice(3, 5),
+    components=(3, 4, None, None, None, None), drive=slice(3, 5), normal=(3,),
+    parity=(1.0, -1.0, 1.0, 1.0, -1.0))
 
 
 @dataclass(frozen=True)

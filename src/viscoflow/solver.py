@@ -14,14 +14,17 @@ source is integrated by Strang splitting with an exact exponential update
 toward the local Navier-Stokes value, stable for arbitrarily small
 relaxation time. Time integration is SSP-RK2 (SSP-RK3 optional).
 
-Cost of a step. A step covers only the rows whose bits can differ
-(`materials.LAYOUTS`). A shear config runs in the 4-row longitudinal layout,
-since its data has no transverse motion and keeps Pi33 equal to Pi22, whose
-row stands for both; `verify_against_simulation`'s transverse ring-down runs
-in the 5-row transverse layout. Every pass, buffer and check of a step then
-covers 4 or 5 of the 10 rows and gives them the bits the 10-row layout
-gives them: `_relax` writes each stress equilibrium once, where the layout
-stores it, and a law of the stress sees the 10-row invariants
+Cost of a step. A step covers only the rows whose bits can differ. A
+caller names "bulk" or "shear", and `Simulation(grid, "shear", ...)` steps
+10 rows; the builders that write data in a subspace pick a reduced layout
+(`materials.FieldLayout`) through `_reduced`. `init_scenario` steps a shear
+config in the 4-row longitudinal layout, since its data has no transverse
+motion and keeps Pi33 equal to Pi22, whose row stands for both;
+`verify_against_simulation`'s transverse ring-down steps the 5-row
+transverse layout. Every pass, buffer and check of a step then covers 4 or
+5 of the 10 rows and gives them the bits the 10-row layout gives them:
+`_relax` writes each stress equilibrium once, where the layout stores it,
+and a law of the stress sees the 10-row invariants
 (`FieldLayout.stress_components`). A step works on its active window only
 (`_window`): the span of the interior cells that differ, bit for bit, from
 the reference state, widened by the cells one step can carry a difference
@@ -102,8 +105,9 @@ import numpy as np
 from . import diagnostics
 from .config import (ConfigError, ScenarioConfig, default_tolerances, grid_problems,
                      material_law, reference_state, run_problems, symmetry_center)
-from .materials import (LAYOUTS, MaterialLaw, MaterialLawError, ReferenceState, eval_transport,
-                        sound_speed2, stress_invariants)
+from .materials import (_SHEAR_LONGITUDINAL, LAYOUTS, FieldLayout, MaterialLaw,
+                        MaterialLawError, ReferenceState, eval_transport, sound_speed2,
+                        stress_invariants)
 from .quasilinear import bulk_signal_speed, reference_signal_speed, shear_signal_speeds
 
 __all__ = [
@@ -227,19 +231,35 @@ def _bits(a: np.ndarray) -> np.ndarray:
 
 
 class FluidFields:
-    """Named field arrays over the padded grid."""
+    """Named field arrays over the padded grid, one row per name of
+    `layout`, the rows a Simulation steps.
 
-    def __init__(self, names: tuple[str, ...], grid: Grid1D):
-        self.names = names
-        self.data = np.zeros((len(names), grid.n_padded))
-        self._index = {n: i for i, n in enumerate(names)}
+    `get` answers every field of `full`, the layout of the Simulation's
+    system, over the interior: the row that holds it (Pi33 reads Pi22's row
+    in the longitudinal shear layout), or zeros for a component `layout`
+    does not store (one value broadcast over the cells, which costs no
+    memory). A field without a row of its own comes read-only, so a write
+    to it fails rather than vanish or land in another field. `set` writes a
+    stored row; another name raises KeyError.
+    """
+
+    def __init__(self, layout: FieldLayout, full: FieldLayout, grid: Grid1D):
+        self.names = layout.names
+        self.data = np.zeros((len(self.names), grid.n_padded))
+        self._stored = {n: i for i, n in enumerate(self.names)}
+        # every field of the system: its row here, or None where it is zero
+        self._rows = dict.fromkeys(full.names) | dict(
+            zip(full.names[full.stress], layout.components)) | self._stored
         self._inner = grid.interior
+        self._zeros = np.broadcast_to(0.0, grid.n_cells)  # read-only; holds one value
 
     def get(self, name: str) -> np.ndarray:
-        return self.data[self._index[name], self._inner]
+        f = self._rows[name]
+        row = self._zeros if f is None else self.data[f, self._inner]
+        return row if name in self._stored else _frozen(row)
 
     def set(self, name: str, values) -> None:
-        self.data[self._index[name], self._inner] = values
+        self.data[self._stored[name], self._inner] = values
 
     def interior(self) -> np.ndarray:
         return self.data[:, self._inner]
@@ -420,14 +440,18 @@ class StepOutcome:
 class Simulation:
     """Mutable evolution state: one writer, no shared mutation.
 
-    The fields start at the uniform reference state, ghosts included, so a
-    new Simulation holds a valid state; a caller writes its initial data
-    over the interior. `tolerances` overrides entries of
-    `config.default_tolerances()`; the monitors read the merged dict.
-    Settings that `config.run_problems` rejects (an unknown system or
-    integrator, a cfl outside (0, 1], a key `default_tolerances()` lacks or
-    a value that is not finite and positive) raise ValueError with the first
-    problem.
+    `system` is "bulk" or "shear", and the fields hold the rows of its
+    layout, `materials.LAYOUTS[system]`: 10 for the shear system. Only a
+    builder whose data lies in a reduced shear layout's subspace steps that
+    layout's fewer rows (`_reduced`); `system` is "shear" still, and
+    `fields.get` answers each of the 10 fields. The fields start at the
+    uniform reference state, ghosts included, so a new Simulation holds a
+    valid state; a caller writes its initial data over the interior.
+    `tolerances` overrides entries of `config.default_tolerances()`; the
+    monitors read the merged dict. Settings that `config.run_problems`
+    rejects (a system other than "bulk" and "shear", an unknown integrator,
+    a cfl outside (0, 1], a key `default_tolerances()` lacks or a value that
+    is not finite and positive) raise ValueError with the first problem.
     """
 
     def __init__(self, grid: Grid1D, system: str, law: MaterialLaw,
@@ -435,9 +459,7 @@ class Simulation:
                  integrator: str = "ssprk2",
                  tolerances: dict[str, float] | None = None):
         tolerances = tolerances or {}
-        # a reduced shear layout evolves the shear system: its rules apply
-        problems = run_problems("shear" if system in LAYOUTS and system != "bulk" else system,
-                                grid.geometry, integrator, cfl, tolerances)
+        problems = run_problems(system, grid.geometry, integrator, cfl, tolerances)
         if problems:
             raise ValueError(problems[0])
         self.tolerances = default_tolerances() | tolerances
@@ -447,8 +469,9 @@ class Simulation:
         self.reference = reference
         self.cfl = float(cfl)
         self.integrator = integrator
-        self.layout = LAYOUTS[system]
-        self.fields = FluidFields(self.layout.names, grid)
+        # a reduced layout that `_reduced` set before calling, else the system's
+        self.layout = vars(self).get("layout") or LAYOUTS[system]
+        self.fields = FluidFields(self.layout, LAYOUTS[system], grid)
         self.t = 0.0
         self.step_count = 0
         self.initial = InitialReport(reference.rho_bar, 0.0, 0.0, 0.0, 0.0)
@@ -487,6 +510,17 @@ class Simulation:
             f0=diagnostics.radial_momentum(self),
             g0=diagnostics.stress_integral(self),
             max_grad0=max(gu, grho))
+
+
+def _reduced(layout: FieldLayout, grid: Grid1D, *args, **settings) -> Simulation:
+    """`Simulation(grid, "shear", *args, **settings)`, stepping `layout`, a
+    reduced shear layout (`materials.FieldLayout`): its fields are allocated
+    once, in that layout. The builders of data in the layout's subspace call
+    it: `init_scenario` and `stability.verify_against_simulation`."""
+    sim = Simulation.__new__(Simulation)
+    sim.layout = layout
+    sim.__init__(grid, "shear", *args, **settings)
+    return sim
 
 
 # ---------------------------------------------------------------------------
@@ -918,8 +952,8 @@ def init_scenario(cfg: ScenarioConfig) -> Simulation:
     bump of amplitude a, an outward velocity bump b * (r/R) * w(r/R) (the
     odd radial factor keeps the velocity field differentiable at the
     origin), and a stress bump of amplitude c (isotropic for the 10-field
-    system). A shear config runs in the 4-row "shear_longitudinal" layout,
-    the rows its data moves, with Pi22's row standing for Pi33 (see
+    system). The bump family is longitudinal, so a shear config steps the 4
+    rows its data moves, with Pi22's row standing for Pi33 (see
     `materials.FieldLayout`). If b_from_f0 is set,
     b is rescaled so the grid quadrature of the initial weighted momentum
     F(0) equals it exactly (F(0) is linear in b); a bump that covers no cell
@@ -930,9 +964,9 @@ def init_scenario(cfg: ScenarioConfig) -> Simulation:
     law = material_law(cfg)
     ref = reference_state(cfg)
     grid = Grid1D(cfg.geometry, cfg.n_cells, cfg.x_min, cfg.x_max, bc=cfg.bc)
-    system = "shear_longitudinal" if cfg.system == "shear" else cfg.system
-    sim = Simulation(grid, system, law, ref, cfl=cfg.cfl, integrator=cfg.integrator,
-                     tolerances=cfg.tolerances)
+    settings = dict(cfl=cfg.cfl, integrator=cfg.integrator, tolerances=cfg.tolerances)
+    sim = (_reduced(_SHEAR_LONGITUDINAL, grid, law, ref, **settings) if cfg.system == "shear"
+           else Simulation(grid, cfg.system, law, ref, **settings))
     b = cfg.b
     if cfg.b_from_f0 is not None:
         _apply_profiles(sim, cfg.a, 1.0, cfg.c)

@@ -398,8 +398,8 @@ class TestCli:
 
     def test_shear_snapshot_keeps_the_transverse_columns(self, run_cli, tmp_path):
         # the run stores the four longitudinal rows; the snapshot writes all
-        # ten shear fields, with 0.0 for the transverse ones and Pi22's
-        # values for Pi33
+        # ten shear fields, as `fields.get` answers them: 0.0 for the
+        # transverse ones and Pi22's values for Pi33
         path = tmp_path / "shear.cfg"
         path.write_text("[scenario]\nsystem = shear\n[profile]\na = 0.01\nb = 0.02\n"
                         "c = 0.01\n[grid]\nn_cells = 64\nx_min = -4.0\n[run]\nt_end = 0.05\n"
@@ -418,10 +418,16 @@ class TestCli:
             assert set(columns["Pi11"]) != {"0.0"}
             assert columns["Pi33"] == columns["Pi22"] and set(columns["Pi22"]) != {"0.0"}
         sim = solver.init_scenario(parse_config(path.read_text(encoding="utf-8")))
-        assert sim.system == "shear_longitudinal" and sim.fields.data.shape[0] == 4
+        assert sim.system == "shear" and sim.fields.data.shape[0] == 4
+        pi22 = sim.fields.get("Pi22")
+        assert np.array_equal(sim.fields.get("Pi33").view(np.int64), pi22.view(np.int64))
+        assert np.array_equal(sim.fields.get("v2").view(np.int64), np.zeros(64, dtype=np.int64))
         for name in ("v2", "Pi33"):
             with pytest.raises(KeyError):
-                sim.fields.get(name)
+                sim.fields.set(name, pi22)
+            with pytest.raises(ValueError, match="read-only"):
+                sim.fields.get(name)[0] = 1.0
+        assert np.array_equal(pi22.view(np.int64), sim.fields.get("Pi22").view(np.int64))
         uniform = solver.Simulation(sim.grid, "shear", sim.law, sim.reference)
         assert uniform.fields.names == LAYOUTS["shear"].names
         assert uniform.fields.data.shape[0] == 10

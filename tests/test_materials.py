@@ -3,9 +3,13 @@ import functools
 import numpy as np
 import pytest
 
-from viscoflow.materials import (LAYOUTS, BulkState, MaterialLaw, MaterialLawError,
-                                 ReferenceState, ShearState, eval_transport, pressure,
-                                 sound_speed, stress_invariants)
+from viscoflow.materials import (_SHEAR_LONGITUDINAL, _SHEAR_TRANSVERSE, LAYOUTS, BulkState,
+                                 MaterialLaw, MaterialLawError, ReferenceState, ShearState,
+                                 eval_transport, pressure, sound_speed, stress_invariants)
+
+# the public layouts and the two reduced shear layouts the solver's builders step
+EVERY_LAYOUT = LAYOUTS | {"shear_longitudinal": _SHEAR_LONGITUDINAL,
+                          "shear_transverse": _SHEAR_TRANSVERSE}
 
 
 class TestPressure:
@@ -227,11 +231,11 @@ class TestStates:
             assert pi == pytest.approx(np.trace(t) / 3.0, rel=1e-14, abs=1e-15)
             assert pi2 == pytest.approx(np.sum(t * t), rel=1e-14)
 
-    @pytest.mark.parametrize("system", sorted(LAYOUTS))
+    @pytest.mark.parametrize("system", sorted(EVERY_LAYOUT))
     def test_invariants_of_rows_have_the_bits_of_each_cell(self, rng, system):
         # the solver passes the stress components of its field rows; the
         # point states pass their stored components
-        layout = LAYOUTS[system]
+        layout = EVERY_LAYOUT[system]
         rows = rng.uniform(-2.0, 2.0, size=(len(layout.names), 40))
         pi, pi2 = stress_invariants(layout.stress_components(rows))
         for c in range(rows.shape[1]):
@@ -243,7 +247,7 @@ class TestStates:
         # a law fn(rho, pi, pi2) sees the bits of the 10-row layout's
         # invariants: a folded component (Pi33 in Pi22's row) counts in
         # full, an absent one as a row of +0.0
-        layout, full = LAYOUTS[system], LAYOUTS["shear"]
+        layout, full = EVERY_LAYOUT[system], LAYOUTS["shear"]
         rows = rng.uniform(-2.0, 2.0, size=(len(layout.names), 40))
         rows[layout.stress, :6] = [[-0.0, 0.0, 1e-200, -1e-200, np.inf, -np.inf]]
         ten = np.zeros((len(full.names), rows.shape[1]))

@@ -31,11 +31,11 @@ so an optimization of the step that changes the arithmetic shows up here:
   pick of the slope of least magnitude, signed zeros, infinities and NaNs
   included, on flat rows and on a window read through 2-D views;
 - shear data without transverse motion (v2, v3, Pi12, Pi13 and Pi23 zero)
-  and with Pi33 = Pi22 evolves in the 4-row "shear_longitudinal" layout
+  and with Pi33 = Pi22 evolves in the 4-row reduced longitudinal layout
   with the bits, times, time steps and outcomes of the 10-row "shear"
   layout, whose transverse rows stay +0.0 and whose Pi33 keeps Pi22's
   bits; data at Pi_bar = 0 that moves only v2 and Pi12 does so in the
-  5-row "shear_transverse" layout, the other rows of the 10-row run
+  5-row reduced transverse layout, the other rows of the 10-row run
   staying uniform or +0.0.
 """
 
@@ -49,7 +49,8 @@ from hypothesis import strategies as st
 from viscoflow import cli, solver
 from viscoflow.config import (ScenarioConfig, default_tolerances, material_law,
                               reference_state, validate)
-from viscoflow.materials import LAYOUTS, MaterialLaw, ReferenceState
+from viscoflow.materials import (_SHEAR_LONGITUDINAL, _SHEAR_TRANSVERSE, LAYOUTS, MaterialLaw,
+                                 ReferenceState)
 from viscoflow.solver import Grid1D, Simulation, bump
 
 # A draw that runs the solver costs up to a second, and shrinking a failing
@@ -558,41 +559,33 @@ REDUCTION_LAWS = {
     "pi2": state_dependent_law}
 
 
-def kept_rows(full, reduced):
-    """Each row of the 10-row layout that the reduced one keeps, mapped to
-    the reduced row that holds its bits (Pi33 to Pi22's in the longitudinal
-    layout)."""
-    kept = {full.layout.names.index(n): r for r, n in enumerate(reduced.layout.names)}
-    return kept | {f: r for f, r in zip(full.layout.components, reduced.layout.components)
-                   if r is not None}
-
-
-def repeats_the_full_run(reduced_system, bc, integrator, law, reference, front, seed, amps):
+def repeats_the_full_run(layout, bc, integrator, law, reference, front, seed, amps):
     """Rough data (a bump times noise, amps[name] on the named rows of the
-    reduced layout), evolved in the 10-row layout and in `reduced_system`,
-    step by step and then by `run`. After every step the outcomes, times
-    and step counts agree, each kept row has the bits of the reduced row
-    that holds it, and every other row of the 10-row run is +0.0."""
+    reduced `layout`), evolved in the 10-row layout and in `layout`, step by
+    step and then by `run`. After every step the outcomes, times and step
+    counts agree, and each of the ten fields has the bits the reduced run
+    answers for it: a stored row's, Pi22's for Pi33 in the longitudinal
+    layout, +0.0 for a component the layout does not store."""
     grid = Grid1D("planar", 48, -3.0, 3.0, bc=bc)
     # the default front_tol trips on some fixed runs: their messages must agree too
-    tolerances = {"grad_factor": 1e9} | ({} if front else {"front_tol": 1e300})
-    full, reduced = (Simulation(grid, system, law, reference, integrator=integrator,
-                                tolerances=tolerances)
-                     for system in ("shear", reduced_system))
+    settings = dict(integrator=integrator,
+                    tolerances={"grad_factor": 1e9} | ({} if front else {"front_tol": 1e300}))
+    full = Simulation(grid, "shear", law, reference, **settings)
+    reduced = solver._reduced(layout, grid, law, reference, **settings)
+    assert reduced.system == "shear" and reduced.layout is layout
     rng = np.random.default_rng(seed)
     w = bump((grid.centers_interior - grid.center) / reference.R)
     for name, a in amps.items():
         reduced.fields.set(name, reduced.fields.get(name)
                            + a * w * rng.uniform(0.5, 1.5, grid.n_cells))
-    kept = kept_rows(full, reduced)
-    full.fields.data[list(kept)] = reduced.fields.data[list(kept.values())]
-    dropped = [f for f in range(len(full.layout.names)) if f not in kept]
+    names = LAYOUTS["shear"].names
+    for name in names:
+        full.fields.set(name, reduced.fields.get(name))
 
     def same():
         assert full.t == reduced.t and full.step_count == reduced.step_count
-        assert np.array_equal(bits(full.fields.data[list(kept)]),
-                              bits(reduced.fields.data[list(kept.values())]))
-        assert not bits(full.fields.data[dropped]).any()  # +0.0 everywhere
+        for name in names:
+            assert np.array_equal(bits(full.fields.get(name)), bits(reduced.fields.get(name)))
 
     for _ in range(8):
         out = solver.step(full)
@@ -622,9 +615,8 @@ class TestLongitudinalReduction:
     def test_reduced_layout_repeats_the_full_one(self, bc, integrator, law, c, amps, v_bar,
                                                  Pi_bar, front, seed):
         reference = ReferenceState(rho_bar=1.0, R=1.5, Pi_bar=Pi_bar, v_bar=(v_bar, 0.0, 0.0))
-        repeats_the_full_run("shear_longitudinal", bc, integrator, REDUCTION_LAWS[law](*c),
-                             reference, front, seed,
-                             dict(zip(LAYOUTS["shear_longitudinal"].names, amps)))
+        repeats_the_full_run(_SHEAR_LONGITUDINAL, bc, integrator, REDUCTION_LAWS[law](*c),
+                             reference, front, seed, dict(zip(_SHEAR_LONGITUDINAL.names, amps)))
 
 
 class TestTransverseReduction:
@@ -641,5 +633,5 @@ class TestTransverseReduction:
     def test_reduced_layout_repeats_the_full_one(self, bc, integrator, law, c, amps, v_bar,
                                                  front, seed):
         reference = ReferenceState(rho_bar=1.0, R=1.5, v_bar=(v_bar, 0.0, 0.0))
-        repeats_the_full_run("shear_transverse", bc, integrator, REDUCTION_LAWS[law](*c),
+        repeats_the_full_run(_SHEAR_TRANSVERSE, bc, integrator, REDUCTION_LAWS[law](*c),
                              reference, front, seed, dict(zip(("v2", "Pi12"), amps)))

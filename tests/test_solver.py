@@ -52,6 +52,14 @@ class TestGrid:
         with pytest.raises(ValueError):
             Simulation(grid, "shear", unit_law, unit_reference)
 
+    @pytest.mark.parametrize("name", ["shear_longitudinal", "shear_transverse"])
+    def test_a_reduced_layout_is_no_system(self, unit_law, name):
+        # each is exact on one subspace of data alone (the transverse one at
+        # Pi_bar = 0 only), so a caller names the system, "bulk" or "shear"
+        grid = Grid1D("planar", 48, -3.0, 3.0, bc="periodic")
+        with pytest.raises(ValueError, match=f"system must be bulk or shear, got '{name}'"):
+            Simulation(grid, name, unit_law, ReferenceState(1.0, 1.5, Pi_bar=0.05))
+
 
 class TestCflStep:
     def test_equilibrium_unit_coefficients(self, unit_law, unit_reference):

@@ -315,6 +315,14 @@ class TestRingDownFit:
         with pytest.raises(FitError):
             fit_complex_exponential(t, signal)
 
+    def test_an_overdamped_mode_is_refused(self):
+        # at k = 0.1 the transverse roots are real: the mode has no period
+        # to ring down over
+        with pytest.raises(ValueError, match=r"no oscillatory root to ring down: the roots "
+                                             r"are \[-0\.98989794\d*, -0\.01010205\d*\]"):
+            verify_against_simulation(unit_background(), k=0.1, system="shear_transverse",
+                                      cells_per_wavelength=32)
+
     def test_a_stopped_ring_down_says_why(self):
         # an amplitude of twice the density seeds a negative density
         with pytest.raises(FitError, match=r"status invalid_state: state invalid before the "
