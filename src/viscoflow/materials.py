@@ -237,7 +237,8 @@ class FieldLayout:
     for the shear one): its row, or None where the layout does not store it
     and it is +0.0. `normal` holds the rows of the diagonal stresses, whose
     sum is the trace: a row that stands for two components is listed twice.
-    `parity` is the sign each row takes under the mirror x -> -x.
+    `parity` is the sign each row takes under the mirror x -> -x, which the
+    solver's spherical ghost fill applies at the origin.
 
     `LAYOUTS` names one layout per evolved system, the name a caller gives:
     "bulk" (rho, u, Pi) and "shear" (rho, v1, v2, v3 and the six stresses).
@@ -267,13 +268,6 @@ class FieldLayout:
     normal: tuple[int, ...]
     drive: slice
     parity: tuple[float, ...]
-
-    @cached_property
-    def parity_column(self) -> np.ndarray:
-        """`parity` as a read-only (rows, 1) column, to multiply field rows."""
-        col = np.array(self.parity)[:, None]
-        col.flags.writeable = False
-        return col
 
     def stress_components(self, rows) -> tuple:
         """The stress components of `rows`, an array over the layout's rows

@@ -485,6 +485,8 @@ class Simulation:
         self.front_scales = np.full(len(self.layout.names), self.cv_bar)
         self.front_scales[0] = reference.rho_bar
         self.front_scales[self.layout.stress] = reference.rho_bar * self.cv_bar**2
+        # the sign of each row under the mirror x -> -x, a column for the spherical ghost fill
+        self.mirror_signs = _frozen(np.array(self.layout.parity)[:, None])
 
     @cached_property
     def work(self) -> _Workspace:
@@ -538,7 +540,7 @@ def _fill_ghosts(sim: Simulation, data: np.ndarray) -> None:
     data[:, n + g:] = ref
     if sim.grid.geometry == "spherical":
         # mirror at the origin: odd rows (the radial velocity) flip sign
-        np.multiply(data[:, 2 * g - 1:g - 1:-1], sim.layout.parity_column, out=data[:, :g])
+        np.multiply(data[:, 2 * g - 1:g - 1:-1], sim.mirror_signs, out=data[:, :g])
     else:
         data[:, :g] = ref
 
@@ -681,8 +683,7 @@ def _relax(sim: Simulation, delta: float, cols: slice, carried: bool) -> None:
         np.multiply(two_eta, dv1, out=eq[0])
         eq[0] += trace_part
         np.negative(eq[0], out=eq[0])
-        if len(grads) > 1:
-            np.multiply(grads[1:], -eta, out=eq[1:len(grads)])
+        np.multiply(grads[1:], -eta, out=eq[1:len(grads)])
         for f in sorted(set(layout.normal[1:])):
             np.negative(trace_part, out=eq[f - first])
         p23 = layout.components[4]  # SYM_INDEX slot of Pi23

@@ -239,16 +239,25 @@ class SimulationComparison:
     passed: bool
 
 
-def _least_damped_oscillatory(poly) -> complex:
-    """The oscillatory root of greatest real part, with its imaginary part
+def _least_damped_oscillatory(poly, amplitude_frac: float) -> complex:
+    """The oscillatory root x of greatest real part, with its imaginary part
     made positive. A mode whose roots are all real (overdamped) has no
-    period to ring down over: ValueError, naming the roots."""
+    period to ring down over: ValueError, naming the roots. A mode that
+    decays 6 pi |Re x| / Im x e-folds over the ring-down's three periods,
+    enough to take `amplitude_frac` below double-precision rounding, leaves
+    nothing to fit, and just past critical damping, where Im x -> 0, its
+    run would not end: ValueError, naming the root."""
     roots = poly_roots(poly)
     osc = roots[np.abs(roots.imag) > 1e-12]
     if not osc.size:
         raise ValueError(f"no oscillatory root to ring down: the roots are {roots.real.tolist()}")
     root = osc[int(np.argmax(osc.real))]
-    return complex(root.real, abs(root.imag))
+    root = complex(root.real, abs(root.imag))
+    efolds = 6.0 * np.pi * abs(root.real) / root.imag
+    if abs(amplitude_frac) * np.exp(-efolds) < np.finfo(float).eps:
+        raise ValueError(f"the root {root} decays {efolds:.4g} e-folds in three periods, taking "
+                         f"amplitude {amplitude_frac!r} below double-precision rounding")
+    return root
 
 
 def _law_for_background(background: Background) -> MaterialLaw:
@@ -274,7 +283,10 @@ def verify_against_simulation(background: Background, k: float,
     only v2 and Pi12 and so steps the 5 rows of the reduced transverse
     layout (`materials.FieldLayout`), with the bits of the 10-row shear
     layout. A mode with no oscillatory root (overdamped: the transverse
-    mode at small k) raises ValueError naming its roots. A run that stops
+    mode at small k) raises ValueError naming its roots, and so does one
+    whose three periods would take `amplitude_frac` below double-precision
+    rounding (the transverse mode just past critical damping), naming its
+    root, before the run is built. A run that stops
     early raises FitError with the outcome's status and message.
     """
     from . import solver  # local import: solver sits above this module
@@ -291,14 +303,15 @@ def verify_against_simulation(background: Background, k: float,
     # each mode: the root its seeded eigenmode evolves by, as exp(x t), its
     # run, the rows it seeds and the probed field with its uniform part
     if system == "bulk":
-        x_fit = _least_damped_oscillatory(bulk_dispersion(b, (k, 0.0, 0.0)))
+        x_fit = _least_damped_oscillatory(bulk_dispersion(b, (k, 0.0, 0.0)), amplitude_frac)
         sim = solver.Simulation(grid, "bulk", law=law, reference=reference)
         sim.fields.set("rho", b.rho0 + np.real(-1j * b.rho0 * k * eps / x_fit * wave))
         sim.fields.set("u", np.real(eps * wave))
         sim.fields.set("Pi", np.real(-1j * b.zeta * k * eps / (1.0 + b.tau * x_fit) * wave))
         probe, base = "rho", b.rho0
     elif system == "shear_transverse":
-        x_fit = _least_damped_oscillatory(shear_dispersion(b, (k, 0.0, 0.0))["transverse"])
+        x_fit = _least_damped_oscillatory(shear_dispersion(b, (k, 0.0, 0.0))["transverse"],
+                                          amplitude_frac)
         sim = solver._reduced(_SHEAR_TRANSVERSE, grid, law, reference)
         sim.fields.set("v2", np.real(eps * wave))
         sim.fields.set("Pi12", np.real(-1j * b.eta * k * eps / (1.0 + b.tau * x_fit) * wave))

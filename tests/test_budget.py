@@ -16,7 +16,7 @@ import io
 import tokenize
 from pathlib import Path
 
-CODE_LINES = 1828
+CODE_LINES = 1825
 SETTABLE_VALUES = 53
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "viscoflow").glob("*.py"))
@@ -59,14 +59,24 @@ def settable_values(text: str) -> int:
     return count
 
 
+def _per_module(count) -> dict[str, int]:
+    return {p.name: count(p.read_text(encoding="utf-8")) for p in SOURCES}
+
+
+def _budget_message(counts: dict[str, int], pin: int) -> str:
+    modules = ", ".join(f"{name} {n}" for name, n in counts.items())
+    return (f"{sum(counts.values())} against the pin {pin} ({modules}): "
+            "move the pin to the new count and say why in CHANGES.md")
+
+
 def test_code_lines_stay_within_the_budget():
-    total = sum(code_lines(p.read_text(encoding="utf-8")) for p in SOURCES)
-    assert total == CODE_LINES, "move the pin and say why in CHANGES.md"
+    counts = _per_module(code_lines)
+    assert sum(counts.values()) == CODE_LINES, _budget_message(counts, CODE_LINES)
 
 
 def test_settable_values_stay_within_the_budget():
-    total = sum(settable_values(p.read_text(encoding="utf-8")) for p in SOURCES)
-    assert total == SETTABLE_VALUES, "move the pin and say why in CHANGES.md"
+    counts = _per_module(settable_values)
+    assert sum(counts.values()) == SETTABLE_VALUES, _budget_message(counts, SETTABLE_VALUES)
 
 
 def test_the_counts_follow_their_definitions():

@@ -59,6 +59,35 @@ acoustic factor: 1.0, 1.0, 4.333333333333334, 2.0000000000000004
 overall verdict: stable
 """,
 }
+# `speeds` on the default bulk and shear configs: the numeric table and the closed-form set
+SPEEDS = {
+    "bulk": """\
+characteristic speeds, bulk system, direction x
+  symmetric matrices : True
+  a0 positive definite: True
+  eigenvector condition: 1
+  verdict            : FOSH
+               speed  multiplicity
+      -1.73205080757  1
+  -1.63064006742e-16  3
+       1.73205080757  1
+  closed-form speed set: -1.73205080757, 0, 0, 0, 1.73205080757
+""",
+    "shear": """\
+characteristic speeds, shear system, direction x
+  symmetric matrices : False
+  a0 positive definite: True
+  eigenvector condition: 4.74475
+  verdict            : strongly-hyperbolic
+               speed  multiplicity
+      -2.08166599947  1
+                  -1  2
+                   0  4
+                   1  2
+       2.08166599947  1
+  closed-form speed set: -2.08166599947, -1, 0, 1, 2.08166599947
+""",
+}
 # former [tolerances] keys: a config that still sets one must fail, not be ignored
 DELETED_TOLERANCES = ["rho_floor_frac", "front_slack_cells", "check_front",
                       "eig_cond_cap", "marginal_band"]
@@ -576,8 +605,7 @@ class TestCli:
         path = tmp_path / "empty.cfg"
         path.write_text(f"[scenario]\nsystem = {system}\n", encoding="utf-8")
         cp = run_cli("speeds", "--config", str(path))
-        assert cp.returncode == 0, cp.stderr
-        assert f"characteristic speeds, {system} system" in cp.stdout
+        assert (cp.returncode, cp.stdout, cp.stderr) == (0, SPEEDS[system], "")
 
     def test_simulate_refuses_a_front_that_reaches_the_wall(self, run_cli, config_path):
         cp = run_cli("simulate", "--config", str(config_path), "--override", "run.t_end=5.0")
@@ -711,6 +739,19 @@ def test_readme_lists_every_tolerance_with_its_default():
         key, _, value = line.partition("=")
         listed[key.strip()] = float(value)
     assert listed == default_tolerances()
+
+
+def test_readme_lists_every_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Configuration format", 1)[1].split("```ini", 1)[1].split("```", 1)[0]
+    # b_from_f0 has no default: its line shows where a value would go
+    block = "\n".join(line for line in block.splitlines() if not line.startswith("b_from_f0"))
+    assert format_config(parse_config(block)) == format_config(ScenarioConfig())
+
+
+def test_numpy_linalg_errors_are_value_errors():
+    # `cli.main` reports a LinAlgError as a numerical failure through `except ValueError`
+    assert issubclass(np.linalg.LinAlgError, ValueError)
 
 
 def _subcommands():

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -322,6 +324,18 @@ class TestRingDownFit:
                                              r"are \[-0\.98989794\d*, -0\.01010205\d*\]"):
             verify_against_simulation(unit_background(), k=0.1, system="shear_transverse",
                                       cells_per_wavelength=32)
+
+    @pytest.mark.parametrize("k,efolds", [(0.500001, "9425"), (0.51, "93.78")])
+    def test_a_mode_that_decays_below_rounding_is_refused(self, k, efolds):
+        # just past critical damping (k = 1/2) the transverse root nears the
+        # real axis, and three periods of the ring-down grow without bound
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"the root \(-0\.\d+\+0\.\d+j\) decays {efolds} "
+                                             r"e-folds in three periods, taking amplitude "
+                                             r"1e-06 below double-precision rounding"):
+            verify_against_simulation(unit_background(), k=k, system="shear_transverse",
+                                      cells_per_wavelength=32)
+        assert time.perf_counter() - start < 1.0
 
     def test_a_stopped_ring_down_says_why(self):
         # an amplitude of twice the density seeds a negative density
