@@ -27,20 +27,24 @@ transverse layout. Every pass, buffer and check of a step then covers 4 or
 and a law of the stress sees the 10-row invariants
 (`FieldLayout.stress_components`). A step works on its active window only
 (`_window`): the span of the interior cells that differ, bit for bit, from
-the reference state, widened by the cells one step can carry a difference
-and clipped to the interior. Each of a step's four stencil passes (the velocity gradients
-of two relaxations, the right-hand sides of two SSP stages) changes a cell
-only if it or a neighbour differs, since a minmod slope vanishes beside two
-equal cells, so that reach is four cells. Where the reference state is a
-fixed point of the step, the cells outside the window would come out of it
+the reference state, widened by the cells one step can carry a difference,
+rounded out to blocks of WINDOW_BLOCK cells and clipped to the interior.
+Each of a step's four stencil passes (the velocity gradients of two
+relaxations, the right-hand sides of two SSP stages) changes a cell only if
+it or a neighbour differs, since a minmod slope vanishes beside two equal
+cells, so that reach is four cells. Where the reference state is a fixed
+point of the step, the cells outside the window would come out of it
 unchanged, so the step leaves them alone: the relaxations, the SSP stages,
 `cfl_dt`, the validity check, the C^1 monitor and the front check all read
 the window. The window is the whole interior on a periodic grid, with a
 uniform stress Pi_bar != 0 (which relaxes toward 0), with a moving spherical
 background, with SSP-RK3 (whose closing u/3 + 2u/3 need not give u), and
 when the disturbance spans the grid. The diagnostic series stays whole-grid:
-its pairwise sums fix the bits. Inside `run`, an ok step finds the next
-step's window by scanning its own.
+its pairwise sums fix the bits. Inside `run` the window is scanned for once,
+at the first step; after an ok step, `_next_window` keeps it while its two
+edge bands of STEP_REACH_CELLS columns hold the reference, and widens it by
+a block on a side whose band does not. So inside a run it never shrinks,
+and it moves a block at a time.
 
 The transport coefficients are evaluated in three places: `cfl_dt`, each
 relaxation half-step and each SSP stage of the hyperbolic update (the window
@@ -72,16 +76,17 @@ per-cell factor is one W-wide row broadcast over the (rows, W) block. The
 lanes past a row's valid span hold junk that nothing reads (a NaN there
 changes no bit). Every view of these passes is cut once, in a `_Plan` of the
 fields over one window, which serves the step's two relaxations and its SSP
-stages and is rebuilt only when the window changes. A window that spans
-whole padded rows (every periodic run) is read as flat rows of the fields;
-on any other the three steps that read the fields read 2-D views of them.
+stages and is rebuilt only when the window changes: once per block its edge
+crosses. A window that spans whole padded rows (every periodic run) is read
+as flat rows of the fields; on any other the three steps that read the
+fields read 2-D views of them.
 The choice is made when the plan is built. `step` is the one place that
 chooses a time step: `run` only calls it, and inside `run` it clips the CFL
 step to the run's end. Inside `run`, which owns the state between steps, a
 step after an ok one skips the check before it (the previous step's check
-after it read the same fields) and, unless its window is wider than the last
-one, its opening relaxation's velocity gradients (the previous closing one
-left them in the workspace and changed only the stress rows). The C^1
+after it read the same fields) and, while its window is the last one, its
+opening relaxation's velocity gradients (the previous closing one left them
+in the workspace and changed only the stress rows). The C^1
 monitor differences the density and velocity rows as one block. One
 floating-point error state covers a step's update, one a `cfl_dt`.
 
@@ -412,8 +417,9 @@ class _Workspace:
 @dataclass(frozen=True)
 class _Carry:
     """What `run` holds between steps: its end time, and what the last ok
-    step left for the next -- the window of the state it left, and the
-    window over which `work.grads` holds that state's velocity gradients.
+    step left for the next -- the window of the state it left
+    (`_next_window`), and the window over which `work.grads` holds that
+    state's velocity gradients, the step's own, which the first contains.
     Both windows are None until the run's first ok step."""
 
     t_end: float
@@ -702,27 +708,56 @@ def _relax(sim: Simulation, delta: float, cols: slice, carried: bool) -> None:
 # stencil pass (a minmod slope vanishes beside two equal cells, so a face
 # state differs only beside a differing cell), four passes per SSP-RK2 step
 STEP_REACH_CELLS = 4
+# interior cells per block of a window's edges, at least STEP_REACH_CELLS: a
+# step's plan is rebuilt once per block an edge crosses, and a wider block
+# steps more cells at the reference (32 was sized on the blast benchmark)
+WINDOW_BLOCK = 32
 
 
-def _window(sim: Simulation, within: slice | None = None) -> slice:
-    """The active window of a step, as padded columns: the span of the cells
-    of `within` (the interior by default) that differ from the reference
-    state, bit for bit, widened by STEP_REACH_CELLS and clipped to the
-    interior. Outside it the state holds the reference, which a step leaves
-    alone when it is stationary. The whole interior when it is not, or when
-    no cell differs."""
+def _differing(sim: Simulation, cols: slice) -> np.ndarray:
+    """Whether each field value on the padded columns `cols` differs from
+    the reference state, bit for bit."""
+    return _bits(sim.fields.data[:, cols]) != _bits(sim.reference_vector)[:, None]
+
+
+def _window(sim: Simulation) -> slice:
+    """The active window of a step, as padded columns: the span of the
+    interior cells that differ from the reference state, bit for bit,
+    widened by STEP_REACH_CELLS, rounded out to blocks of WINDOW_BLOCK
+    interior cells and clipped to the interior. Outside it the state holds
+    the reference, which a step leaves alone when it is stationary. The
+    whole interior when it is not, or when no cell differs. Inside `run`
+    only the first step scans for it; `_next_window` follows it from there."""
     inner = sim.grid.interior
     if not sim._stationary:
         return inner
-    within = within or inner
-    ref = _bits(sim.reference_vector)[:, None]
-    differs = np.any(_bits(sim.fields.data[:, within]) != ref, axis=0)
+    differs = _differing(sim, inner).any(axis=0)
     first = int(np.argmax(differs))
     if not differs[first]:
         return inner
     last = len(differs) - 1 - int(np.argmax(differs[::-1]))
-    return slice(max(within.start + first - STEP_REACH_CELLS, inner.start),
-                 min(within.start + last + 1 + STEP_REACH_CELLS, inner.stop))
+    start = (first - STEP_REACH_CELLS) // WINDOW_BLOCK * WINDOW_BLOCK
+    stop = -(-(last + 1 + STEP_REACH_CELLS) // WINDOW_BLOCK) * WINDOW_BLOCK
+    return slice(inner.start + max(start, 0), inner.start + min(stop, len(differs)))
+
+
+def _next_window(sim: Simulation, window: slice) -> slice:
+    """The window of the state an ok step over `window` left: `window`
+    where both its edge bands, STEP_REACH_CELLS columns each, hold the
+    reference bit for bit, else widened by WINDOW_BLOCK cells on each side
+    whose band does not, clipped to the interior. An edge at the interior's
+    has no band. The cells that differ lay STEP_REACH_CELLS inside the
+    window before the step, which moved them at most that far: a clean band
+    keeps them that far inside it, and a dirty one that far inside the
+    widened window. So the window never shrinks."""
+    inner, reach = sim.grid.interior, STEP_REACH_CELLS
+    start, stop = window.start, window.stop
+    # on a band this small np.count_nonzero costs a third of what .any() does
+    if start > inner.start and np.count_nonzero(_differing(sim, slice(start, start + reach))):
+        start = max(start - WINDOW_BLOCK, inner.start)
+    if stop < inner.stop and np.count_nonzero(_differing(sim, slice(stop - reach, stop))):
+        stop = min(stop + WINDOW_BLOCK, inner.stop)
+    return slice(start, stop)
 
 
 def _active(sim: Simulation) -> slice:
@@ -790,24 +825,32 @@ FRONT_SLACK_CELLS = 2  # cells of slack beyond R + c_v t
 
 def _front_violation(sim: Simulation, cols: slice) -> str | None:
     """The worst deviation from the reference beyond the front, if above
-    front_tol, with its field and cell. Only the padded columns `cols` are
-    read: outside them the state holds the reference."""
+    front_tol, with its field and cell; of equal deviations, the first in
+    row-major order of (field, cell). Only the padded columns `cols` are
+    read: outside them the state holds the reference. The cells beyond the
+    front are those whose arm (`Grid1D.arms`, increasing) lies below
+    -radius or above radius: at most two runs, one at either end of `cols`."""
     if sim.grid.bc == "periodic":
         return None
     grid = sim.grid
     g = grid.n_ghost
     radius = sim.reference.R + sim.cv_bar * sim.t + FRONT_SLACK_CELLS * grid.dx
-    outside = np.flatnonzero(grid.radii[cols.start - g:cols.stop - g] > radius) + cols.start
-    if outside.size == 0:
-        return None
-    dev = (np.abs(sim.fields.data[:, outside] - sim.reference_vector[:, None])
-           / sim.front_scales[:, None])
-    worst = float(np.max(dev))
+    below = g + int(np.searchsorted(grid.arms, -radius, side="left"))
+    above = g + int(np.searchsorted(grid.arms, radius, side="right"))
+    worst = None  # (deviation, field, padded column)
+    for start, stop in ((cols.start, min(below, cols.stop)), (max(above, cols.start), cols.stop)):
+        if start < stop:
+            dev = (np.abs(sim.fields.data[:, start:stop] - sim.reference_vector[:, None])
+                   / sim.front_scales[:, None])
+            f, j = divmod(int(np.argmax(dev)), stop - start)
+            # the second run's cells follow the first's: it wins a tie in a lower field only
+            if worst is None or (dev[f, j], -f) > (worst[0], -worst[1]):
+                worst = (float(dev[f, j]), f, start + j)
     tol = sim.tolerances["front_tol"]
-    if worst > tol:
-        f, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
+    if worst is not None and worst[0] > tol:
+        value, f, col = worst
         return (f"finite-propagation check failed: field {sim.fields.names[f]} deviates "
-                f"{worst:.3e} (> {tol:.1e}) at cell {int(outside[j]) - g} beyond the front")
+                f"{value:.3e} (> {tol:.1e}) at cell {col - g} beyond the front")
     return None
 
 
@@ -858,7 +901,7 @@ def step(sim: Simulation, dt: float | None = None) -> StepOutcome:
         return StepOutcome("breakdown", dt,
                            f"time step {dt:.3e} collapsed below the floor {dt_floor:.1e}")
     # the carried gradients cover the last step's window; a wider one needs new ones
-    reuse = carried and carry.grads.start <= window.start and window.stop <= carry.grads.stop
+    reuse = carried and window == carry.grads
     try:
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             _relax(sim, 0.5 * dt, window, reuse)
@@ -883,8 +926,7 @@ def step(sim: Simulation, dt: float | None = None) -> StepOutcome:
     if msg is not None:
         return StepOutcome("invalid_state", dt, msg)
     if carry is not None:
-        # the step changed only the window, so only it can hold differing cells
-        sim._carry = _Carry(carry.t_end, _window(sim, within=window), window)
+        sim._carry = _Carry(carry.t_end, _next_window(sim, window), window)
     return StepOutcome("ok", dt)
 
 

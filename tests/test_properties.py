@@ -18,6 +18,12 @@ so an optimization of the step that changes the arithmetic shows up here:
 - with Pi_bar = 0, the uniform reference state is a fixed point of the
   step, bit for bit, and a run that steps only the active window around a
   bump gives the bits, time steps and outcome of one over the whole grid;
+- inside `run`, the window that a step's edge bands give keeps every cell
+  that differs from the reference STEP_REACH_CELLS inside it, and never
+  shrinks;
+- the front check, which reads the cells beyond the front as runs at the
+  window's ends, gives the message of a mask over the window, ties and a
+  cell centred on the front's radius included;
 - `Grid1D` and `Simulation` accept a scenario's grid and run settings
   exactly when `config.validate` does, and reject them with one of its
   messages;
@@ -316,7 +322,7 @@ class TestFixedPoint:
         assert not np.array_equal(sim.fields.interior(), before)
 
 
-def whole_interior(sim, within=None):
+def whole_interior(sim):
     return sim.grid.interior
 
 
@@ -367,6 +373,103 @@ class TestActiveWindow:
             assert evolve(whole) == (out, times)
         assert np.array_equal(bits(sim.fields.data), bits(whole.fields.data))
         assert len(times) >= (30 if out.status == "ok" else 1)
+
+    @pytest.mark.parametrize("geometry", ["planar", "spherical"])
+    def test_edge_bands_keep_every_difference_inside_the_window(self, geometry):
+        # a density bump at rest splits into two pulses moving apart (one
+        # outward pulse on the spherical grid); the planar one sits off the
+        # middle of a block, so its two bands turn dirty at different steps
+        grid = Grid1D(geometry, 400, -4.0 if geometry == "planar" else 0.0, 4.0)
+        sim = Simulation(grid, "bulk", MaterialLaw(A=0.5, gamma=1.8, zeta=1.0, tau=0.5),
+                         ReferenceState(rho_bar=1.0, R=1.0), tolerances=UNTRIPPED)
+        rho = sim.fields.get("rho")
+        rho += 0.2 * bump((grid.arms - (0.3 if geometry == "planar" else 0.0)) / 0.4)
+        inner, reach = grid.interior, solver.STEP_REACH_CELLS
+        assert solver.WINDOW_BLOCK >= reach  # a dirty band's block covers a step's reach
+        ref = bits(sim.reference_vector)[:, None]
+        windows = [solver._window(sim)]
+
+        def inside(s):
+            window, last = s._carry.window, windows[-1]
+            differs = np.flatnonzero((bits(s.fields.data[:, inner]) != ref).any(axis=0))
+            first, end = differs[[0, -1]] + inner.start
+            assert window.start == inner.start or first >= window.start + reach
+            assert window.stop == inner.stop or end < window.stop - reach
+            assert window.start <= last.start and last.stop <= window.stop  # never shrinks
+            windows.append(window)
+
+        out, _ = solver.run(sim, 60.5 * solver.cfl_dt(sim), observer=inside)
+        assert out.status == "ok" and len(windows) > 60 and windows[0] != inner
+        # the window widened block by block on every side with a band
+        assert len({w.start for w in windows}) > (2 if geometry == "planar" else 0)
+        assert len({w.stop for w in windows}) > 2
+
+
+def front_by_mask(sim, cols):
+    """The front check as a mask over every cell of the padded columns
+    `cols`: the cells whose radius exceeds the front's, their worst
+    deviation, and the first (field, cell) of it in row-major order."""
+    grid, g = sim.grid, sim.grid.n_ghost
+    radius = sim.reference.R + sim.cv_bar * sim.t + solver.FRONT_SLACK_CELLS * grid.dx
+    outside = np.flatnonzero(grid.radii[cols.start - g:cols.stop - g] > radius) + cols.start
+    if outside.size == 0:
+        return None
+    dev = (np.abs(sim.fields.data[:, outside] - sim.reference_vector[:, None])
+           / sim.front_scales[:, None])
+    worst = float(np.max(dev))
+    tol = sim.tolerances["front_tol"]
+    if worst > tol:
+        f, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
+        return (f"finite-propagation check failed: field {sim.fields.names[f]} deviates "
+                f"{worst:.3e} (> {tol:.1e}) at cell {int(outside[j]) - g} beyond the front")
+    return None
+
+
+class TestFrontCheck:
+    def test_runs_at_the_window_ends_match_a_mask(self):
+        # deviations from a few values, so that the worst one ties within a
+        # row and across rows of one scale (the shear velocities, stresses)
+        rng = np.random.default_rng(7)
+        seen = dict.fromkeys(["both ends", "tail", "on the radius", "inside", "tie"], 0)
+        for _ in range(400):
+            system = str(rng.choice(["bulk", "shear"]))
+            geometry = "planar" if system == "shear" or rng.random() < 0.5 else "spherical"
+            n = int(rng.choice([8, 16, 32, 64]))
+            grid = Grid1D(geometry, n, -4.0 if geometry == "planar" else 0.0, 4.0)
+            slack = solver.FRONT_SLACK_CELLS * grid.dx
+            on = int(rng.choice(np.flatnonzero(grid.radii > slack)))
+            if rng.random() < 0.25:
+                # a cell centred on the front, with the worst deviation: with
+                # dyadic centres R + 0 + slack is exact
+                R, t = grid.radii[on] - slack, 0.0
+            else:
+                R, t = rng.uniform(0.05, 2.0), rng.uniform(0.0, 0.5)
+            sim = Simulation(grid, system, MaterialLaw(A=0.5, gamma=1.8),
+                             ReferenceState(rho_bar=1.0, R=R),
+                             tolerances={"front_tol": float(rng.choice([1e-4, 1e-2, 1.0]))})
+            sim.t = t
+            inner = sim.fields.interior()
+            inner += (rng.choice([0.0, 0.0, 1e-3, 2e-3, -2e-3, 0.5], size=inner.shape)
+                      * sim.front_scales[:, None])
+            f = int(rng.integers(len(inner)))
+            inner[f, on] += sim.front_scales[f]
+            lo = int(rng.integers(0, n))
+            hi = int(rng.integers(lo + 1, n + 1))
+            cols = slice(lo + grid.n_ghost, hi + grid.n_ghost)
+            message = solver._front_violation(sim, cols)
+            assert message == front_by_mask(sim, cols)
+
+            radius = R + sim.cv_bar * t + slack
+            radii = grid.radii[lo:hi]
+            beyond = radii > radius
+            seen["inside"] += not beyond.any()
+            seen["on the radius"] += bool((radii == radius).any())
+            seen["both ends"] += bool(beyond[0] and beyond[-1] and not beyond.all())
+            seen["tail"] += geometry == "spherical" and bool(beyond[-1] and not beyond[0])
+            dev = (np.abs(inner[:, lo:hi][:, beyond] - sim.reference_vector[:, None])
+                   / sim.front_scales[:, None])
+            seen["tie"] += message is not None and int(np.sum(dev == dev.max())) > 1
+        assert min(seen.values()) >= 10, seen
 
 
 # values on either side of each grid and run rule

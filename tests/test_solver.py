@@ -546,7 +546,8 @@ class TestMonitorsAndOutcomes:
         rho = 1.0 + 0.8 * bump(grid.centers_interior / 0.5)
         sim.fields.set("rho", rho)
         window = solver._window(sim)
-        assert (window.start, window.stop) == (2 + 52, 2 + 76)  # cells 56-71 differ
+        # cells 56-71 differ: 52-75 with the reach, rounded out to blocks of 32
+        assert (window.start, window.stop) == (2 + 32, 2 + 96) and window != grid.interior
         return sim, int(np.argmax(rho >= 1.5))
 
     @pytest.mark.parametrize("dt", [None, 1e-3, "run"])
@@ -579,7 +580,7 @@ class TestMonitorsAndOutcomes:
         u = sim.fields.get("u")
         u -= grid.centers_interior * w  # +0.0 outside the bump, as at the reference
         window = solver._window(sim)
-        assert (window.start, window.stop) == (2 + 52, 2 + 76)
+        assert (window.start, window.stop) == (2 + 32, 2 + 96) and window != grid.interior
         out = solver.step(sim)
         assert out.message.startswith("state became invalid during the update: "
                                       "transport coefficient zeta")
@@ -811,13 +812,14 @@ class TestStepPlans:
     def bump_sim(system, geometry, bc, integrator):
         law = MaterialLaw(A=0.5, gamma=1.8, zeta=lambda r, p, q: r,
                           eta=0.7, tau=0.5)
-        grid = Grid1D(geometry, 96, 0.0 if geometry == "spherical" else -3.0, 3.0, bc=bc)
+        # wide enough that the first windows of a fixed grid are partial
+        grid = Grid1D(geometry, 192, 0.0 if geometry == "spherical" else -6.0, 6.0, bc=bc)
         sim = Simulation(grid, system, law, ReferenceState(rho_bar=1.0, R=1.0),
                          integrator=integrator,
                          tolerances={"front_tol": 1e300, "grad_factor": 1e9})
         w = bump(grid.radii / 0.6)
         sim.fields.set("rho", 1.0 + 0.2 * w)
-        sim.fields.data[1, grid.interior] = 0.1 * w * grid.arms
+        sim.fields.data[1, grid.interior] = 0.1 * w * grid.arms + 0.0  # +0.0 outside, not -0.0
         for f in range(sim.layout.stress.start, sim.layout.stress.stop):
             sim.fields.data[f, grid.interior] += 0.02 * f * w
         if system == "shear":
@@ -852,7 +854,7 @@ class TestStepPlans:
     def test_a_run_builds_one_plan_per_window(self, monkeypatch):
         # a step's relaxations and SSP stages all read the fields over its
         # window, so one plan serves them; the window widens with the bump
-        # until it spans the interior
+        # a block at a time
         sim = self.bump_sim("bulk", "planar", "fixed", "ssprk2")
         built, used = [], []
         build, advance = solver._Plan.__init__, solver._advance_hyperbolic
@@ -866,6 +868,16 @@ class TestStepPlans:
         assert 1 < len(windows) < len(used)
         assert built == [w for i, w in enumerate(used) if i == 0 or w != used[i - 1]]
         assert len(built) == len(windows)
+        # the README blast scenario: one plan per block its window's edge crosses
+        built.clear()
+        used.clear()
+        sim = solver.init_scenario(ScenarioConfig(
+            system="bulk", geometry="spherical", n_cells=1024, x_max=2.0, t_end=0.05, A=1.0,
+            gamma=2.0, b_from_f0=31.92, tolerances=default_tolerances() | {"grad_factor": 20.0}))
+        assert solver.run(sim, 0.05)[0].status == "breakdown" and sim.step_count > 300
+        first, last = used[0], used[-1]
+        growth = (last.stop - last.start) - (first.stop - first.start)
+        assert len(built) <= -(-growth // solver.WINDOW_BLOCK) + 1
 
     def test_a_finished_run_frees_its_workspace_without_the_collector(self, unit_law):
         # a reference cycle through the plans would keep each finished run's
