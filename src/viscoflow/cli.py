@@ -145,6 +145,7 @@ def cmd_speeds(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int, li
     print(f"  {'speed':>18}  multiplicity")
     mults = report.multiplicities
     distinct = report.speeds[np.cumsum([0, *mults])[:-1]]  # first of each cluster
+    distinct[np.abs(distinct) <= report.tolerance] = 0.0  # the rest is the eigensolver's rounding
     for speed, mult in zip(distinct, mults):
         print(f"  {speed:>18.12g}  {mult}")
     print("  closed-form speed set: " + ", ".join(f"{s:.12g}" for s in closed))

@@ -25,7 +25,6 @@ from __future__ import annotations
 import inspect
 import types
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -88,10 +87,9 @@ class MaterialLaw:
         object.__setattr__(self, "stress_readers", frozenset(
             name for name in ("zeta", "eta", "tau")
             if callable(getattr(self, name)) and _reads_stress(getattr(self, name))))
-
-    @cached_property
-    def has_constant_transport(self) -> bool:
-        return not any(map(callable, (self.zeta, self.eta, self.tau)))
+        # set here, not computed on first read: `eval_transport` reads it on every call
+        object.__setattr__(self, "has_constant_transport",
+                           not any(map(callable, (self.zeta, self.eta, self.tau))))
 
 
 def _reads_stress(fn: Callable) -> bool:
@@ -162,11 +160,15 @@ def eval_transport(law: MaterialLaw, rho, pi=0.0, pi2=0.0):
 
     A constant coefficient gives its float whatever the shape of the state:
     it was checked when the law was built, and it broadcasts against any
-    array. A law of rho alone is called with rho, one of the stress with
-    (rho, pi, pi2). A law's value is checked to be strictly positive and
-    finite; a violation raises MaterialLawError naming the offending
-    coefficient, its first offending point and the rho and pi given there.
+    array. A law of constants alone returns its three floats at once, with
+    no work per call. A law of rho alone is called with rho, one of the
+    stress with (rho, pi, pi2). A law's value is checked to be strictly
+    positive and finite; a violation raises MaterialLawError naming the
+    offending coefficient, its first offending point and the rho and pi
+    given there.
     """
+    if law.has_constant_transport:
+        return law.zeta, law.eta, law.tau
     out = []
     for name in ("zeta", "eta", "tau"):
         coeff = getattr(law, name)

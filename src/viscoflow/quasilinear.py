@@ -72,6 +72,7 @@ class CharacteristicReport:
 
     speeds: np.ndarray
     multiplicities: list[int]
+    tolerance: float  # sorted speeds this close or closer form one cluster
     eigenvector_condition: float
     symmetric: bool
     a0_posdef: bool
@@ -253,7 +254,7 @@ def characteristic_speeds_numeric(sys: QuasilinearSystem, direction) -> Characte
     a0_posdef = bool(np.all(eigs_a0 > 0.0))
     scale = max(float(np.max(np.abs(a0))), 1.0)
     if np.min(np.abs(eigs_a0)) <= 1e-14 * scale:
-        return CharacteristicReport(np.array([]), [], np.inf, symmetric, False, "degenerate")
+        return CharacteristicReport(np.array([]), [], 0.0, np.inf, symmetric, False, "degenerate")
 
     if symmetric and a0_posdef:
         # congruence a0 = L L^T to the symmetric eigenproblem of L^-1 an L^-T
@@ -274,7 +275,7 @@ def characteristic_speeds_numeric(sys: QuasilinearSystem, direction) -> Characte
 
     tol = 1e-7 * max(1.0, float(np.max(np.abs(speeds))) if speeds.size else 1.0)
     mult = _cluster_multiplicities(speeds, tol)
-    return CharacteristicReport(speeds, mult, cond, symmetric, a0_posdef, verdict)
+    return CharacteristicReport(speeds, mult, tol, cond, symmetric, a0_posdef, verdict)
 
 
 def det_principal_symbol(sys: QuasilinearSystem, xi0: float, xi_vec) -> float:

@@ -50,9 +50,10 @@ The transport coefficients are evaluated in three places: `cfl_dt`, each
 relaxation half-step and each SSP stage of the hyperbolic update (the window
 plus one cell on either side) -- five evaluations per SSP-RK2 step. A
 constant coefficient costs no per-cell work: `eval_transport` gives its
-float, with no positivity check (it passed one when the law was built), and
-the float enters the arithmetic directly, with the same bits as a per-cell
-array of it. The stress invariants are formed only for a law with a
+float, with no positivity check (it passed one when the law was built; a
+law of constants alone gets its three floats back at once), and the float
+enters the arithmetic directly, with the same bits as a per-cell array of
+it. The stress invariants are formed only for a law with a
 coefficient of the form fn(rho, pi, pi2) (`MaterialLaw.stress_readers`): a
 law of constants and functions of rho alone (every law a config can name)
 skips them, and the check of a law's values is one min and one max over the
@@ -66,29 +67,37 @@ nothing else. A step allocates little: that buffer, the right-hand side, the
 MUSCL slopes and face states, the fluxes and the derivatives live in one
 `_Workspace` per Simulation, made at its first step and filled in place; the
 grid's face areas, cell volumes and quadrature weights are computed once per
-`Grid1D`. At a few hundred cells a step costs its numpy calls, not its
-arithmetic, and a call on shifted 2-D views costs about three times one on
-contiguous 1-D slices. So the stencil passes (the MUSCL face states, the
-right-hand side, the velocity gradients) run on flat work buffers: a window
-of k cells and two on either side is a row W = k + 4 wide, the rows sit end
-to end, a shift along x is one contiguous 1-D slice, and a per-face or
-per-cell factor is one W-wide row broadcast over the (rows, W) block. The
-lanes past a row's valid span hold junk that nothing reads (a NaN there
-changes no bit). Every view of these passes is cut once, in a `_Plan` of the
-fields over one window, which serves the step's two relaxations and its SSP
-stages and is rebuilt only when the window changes: once per block its edge
-crosses. A window that spans whole padded rows (every periodic run) is read
-as flat rows of the fields; on any other the three steps that read the
-fields read 2-D views of them.
-The choice is made when the plan is built. `step` is the one place that
+`Grid1D`, and the ghost fill's views once per Simulation. A planar run
+applies no area factor (its faces have area 1, and x * 1.0 is x). Two
+negations are folded into the call beside them: the right-hand side is
+divided by -V, and the velocity rows take d - v for -v + d, the
+dissipation d less the transport terms v; each has the bits of the
+negation done apart, but for a NaN's sign. At a few hundred cells a step
+costs its numpy calls, not its arithmetic, and a call on shifted 2-D views
+costs about three times one on contiguous 1-D slices. So the stencil passes
+(the MUSCL face states, the right-hand side, the velocity gradients) run on
+flat work buffers: a window of k cells and two on either side is a row
+W = k + 4 wide, the rows sit end to end, a shift along x is one contiguous
+1-D slice, and a per-face or per-cell factor is one W-wide row broadcast
+over the (rows, W) block. The lanes past a row's valid span hold junk that
+nothing reads (a NaN there changes no bit). Every view of these passes is
+cut once, in a `_Plan` of the fields over one window, which serves the
+step's two relaxations and its SSP stages and is rebuilt only when the
+window changes: once per block its edge crosses. A window that spans whole
+padded rows (every periodic run) is read as flat rows of the fields; on any
+other the three steps that read the fields read 2-D views of them. The
+choice is made when the plan is built. `step` is the one place that
 chooses a time step: `run` only calls it, and inside `run` it clips the CFL
 step to the run's end. Inside `run`, which owns the state between steps, a
 step after an ok one skips the check before it (the previous step's check
 after it read the same fields) and, while its window is the last one, its
 opening relaxation's velocity gradients (the previous closing one left them
-in the workspace and changed only the stress rows). The C^1
-monitor differences the density and velocity rows as one block. One
-floating-point error state covers a step's update, one a `cfl_dt`.
+in the workspace and changed only the stress rows). For a law that reads no
+stress it keeps the Navier-Stokes stresses of that closing relaxation too,
+which it formed from the same densities and gradients, and evaluates the
+law only for tau. The C^1 monitor differences the density and velocity rows
+as one block. One floating-point error state covers a step's update, one a
+`cfl_dt`.
 
 Errors. A Simulation starts at its reference state, which is valid. Every
 refusal is a ValueError that names its cause: a setting or grid the config
@@ -323,10 +332,13 @@ class _Plan:
         span = slice(0, width) if width == grid.n_padded else slice(g, width - g)
         written = slice(c0 + span.start, c0 + span.stop)
         self.cols, self.near = cols, slice(cols.start - 1, cols.stop + 1)
-        self.areas, self.volumes = ws.areas[c0:c1], ws.volumes[c0:c1]
+        # planar faces have area 1: no factor to apply
+        self.areas = None if ws.areas is None else ws.areas[c0:c1]
+        self.volumes = ws.volumes[c0:c1]
         # the right-hand side; the five pool buffers hold in turn
         #   0: differences, left states, fluxes, derivatives
-        #   1: their magnitudes, right states, velocity dissipation at the faces
+        #   1: their magnitudes, right states, velocity dissipation at the faces;
+        #      between steps, the closing relaxation's Navier-Stokes stresses
         #   2: slopes, jumps
         #   3: face averages (rows up to the last driving stress), velocity
         #      dissipation at the cells
@@ -340,7 +352,8 @@ class _Plan:
         self.max_speed, self.s_face = (self.spd[:-1], self.spd[1:]), self.u_left
         self.s_faces = self.s_face[g:-1]
         self.flux, self.right, self.jump = flux, right, (right, flux, jump)
-        self.rhs, self.div = rhs, _forward(flux, rhs)
+        # x / -V has the bits of -(x / V), but for a NaN's sign
+        self.rhs, self.div, self.minus_volumes = rhs, _forward(flux, rhs), -self.volumes
         top, deriv = drive.stop, flux
         self.hat, self.deriv_top = (flux[:top], right[:top], hat[:top]), deriv[:top]
         self.deriv = _forward(hat[:top], deriv[:top])
@@ -374,10 +387,11 @@ class _Workspace:
     velocity gradients over the padded grid, which carry from one step to
     the next inside `run`, and `areas` and `volumes`, the face areas and
     cell volumes by padded column, 1 outside the interior so that a junk
-    lane never divides by zero (on a planar grid, views of the one value 1
-    and of dx). `plan(cols)` gives the views of the passes over `data`, the
-    fields' array (which a Simulation never replaces), and the padded
-    columns `cols`, and `rows` the C^1 monitor's differences. The float
+    lane never divides by zero (on a planar grid, no areas, since none
+    applies, and a view of the one value dx). `plan(cols)` gives the views
+    of the passes over `data`, the fields' array (which a Simulation never
+    replaces), and the padded columns `cols`, and `rows` the C^1 monitor's
+    differences. The float
     arrays are cut from one allocation: as separate arrays of a large grid,
     their release at the end of a run shrank the heap, and the next run's
     set-up page-faulted its fields back in.
@@ -392,8 +406,8 @@ class _Workspace:
         self.scratch = memory[:sum(sizes[:8])]
         self.pools, self.stage, self.face_rows = parts[:5], parts[5].reshape(nf, p), parts[6:8]
         self.grads, self.areas, self.volumes = parts[8].reshape(nv, p), parts[9], parts[10]
-        if grid.geometry == "planar":  # 1 and dx everywhere: views of one value each
-            self.areas, self.volumes = np.broadcast_to(1.0, p), np.broadcast_to(grid.dx, p)
+        if grid.geometry == "planar":  # no area factor, and dx everywhere: a view of one value
+            self.areas, self.volumes = None, np.broadcast_to(grid.dx, p)
         else:
             self.areas[:], self.volumes[:] = 1.0, 1.0
             self.areas[g:g + grid.n_cells + 1] = grid.face_areas
@@ -500,6 +514,19 @@ class Simulation:
         return _Workspace(self.layout, self.grid, self.fields.data)
 
     @cached_property
+    def _ghosts(self) -> tuple:
+        """The ghost fill's views of the fields, cut once: the left ghosts
+        and what fills them, then the right ghosts and what fills them. A
+        periodic grid copies the far end of the interior, a fixed one the
+        reference state; a spherical origin mirrors the first cells."""
+        data, g, n = self.fields.data, self.grid.n_ghost, self.grid.n_cells
+        left, right, ref = data[:, :g], data[:, n + g:], self.reference_vector[:, None]
+        if self.grid.bc == "periodic":
+            return left, data[:, n:n + g], right, data[:, g:2 * g]
+        mirror = data[:, 2 * g - 1:g - 1:-1]
+        return left, mirror if self.grid.geometry == "spherical" else ref, right, ref
+
+    @cached_property
     def _stationary(self) -> bool:
         """Whether a step maps the uniform reference state to itself, bit for
         bit (see _window). The last test fails for -0.0 and subnormals, which
@@ -535,20 +562,13 @@ def _reduced(layout: FieldLayout, grid: Grid1D, *args, **settings) -> Simulation
 # spatial discretization
 
 
-def _fill_ghosts(sim: Simulation, data: np.ndarray) -> None:
-    g = sim.grid.n_ghost
-    n = sim.grid.n_cells
-    if sim.grid.bc == "periodic":
-        data[:, :g] = data[:, n:n + g]
-        data[:, n + g:] = data[:, g:2 * g]
-        return
-    ref = sim.reference_vector[:, None]
-    data[:, n + g:] = ref
-    if sim.grid.geometry == "spherical":
-        # mirror at the origin: odd rows (the radial velocity) flip sign
-        np.multiply(data[:, 2 * g - 1:g - 1:-1], sim.mirror_signs, out=data[:, :g])
+def _fill_ghosts(sim: Simulation) -> None:
+    left, source, right, outer = sim._ghosts
+    np.copyto(right, outer)
+    if sim.grid.geometry == "spherical":  # odd rows (the radial velocity) flip sign
+        np.multiply(source, sim.mirror_signs, out=left)
     else:
-        data[:, :g] = ref
+        np.copyto(left, source)
 
 
 def _reconstruct(f: _Faces) -> None:
@@ -631,24 +651,24 @@ def _hyperbolic_rhs(sim: Simulation, cols: slice) -> _Plan:
     spd += fast
     np.maximum(*p.max_speed, out=p.s_faces)
     flux -= np.multiply(jump, np.multiply(p.s_face, 0.5, out=p.u_right), out=right)
-    flux *= p.areas
-    np.subtract(*p.div)  # ((A F)_+ - (A F)_-) / V
-    p.rhs /= p.volumes
-    np.negative(p.rhs, out=p.rhs)
+    if p.areas is not None:
+        flux *= p.areas
+    np.subtract(*p.div)  # -((A F)_+ - (A F)_-) / V
+    p.rhs /= p.minus_volumes
 
     # velocities: -(u du + (cs2/rho) drho + dPi_1i / rho) + dissipation
     np.subtract(*p.deriv)
     p.deriv_top /= dx
     vel = np.multiply(p.deriv_vel, p.u_row, out=p.vel)
     p.vel0 += (cs2[1:-1] / p.rho_cells) * p.drho
-    p.vel_rest += 0.0  # no pressure term; keeps the signed zeros of u du + 0 + ...
+    if p.vel_rest.size:
+        p.vel_rest += 0.0  # no pressure term; keeps the signed zeros of u du + 0 + ...
     p.deriv_drive /= p.rho_row
     vel += p.deriv_drive
-    np.negative(vel, out=vel)
     np.multiply(p.jump_vel, p.s_face, out=p.diss_faces)
     np.subtract(*p.diss)
     p.diss_cells /= 2.0 * dx
-    vel += p.diss_cells
+    np.subtract(p.diss_cells, vel, out=vel)  # d - v has the bits of -v + d, but for a NaN's sign
     return p
 
 
@@ -661,7 +681,8 @@ def _velocity_gradients(p: _Plan) -> np.ndarray:
     _reconstruct(v)
     hat = np.add(*v.average)
     hat *= 0.5
-    v.hat_rows *= p.areas
+    if p.areas is not None:
+        v.hat_rows *= p.areas
     np.subtract(*v.grad_diff)
     np.divide(*v.grad_div)
     return p.grads
@@ -670,35 +691,42 @@ def _velocity_gradients(p: _Plan) -> np.ndarray:
 def _relax(sim: Simulation, delta: float, cols: slice, carried: bool) -> None:
     """Exact exponential update of the stress toward its Navier-Stokes value
     on the padded columns `cols`, with the velocity gradient frozen over the
-    substep; `carried` reuses the last relaxation's ghosts and gradients."""
+    substep. `carried` reuses what the last relaxation left: the ghosts and
+    the gradients, and for a law that reads no stress its Navier-Stokes
+    values too, since the density and the gradients are those it read (no
+    pass between writes the pool buffer that holds them)."""
     if not carried:
-        _fill_ghosts(sim, sim.fields.data)
+        _fill_ghosts(sim)
     p = sim.work.plan(cols)
     zeta, eta, tau = _transport(sim, cols)
-    grads = p.grads if carried else _velocity_gradients(p)
-    factor = np.exp(-delta / tau)
-    eq = p.eq  # rows in layout.stress order
+    if not carried or sim.law.stress_readers:
+        _navier_stokes(sim, p.eq, p.grads if carried else _velocity_gradients(p), zeta, eta)
+    cur = p.stress
+    cur -= p.eq
+    cur *= np.exp(-delta / tau)
+    cur += p.eq
+
+
+def _navier_stokes(sim: Simulation, eq: np.ndarray, grads: np.ndarray, zeta, eta) -> None:
+    """The Navier-Stokes stresses of the velocity gradients `grads` into
+    `eq`, rows in layout.stress order."""
     if sim.system == "bulk":
         np.multiply(grads[0], -zeta, out=eq[0])
-    else:
-        # the stored rows of Pi11, the Pi1j that drive the transverse
-        # velocities, Pi22 and Pi33 (one row where it stands for both), Pi23
-        layout, first = sim.layout, sim.layout.stress.start
-        dv1, two_eta = grads[0], 2.0 * eta
-        trace_part = (zeta - two_eta / 3.0) * dv1
-        np.multiply(two_eta, dv1, out=eq[0])
-        eq[0] += trace_part
-        np.negative(eq[0], out=eq[0])
-        np.multiply(grads[1:], -eta, out=eq[1:len(grads)])
-        for f in sorted(set(layout.normal[1:])):
-            np.negative(trace_part, out=eq[f - first])
-        p23 = layout.components[4]  # SYM_INDEX slot of Pi23
-        if p23 is not None:
-            eq[p23 - first] = 0.0
-    cur = p.stress
-    cur -= eq
-    cur *= factor
-    cur += eq
+        return
+    # the stored rows of Pi11, the Pi1j that drive the transverse
+    # velocities, Pi22 and Pi33 (one row where it stands for both), Pi23
+    layout, first = sim.layout, sim.layout.stress.start
+    dv1, two_eta = grads[0], 2.0 * eta
+    trace_part = (zeta - two_eta / 3.0) * dv1
+    np.multiply(two_eta, dv1, out=eq[0])
+    eq[0] += trace_part
+    np.negative(eq[0], out=eq[0])
+    np.multiply(grads[1:], -eta, out=eq[1:len(grads)])
+    for f in sorted(set(layout.normal[1:])):
+        np.negative(trace_part, out=eq[f - first])
+    p23 = layout.components[4]  # SYM_INDEX slot of Pi23
+    if p23 is not None:
+        eq[p23 - first] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -782,7 +810,7 @@ def cfl_dt(sim: Simulation) -> float:
     spd = np.abs(sim.fields.data[1, cols])
     spd += fast
     smax = float(spd.max())
-    if not np.isfinite(smax) or smax <= 0.0:
+    if not 0.0 < smax < np.inf:  # not finite and positive; NaN included
         raise ValueError(f"maximum signal speed is not finite: {smax}")
     return sim.cfl * sim.grid.dx / smax
 
@@ -798,7 +826,7 @@ def _advance_hyperbolic(sim: Simulation, dt: float, cols: slice) -> None:
 
     def euler() -> None:
         # u += dt * rhs(u) on the plan's written columns
-        _fill_ghosts(sim, sim.fields.data)
+        _fill_ghosts(sim)
         _hyperbolic_rhs(sim, cols).rhs *= dt
         p.cells += p.rhs_cells
 
@@ -816,7 +844,7 @@ def _advance_hyperbolic(sim: Simulation, dt: float, cols: slice) -> None:
     except ValueError:
         # refused: the fields as they were, their ghosts filled from them
         np.copyto(p.cells, p.u0)
-        _fill_ghosts(sim, sim.fields.data)
+        _fill_ghosts(sim)
         raise
 
 
@@ -869,7 +897,7 @@ def _state_problem(sim: Simulation, cols: slice) -> str | None:
         return f"field {sim.fields.names[f]} non-finite at cell {first + j}"
     rho = block[0]
     floor = RHO_FLOOR_FRAC * sim.reference.rho_bar
-    if (rho < floor).any():
+    if rho.min() < floor:  # the values are finite here
         j = int(np.argmin(rho))
         return f"density {rho[j]:.3e} below floor {floor:.1e} at cell {first + j}"
     return None
@@ -1025,6 +1053,6 @@ def init_scenario(cfg: ScenarioConfig) -> Simulation:
     rho = sim.fields.get("rho")
     if np.any(rho <= 0.0):
         raise ValueError("initial density profile is not positive everywhere")
-    _fill_ghosts(sim, sim.fields.data)
+    _fill_ghosts(sim)
     sim.refresh_initial_report()
     return sim

@@ -301,21 +301,22 @@ def verify_against_simulation(background: Background, k: float,
     eps = amplitude_frac * b.rho0
     wave = np.exp(1j * k * x_cells)
     # each mode: the root its seeded eigenmode evolves by, as exp(x t), its
-    # run, the rows it seeds and the probed field with its uniform part
+    # run, the rows it seeds, and the probed field's row with its uniform part
+    # (a view, cut once: a run writes the fields in place)
     if system == "bulk":
         x_fit = _least_damped_oscillatory(bulk_dispersion(b, (k, 0.0, 0.0)), amplitude_frac)
         sim = solver.Simulation(grid, "bulk", law=law, reference=reference)
         sim.fields.set("rho", b.rho0 + np.real(-1j * b.rho0 * k * eps / x_fit * wave))
         sim.fields.set("u", np.real(eps * wave))
         sim.fields.set("Pi", np.real(-1j * b.zeta * k * eps / (1.0 + b.tau * x_fit) * wave))
-        probe, base = "rho", b.rho0
+        probe, base = sim.fields.get("rho"), b.rho0
     elif system == "shear_transverse":
         x_fit = _least_damped_oscillatory(shear_dispersion(b, (k, 0.0, 0.0))["transverse"],
                                           amplitude_frac)
         sim = solver._reduced(_SHEAR_TRANSVERSE, grid, law, reference)
         sim.fields.set("v2", np.real(eps * wave))
         sim.fields.set("Pi12", np.real(-1j * b.eta * k * eps / (1.0 + b.tau * x_fit) * wave))
-        probe, base = "v2", 0.0
+        probe, base = sim.fields.get("v2"), 0.0
     else:
         raise ValueError(f"unknown system {system!r}")
 
@@ -326,7 +327,7 @@ def verify_against_simulation(background: Background, k: float,
     kernel = np.exp(-1j * k * x_cells)
 
     def observer(s):
-        c = np.sum((s.fields.get(probe) - base) * kernel) * grid.dx
+        c = ((probe - base) * kernel).sum() * grid.dx
         times.append(s.t)
         coeffs.append(c)
 

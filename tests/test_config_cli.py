@@ -69,7 +69,7 @@ characteristic speeds, bulk system, direction x
   verdict            : FOSH
                speed  multiplicity
       -1.73205080757  1
-  -1.63064006742e-16  3
+                   0  3
        1.73205080757  1
   closed-form speed set: -1.73205080757, 0, 0, 0, 1.73205080757
 """,

@@ -11,8 +11,10 @@ so an optimization of the step that changes the arithmetic shows up here:
   which take the scalar path, functions returning the constant as a float
   or as a per-cell array, or a mix of one float and two per-cell functions;
 - `run`, which validates once per step and carries the velocity gradients
-  of a step's closing relaxation into the next, gives the same bits, time
-  steps and outcome as a loop of `cfl_dt` and public `step` calls;
+  of a step's closing relaxation into the next (and, for a law that reads
+  no stress, its Navier-Stokes stresses), gives the same bits, time steps
+  and outcome as a loop of `cfl_dt` and public `step` calls, with constant
+  laws, laws of rho alone and laws of the stress, and as its window widens;
 - on a periodic grid, rolling the initial data by m cells rolls the result
   of a run by m cells, bit for bit, with the same time steps;
 - with Pi_bar = 0, the uniform reference state is a fixed point of the
@@ -36,6 +38,8 @@ so an optimization of the step that changes the arithmetic shows up here:
   copysign(min(|dl|, |dr|) / 2, dl) where dl dr > 0, have the bits of the
   pick of the slope of least magnitude, signed zeros, infinities and NaNs
   included, on flat rows and on a window read through 2-D views;
+- a negation folded into a division (x / -v) or a subtraction (d - v) has
+  the bits of the negation done apart, a NaN's sign aside;
 - shear data without transverse motion (v2, v3, Pi12, Pi13 and Pi23 zero)
   and with Pi33 = Pi22 evolves in the 4-row reduced longitudinal layout
   with the bits, times, time steps and outcomes of the 10-row "shear"
@@ -82,11 +86,22 @@ def state_dependent_law(z0, e0, t0):
         tau=lambda rho, pi, pi2: t0 * (0.5 + 0.5 * rho))
 
 
+def density_law(z0, e0, t0):
+    # fn(rho) power laws: the solver forms no stress invariants for them
+    return MaterialLaw(A=0.5, gamma=1.8, zeta=lambda rho: z0 * rho**1.5,
+                       eta=lambda rho: e0 * rho**0.5, tau=lambda rho: t0 * (0.5 + 0.5 * rho))
+
+
 def some_law(constant, c):
     """Constant coefficients c, or the state-dependent law built from them."""
     if constant:
         return MaterialLaw(A=0.5, gamma=1.8, zeta=c[0], eta=c[1], tau=c[2])
     return state_dependent_law(*c)
+
+
+# every form a law takes, by what a carried relaxation may keep of the last one
+CARRIED_LAWS = {"constant": lambda c: some_law(True, c), "rho": lambda c: density_law(*c),
+                "pi2": lambda c: some_law(False, c)}
 
 
 def mirror(sim, rows):
@@ -109,12 +124,14 @@ def set_symmetric_bumps(sim, amps):
         inner[f, half:] = sign * left[::-1] if sign < 0 else left[::-1]
 
 
-def bumped(system, geometry, law, amps, bc="fixed", integrator="ssprk2"):
-    """A Simulation at the reference state plus amps[f] * bump on row f."""
+def bumped(system, geometry, law, amps, bc="fixed", integrator="ssprk2", x_max=3.0):
+    """A Simulation at the reference state plus amps[f] * bump on row f,
+    on a grid of 16 cells per unit of x_max."""
+    cells = int(16 * x_max)
     if geometry == "spherical":
-        grid = Grid1D("spherical", 48, 0.0, 3.0)
+        grid = Grid1D("spherical", cells, 0.0, x_max)
     else:
-        grid = Grid1D("planar", 48, -3.0, 3.0, bc=bc)
+        grid = Grid1D("planar", cells, -x_max, x_max, bc=bc)
     sim = Simulation(grid, system, law, ReferenceState(rho_bar=1.0, R=1.5),
                      integrator=integrator, tolerances=UNTRIPPED)
     arm = grid.centers_interior - grid.center
@@ -223,19 +240,24 @@ class TestScalarPath:
 
 
 class TestCarriedState:
-    @PROPERTY
-    @given(case=st.sampled_from([("bulk", "planar", "fixed"), ("bulk", "planar", "periodic"),
-                                 ("bulk", "spherical", "fixed"), ("shear", "planar", "fixed"),
-                                 ("shear", "planar", "periodic")]),
-           constant=st.booleans(), c=st.tuples(coefficient, coefficient, coefficient),
-           integrator=st.sampled_from(["ssprk2", "ssprk3"]), amps=amplitudes(10))
-    def test_run_matches_public_steps(self, case, constant, c, integrator, amps):
+    """A step inside `run` keeps the last one's velocity gradients while its
+    window holds, and for a law that reads no stress (constants, fn(rho))
+    the Navier-Stokes stresses of its closing relaxation too."""
+
+    @staticmethod
+    def run_matches_public_steps(case, law, integrator, amps, x_max=3.0):
+        """The windows of the run's steps."""
         system, geometry, bc = case
-        law = some_law(constant, c)
-        sim_a, sim_b = (bumped(system, geometry, law, amps, bc, integrator) for _ in range(2))
+        sim_a, sim_b = (bumped(system, geometry, law, amps, bc, integrator, x_max)
+                        for _ in range(2))
         t_end = 12.5 * solver.cfl_dt(sim_a)
-        times = []
-        out_a, _ = solver.run(sim_a, t_end, observer=lambda s: times.append(s.t))
+        times, windows = [], []
+
+        def observer(s):
+            times.append(s.t)
+            windows.append(s._carry.window)
+
+        out_a, _ = solver.run(sim_a, t_end, observer=observer)
 
         expected = []
         while sim_b.t < t_end - 1e-12 * max(1.0, t_end):
@@ -246,6 +268,29 @@ class TestCarriedState:
         assert out_a == out_b
         assert times == expected and len(times) >= 12
         assert np.array_equal(bits(sim_a.fields.data), bits(sim_b.fields.data))
+        return windows
+
+    # every case with every form of law: ten draws of both left some unrun
+    @pytest.mark.parametrize("law", sorted(CARRIED_LAWS))
+    @pytest.mark.parametrize("case", [("bulk", "planar", "fixed"), ("bulk", "planar", "periodic"),
+                                      ("bulk", "spherical", "fixed"), ("shear", "planar", "fixed"),
+                                      ("shear", "planar", "periodic")], ids="-".join)
+    @settings(PROPERTY, max_examples=4)
+    @given(c=st.tuples(coefficient, coefficient, coefficient),
+           integrator=st.sampled_from(["ssprk2", "ssprk3"]), amps=amplitudes(10))
+    def test_run_matches_public_steps(self, case, law, c, integrator, amps):
+        self.run_matches_public_steps(case, CARRIED_LAWS[law](c), integrator, amps)
+
+    @pytest.mark.parametrize("law", sorted(CARRIED_LAWS))
+    @pytest.mark.parametrize("case", [("bulk", "spherical", "fixed"), ("shear", "planar", "fixed")],
+                             ids="-".join)
+    def test_run_matches_public_steps_as_the_window_widens(self, case, law):
+        # a bump of 24 cells in 160: the window starts a block or two wide
+        # and widens a block at a time, and each widened step keeps nothing
+        amps = [0.05, 0.0, 0.02, 0.0, 0.0, 0.03, 0.0, 0.02, 0.0, 0.02][:len(LAYOUTS[case[0]].names)]
+        windows = self.run_matches_public_steps(case, CARRIED_LAWS[law]((1.1, 0.9, 1.3)),
+                                                "ssprk2", amps, x_max=10.0)
+        assert windows[-1] != windows[0]
 
 
 class TestPeriodicTranslation:
@@ -651,6 +696,47 @@ class TestMinmod:
                 want = picked_face_states(data[block, lo:lo + width])
                 for g, w in zip(got, want):
                     assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+
+@st.composite
+def sign_rows(draw):
+    """x, v and d: three blocks of 1 or 2 rows of 1 to 40 values, drawn from
+    the special values and any float."""
+    shape = (draw(st.integers(1, 2)), draw(st.integers(1, 40)))
+    value = st.sampled_from(SPECIAL) | st.floats()
+    return [np.array(draw(st.lists(value, min_size=shape[0] * shape[1],
+                                   max_size=shape[0] * shape[1]))).reshape(shape)
+            for _ in range(3)]
+
+
+def same_bits(got, want):
+    """Bit for bit, a NaN only as a NaN."""
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+PAIRS = np.array([np.repeat(SPECIAL, len(SPECIAL))]), np.array([np.tile(SPECIAL, len(SPECIAL))])
+
+
+class TestSignFolding:
+    """A step folds two negations into the call beside them, in place as it
+    does: the right-hand side divided by -V has the bits of its quotient by
+    V negated, and the velocity rows' d - v those of -v + d. Rounding to
+    nearest is symmetric in sign, so only a NaN's sign can differ."""
+
+    @settings(SHRINKING, max_examples=100)
+    @given(sign_rows())
+    @example([PAIRS[0], PAIRS[1], PAIRS[0]])  # every pair of special values
+    def test_a_folded_negation_keeps_the_bits(self, rows):
+        x, v, d = rows
+        with np.errstate(all="ignore"):
+            folded, negated = x.copy(), x.copy()
+            folded /= -v[0]  # a row broadcast over the block, as the volumes are
+            negated /= v[0]
+            same_bits(folded, np.negative(negated, out=negated))
+            folded, negated = v.copy(), np.negative(v)
+            same_bits(np.subtract(d, folded, out=folded), np.add(negated, d, out=negated))
 
 
 REDUCTION_LAWS = {
