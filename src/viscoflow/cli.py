@@ -145,7 +145,9 @@ def cmd_speeds(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int, li
     print(f"  {'speed':>18}  multiplicity")
     mults = report.multiplicities
     distinct = report.speeds[np.cumsum([0, *mults])[:-1]]  # first of each cluster
-    distinct[np.abs(distinct) <= report.tolerance] = 0.0  # the rest is the eigensolver's rounding
+    # zero the eigensolver's rounding alone: n eps cond max|speed|
+    noise = len(report.speeds) * np.finfo(float).eps * report.eigenvector_condition
+    distinct[np.abs(distinct) <= noise * float(np.max(np.abs(report.speeds), initial=0.0))] = 0.0
     for speed, mult in zip(distinct, mults):
         print(f"  {speed:>18.12g}  {mult}")
     print("  closed-form speed set: " + ", ".join(f"{s:.12g}" for s in closed))
@@ -281,11 +283,11 @@ def cmd_simulate(cfg: ScenarioConfig, out_dir: Path | None, args) -> tuple[int, 
     outputs: list[str] = []
     snaps = {t for t in cfg.snapshot_times if t <= cfg.t_end}
     centres: list = []  # the cell centres' words, made by the first snapshot
-    print(f"initial report: max_rho0={_fmt(sim.initial.max_rho0)} "
-          f"dM0={_fmt(sim.initial.dm0)} F0={_fmt(sim.initial.f0)} G0={_fmt(sim.initial.g0)}")
-
     full_series = diagnostics.DiagnosticSeries()
     full_series.record(sim, 0.0)
+    print(f"initial report: max_rho0={_fmt(np.max(sim.fields.get('rho')))} "
+          f"dM0={_fmt(full_series.dM[0])} F0={_fmt(full_series.F[0])} G0={_fmt(full_series.G[0])}")
+
     outcome = solver.StepOutcome("ok", 0.0)
     for t_stop in sorted(snaps | {cfg.t_end}):
         if t_stop > sim.t:

@@ -283,7 +283,7 @@ def validate(cfg: ScenarioConfig) -> list[str]:
                 raise OverflowError
         except ValueError as exc:
             errors.append(str(exc))
-        except OverflowError:
+        except ArithmeticError:  # an OverflowError, or numpy's FloatingPointError
             errors.append(f"the material law overflows at the reference state rho_bar = "
                           f"{ref.rho_bar!r}, Pi_bar = {ref.Pi_bar!r}: its transport "
                           "coefficients and front speed c_v must be finite there")

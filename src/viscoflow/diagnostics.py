@@ -97,12 +97,11 @@ def max_gradients(sim, cells: slice | None = None) -> tuple[float, float]:
 
 def monitor_c1(sim, cells: slice | None = None) -> tuple[float, bool]:
     """Current max gradient and whether it crosses the breakdown threshold
-    grad_factor * (initial max gradient + c_v / R); `cells` as for
-    `max_gradients`."""
+    grad_factor * (initial max gradient + c_v / R), the initial one
+    `Simulation.max_grad0`; `cells` as for `max_gradients`."""
     gu, grho = max_gradients(sim, cells)
     max_grad = max(gu, grho)
-    threshold = sim.tolerances["grad_factor"] * (sim.initial.max_grad0
-                                                 + sim.cv_bar / sim.reference.R)
+    threshold = sim.tolerances["grad_factor"] * (sim.max_grad0 + sim.cv_bar / sim.reference.R)
     return max_grad, bool(max_grad > threshold)
 
 

@@ -164,8 +164,8 @@ def eval_transport(law: MaterialLaw, rho, pi=0.0, pi2=0.0):
     no work per call. A law of rho alone is called with rho, one of the
     stress with (rho, pi, pi2). A law's value is checked to be strictly
     positive and finite; a violation raises MaterialLawError naming the
-    offending coefficient, its first offending point and the rho and pi
-    given there.
+    offending coefficient, its first offending point (by index, among more
+    than one) and the rho and pi given there.
     """
     if law.has_constant_transport:
         return law.zeta, law.eta, law.tau
@@ -183,7 +183,7 @@ def eval_transport(law: MaterialLaw, rho, pi=0.0, pi2=0.0):
             bad = ~(np.isfinite(arr) & (arr > 0.0))
             bad, val, r, p = np.broadcast_arrays(bad, arr, rho, pi)
             i = int(np.argmax(bad))
-            where = f" at index {i}" if bad.ndim else ""
+            where = f" at index {i}" if bad.size > 1 else ""
             raise MaterialLawError(
                 f"transport coefficient {name} = {val.flat[i]:.6g} is non-positive or "
                 f"non-finite{where} (rho={r.flat[i]:.6g}, pi={p.flat[i]:.6g})")

@@ -94,16 +94,20 @@ def shear_signal_speeds(cs2, zeta, eta, rho, tau):
 def reference_signal_speed(law: MaterialLaw, system: str, reference: ReferenceState) -> float:
     """The front speed c_v at the reference state: the bulk signal speed, or
     the fast shear speed, with the law evaluated at the isotropic stress
-    Pi_bar delta_ij and cs^2 from `sound_speed2`, as the solver forms it. The
-    value can differ from the solver's speed at the reference in the last
-    bit: numpy's vectorised power rounds apart from the scalar one for some
-    gamma."""
-    rho = reference.rho_bar
-    zeta, eta, tau = eval_transport(law, rho, *stress_invariants((reference.Pi_bar,)))
-    cs2 = sound_speed2(law, rho)
-    if system == "bulk":
-        return float(bulk_signal_speed(cs2, zeta, rho, tau))
-    return float(shear_signal_speeds(cs2, zeta, eta, rho, tau))
+    Pi_bar delta_ij and cs^2 from `sound_speed2`. It is evaluated as the
+    solver evaluates a row, on one-element arrays (numpy's scalar power
+    rounds apart from its vectorised one for some gamma), and so has the
+    bits of the solver's speed at a cell that holds the reference state. An
+    overflow or a division by zero in the array arithmetic raises
+    FloatingPointError."""
+    rho, pi = np.full(1, reference.rho_bar), np.full(1, reference.Pi_bar)
+    stress = (pi,) if system == "bulk" else (pi, 0.0, 0.0, pi, 0.0, pi)
+    with np.errstate(over="raise", divide="raise"):
+        zeta, eta, tau = eval_transport(law, rho, *stress_invariants(stress))
+        cs2 = sound_speed2(law, rho)
+        fast = (bulk_signal_speed(cs2, zeta, rho, tau) if system == "bulk"
+                else shear_signal_speeds(cs2, zeta, eta, rho, tau))
+    return float(fast[0])
 
 
 def _coefficients(state: BulkState | ShearState, law: MaterialLaw):

@@ -12,7 +12,11 @@ equations are updated in primitive quasilinear form, since the system is not
 a conservation law in the velocity and stress variables. The relaxation
 source is integrated by Strang splitting with an exact exponential update
 toward the local Navier-Stokes value, stable for arbitrarily small
-relaxation time. Time integration is SSP-RK2 (SSP-RK3 optional).
+relaxation time. Stable is not resolved: the hyperbolic substep's Rusanov
+dissipation grows like dx / sqrt(tau), so at a fixed grid the split
+over-dissipates unless dx <~ l = sqrt(zeta tau / rho), the relaxation length
+(at tau = 1e-4 and dx/l = 6.3 a bump's peak reads 21% low; see the README).
+Time integration is SSP-RK2 (SSP-RK3 optional).
 
 Cost of a step. A step covers only the rows whose bits can differ. A
 caller names "bulk" or "shear", and `Simulation(grid, "shear", ...)` steps
@@ -127,7 +131,6 @@ from .quasilinear import bulk_signal_speed, reference_signal_speed, shear_signal
 __all__ = [
     "Grid1D",
     "FluidFields",
-    "InitialReport",
     "StepOutcome",
     "Simulation",
     "bump",
@@ -442,15 +445,6 @@ class _Carry:
 
 
 @dataclass
-class InitialReport:
-    max_rho0: float
-    dm0: float
-    f0: float
-    g0: float
-    max_grad0: float
-
-
-@dataclass
 class StepOutcome:
     status: str                  # "ok" | "breakdown" | "invalid_state"
     dt_used: float
@@ -466,7 +460,8 @@ class Simulation:
     layout's fewer rows (`_reduced`); `system` is "shear" still, and
     `fields.get` answers each of the 10 fields. The fields start at the
     uniform reference state, ghosts included, so a new Simulation holds a
-    valid state; a caller writes its initial data over the interior.
+    valid state; a caller writes its initial data over the interior, and
+    the first step takes the C^1 monitor's scale from them (`max_grad0`).
     `tolerances` overrides entries of `config.default_tolerances()`; the
     monitors read the merged dict. Settings that `config.run_problems`
     rejects (a system other than "bulk" and "shear", an unknown integrator,
@@ -494,7 +489,6 @@ class Simulation:
         self.fields = FluidFields(self.layout, LAYOUTS[system], grid)
         self.t = 0.0
         self.step_count = 0
-        self.initial = InitialReport(reference.rho_bar, 0.0, 0.0, 0.0, 0.0)
         # None outside `run`; inside, what the run holds between steps (see step)
         self._carry: _Carry | None = None
         self.cv_bar = reference_signal_speed(law, system, reference)
@@ -537,14 +531,12 @@ class Simulation:
                     and (self.grid.geometry == "planar" or r[1] == 0.0)
                     and np.array_equal(_bits(0.5 * (r + 0.0) + 0.5 * (r + 0.0)), _bits(r)))
 
-    def refresh_initial_report(self) -> None:
-        gu, grho = diagnostics.max_gradients(self)
-        self.initial = InitialReport(
-            max_rho0=float(np.max(self.fields.get("rho"))),
-            dm0=diagnostics.relative_mass(self),
-            f0=diagnostics.radial_momentum(self),
-            g0=diagnostics.stress_integral(self),
-            max_grad0=max(gu, grho))
+    @property
+    def max_grad0(self) -> float:
+        """The C^1 monitor's scale: the largest `diagnostics.max_gradients` of
+        the state the first step started from, and before any step that of
+        the current data."""
+        return self._max_grad0 if self.step_count else max(diagnostics.max_gradients(self))
 
 
 def _reduced(layout: FieldLayout, grid: Grid1D, *args, **settings) -> Simulation:
@@ -917,6 +909,8 @@ def step(sim: Simulation, dt: float | None = None) -> StepOutcome:
     if problem is not None:
         return StepOutcome("invalid_state", 0.0,
                            f"state invalid before the step ({problem}); refusing to advance")
+    if sim.step_count == 0:  # the C^1 monitor's scale, of the state the first step starts from
+        sim._max_grad0 = sim.max_grad0
     if dt is None:
         try:
             dt = cfl_dt(sim)
@@ -1029,8 +1023,7 @@ def init_scenario(cfg: ScenarioConfig) -> Simulation:
     b is rescaled so the grid quadrature of the initial weighted momentum
     F(0) equals it exactly (F(0) is linear in b); a bump that covers no cell
     centre has F(0) = 0 for every b, which raises ConfigError, as do initial
-    fields that are not finite (a b that overflows, say). The initial report
-    (max rho0, dM(0), F(0), G(0)) is stored on the simulation.
+    fields that are not finite (a b that overflows, say).
     """
     law = material_law(cfg)
     ref = reference_state(cfg)
@@ -1054,5 +1047,4 @@ def init_scenario(cfg: ScenarioConfig) -> Simulation:
     if np.any(rho <= 0.0):
         raise ValueError("initial density profile is not positive everywhere")
     _fill_ghosts(sim)
-    sim.refresh_initial_report()
     return sim

@@ -607,6 +607,15 @@ class TestCli:
         cp = run_cli("speeds", "--config", str(path))
         assert (cp.returncode, cp.stdout, cp.stderr) == (0, SPEEDS[system], "")
 
+    def test_speeds_keeps_a_tiny_speed_above_the_eigensolver_noise(self, run_cli, tmp_path):
+        # the noise bound n eps cond max|speed| is 1.9e-15 here; 1e-9 is a speed
+        path = tmp_path / "drift.cfg"
+        path.write_text("[reference]\nv_bar = 1e-9\n", encoding="utf-8")
+        cp = run_cli("speeds", "--config", str(path))
+        rows = [line.split() for line in cp.stdout.splitlines()[6:9]]
+        assert [int(m) for _, m in rows] == [1, 3, 1]
+        assert float(rows[1][0]) == pytest.approx(1e-9, rel=1e-6)
+
     def test_simulate_refuses_a_front_that_reaches_the_wall(self, run_cli, config_path):
         cp = run_cli("simulate", "--config", str(config_path), "--override", "run.t_end=5.0")
         assert cp.returncode == 2 and cp.stdout == ""

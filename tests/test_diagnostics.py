@@ -199,9 +199,44 @@ class TestMonitor:
         x = grid.centers_interior
         sim.fields.set("rho", 1.0 + 1e-4 * np.sin(x))
         sim.fields.set("u", 1e-4 * np.sin(x))
-        sim.refresh_initial_report()
         g0 = monitor_c1(sim)[0]
         out, _ = solver.run(sim, 3.0)
         assert out.status == "ok"
         g1 = monitor_c1(sim)[0]
         assert g1 < g0  # stable background damps the wave
+
+    def test_a_simulation_built_directly_is_judged_against_its_own_data(self, unit_law):
+        # grad_factor * (max|du/dx| + c_v/R) = 2 * (0.01 + 1e-6 c_v) admits the
+        # wave's own decaying gradient; a scale of 0 stopped it at its first step
+        grid = Grid1D("planar", 256, 0.0, 2 * np.pi, bc="periodic")
+        sim = Simulation(grid, "bulk", unit_law, ReferenceState(rho_bar=1.0, R=1e6),
+                         tolerances={"grad_factor": 2.0})
+        sim.fields.set("u", 0.01 * np.sin(grid.centers_interior))
+        out, _ = solver.run(sim, 0.5)
+        assert out.status == "ok" and sim.t == pytest.approx(0.5)
+
+    def test_the_scale_is_that_of_the_state_the_first_step_starts_from(self):
+        cfg = ScenarioConfig(system="bulk", geometry="spherical", n_cells=128, x_max=3.0,
+                             t_end=0.1, A=0.5, a=0.1, b=0.2)
+        sim = solver.init_scenario(cfg)
+        assert sim.max_grad0 == max(diagnostics.max_gradients(sim))  # before any step
+        sim.fields.set("u", 2.0 * sim.fields.get("u"))
+        start = max(diagnostics.max_gradients(sim))
+        assert sim.max_grad0 == start
+        assert solver.step(sim).status == "ok"
+        assert max(diagnostics.max_gradients(sim)) != start
+        assert sim.max_grad0 == start
+        solver.run(sim, 0.1)
+        assert sim.max_grad0 == start
+
+    def test_each_attempt_at_the_first_step_takes_its_own_scale(self, unit_law, unit_reference):
+        grid = Grid1D("planar", 64, -2.0, 2.0, bc="periodic")
+        sim = Simulation(grid, "bulk", unit_law, unit_reference,
+                         tolerances={"dt_floor": 1e-3})
+        sim.fields.set("u", 0.1 * bump(grid.centers_interior))
+        assert solver.step(sim, 1e-4).status == "breakdown"  # refused: below dt_floor
+        assert sim.step_count == 0
+        sim.fields.set("u", 0.2 * bump(grid.centers_interior))
+        start = max(diagnostics.max_gradients(sim))
+        assert solver.step(sim).status == "ok"
+        assert sim.max_grad0 == start

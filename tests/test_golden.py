@@ -37,6 +37,8 @@ try:
 except ImportError:  # numpy < 2
     from numpy.core import _multiarray_umath as _simd
 
+pytestmark = pytest.mark.bits
+
 BLAST = """
 [scenario]
 system = bulk

@@ -10,11 +10,17 @@ so an optimization of the step that changes the arithmetic shows up here:
 - a constant law gives the same bits whether its coefficients are floats,
   which take the scalar path, functions returning the constant as a float
   or as a per-cell array, or a mix of one float and two per-cell functions;
+- the front speed c_v (`quasilinear.reference_signal_speed`) has the bits
+  of the solver's signal speed at a cell that holds the reference state,
+  for constants, power laws of rho and laws of the stress, bulk and shear;
 - `run`, which validates once per step and carries the velocity gradients
   of a step's closing relaxation into the next (and, for a law that reads
   no stress, its Navier-Stokes stresses), gives the same bits, time steps
   and outcome as a loop of `cfl_dt` and public `step` calls, with constant
   laws, laws of rho alone and laws of the stress, and as its window widens;
+- with constant zeta and tau, the stress integral follows
+  G(t) = exp(-t/tau) G(0) to rounding, measured against the integral of
+  |Pi_ii|;
 - on a periodic grid, rolling the initial data by m cells rolls the result
   of a run by m cells, bit for bit, with the same time steps;
 - with Pi_bar = 0, the uniform reference state is a fixed point of the
@@ -56,7 +62,7 @@ import pytest
 from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
-from viscoflow import cli, solver
+from viscoflow import cli, diagnostics, solver
 from viscoflow.config import (ScenarioConfig, default_tolerances, material_law,
                               reference_state, validate)
 from viscoflow.materials import (_SHEAR_LONGITUDINAL, _SHEAR_TRANSVERSE, LAYOUTS, MaterialLaw,
@@ -214,6 +220,7 @@ class TestMass:
         assert abs(float(np.sum(grid.cell_volumes * rho)) - mass0) <= 1e-14 * mass0
 
 
+@pytest.mark.bits
 class TestScalarPath:
     @staticmethod
     def run(system, geometry, zeta, eta, tau, amps):
@@ -239,6 +246,35 @@ class TestScalarPath:
             assert np.array_equal(bits(scalar), bits(general))
 
 
+@st.composite
+def transport_laws(draw):
+    """A constant, a config's powerlaw:c,p (a law of rho) or a law of the
+    stress invariants, each with its own powers."""
+    kind, c = draw(st.sampled_from(["constant", "rho", "pi2"])), draw(coefficient)
+    if kind == "constant":
+        return c
+    p = draw(st.floats(-1.0, 2.0))
+    if kind == "rho":
+        return material_law(ScenarioConfig(zeta=f"powerlaw:{c!r},{p!r}")).zeta
+    return lambda rho, pi, pi2: c * rho**p * (1.0 + pi2) ** 0.3
+
+
+@pytest.mark.bits
+class TestReferenceSpeed:
+    @settings(SHRINKING, max_examples=200)
+    @given(system=st.sampled_from(["bulk", "shear"]), gamma=st.floats(1.05, 3.0),
+           rho_bar=st.floats(0.05, 20.0), pi_bar=st.sampled_from([0.0, 0.05, -0.3]),
+           laws=st.tuples(transport_laws(), transport_laws(), transport_laws()))
+    def test_front_speed_has_the_bits_of_the_solver_speed_at_the_reference(
+            self, system, gamma, rho_bar, pi_bar, laws):
+        law = MaterialLaw(0.7, gamma, *laws)
+        reference = ReferenceState(rho_bar=rho_bar, R=1.0, Pi_bar=pi_bar)
+        sim = Simulation(Grid1D("planar", 64, -1.0, 1.0, bc="periodic"), system, law, reference)
+        speed = solver._signal_speed(sim, sim.grid.interior)[1]
+        assert np.array_equal(bits(speed), bits(np.full(64, sim.cv_bar)))
+
+
+@pytest.mark.bits
 class TestCarriedState:
     """A step inside `run` keeps the last one's velocity gradients while its
     window holds, and for a law that reads no stress (constants, fn(rho))
@@ -291,6 +327,45 @@ class TestCarriedState:
         windows = self.run_matches_public_steps(case, CARRIED_LAWS[law]((1.1, 0.9, 1.3)),
                                                 "ssprk2", amps, x_max=10.0)
         assert windows[-1] != windows[0]
+
+
+class TestStressIntegralDecay:
+    """With constant zeta and tau, the stress integral G (of the trace, for
+    shear) follows G(t) = exp(-t/tau) G(0) to rounding: the stress transport
+    is conservative, and the Navier-Stokes trace (-zeta div v bulk,
+    -3 zeta div v shear, whatever eta) integrates to zero. The deviation is
+    measured against the run's largest integral of |Pi_ii|, summed over the
+    normal rows, which keeps its meaning where G(0) is near 0. On `bumped`'s
+    grids at x_max = 5, wide enough that the front's numerical precursor
+    stays off the fixed walls, to t = 0.3, 150 draws of each case, tau and
+    integrator read at most 1.85e-15 of that scale (at x_max = 3 the fixed
+    walls read up to 2.5e-5); the bound is 1e-14. Dropping tau from the
+    relaxation factor reads about 0.3 at tau = 0.3."""
+
+    @pytest.mark.parametrize("system, geometry, bc", [
+        ("bulk", "planar", "periodic"), ("bulk", "planar", "fixed"),
+        ("bulk", "spherical", "fixed"), ("shear", "planar", "periodic"),
+        ("shear", "planar", "fixed")])
+    @PROPERTY
+    @given(c=st.tuples(coefficient, coefficient), tau=st.sampled_from([1.0, 0.3]),
+           integrator=st.sampled_from(["ssprk2", "ssprk3"]), amps=amplitudes(10))
+    def test_stress_integral_decays_at_the_relaxation_rate(self, system, geometry, bc, c, tau,
+                                                           integrator, amps):
+        eta = (lambda rho: c[1] * rho**0.5) if system == "shear" else c[1]
+        law = MaterialLaw(A=0.5, gamma=1.8, zeta=c[0], eta=eta, tau=tau)
+        sim = bumped(system, geometry, law, amps, bc=bc, integrator=integrator, x_max=5.0)
+        weights, g0 = sim.grid.quad_weights, diagnostics.stress_integral(sim)
+        deviations, scales = [], []
+
+        def observe(s):
+            inner = s.fields.interior()
+            deviations.append(abs(diagnostics.stress_integral(s) - np.exp(-s.t / tau) * g0))
+            scales.append(sum(np.sum(weights * np.abs(inner[f])) for f in s.layout.normal))
+
+        observe(sim)
+        outcome, _ = solver.run(sim, 0.3, observer=observe)
+        assert outcome.status == "ok", outcome.message
+        assert max(deviations) <= 1e-14 * max(scales)
 
 
 class TestPeriodicTranslation:
@@ -371,6 +446,7 @@ def whole_interior(sim):
     return sim.grid.interior
 
 
+@pytest.mark.bits
 class TestActiveWindow:
     @PROPERTY
     @given(system=st.sampled_from(["bulk", "shear"]), spherical=st.booleans(),
@@ -719,6 +795,7 @@ def same_bits(got, want):
 PAIRS = np.array([np.repeat(SPECIAL, len(SPECIAL))]), np.array([np.tile(SPECIAL, len(SPECIAL))])
 
 
+@pytest.mark.bits
 class TestSignFolding:
     """A step folds two negations into the call beside them, in place as it
     does: the right-hand side divided by -V has the bits of its quotient by
@@ -789,6 +866,7 @@ def repeats_the_full_run(layout, bc, integrator, law, reference, front, seed, am
     same()
 
 
+@pytest.mark.bits
 class TestLongitudinalReduction:
     """The 4-row longitudinal layout is the 10-row one without its
     transverse rows and with Pi22's row standing for Pi33, bit for bit, for
@@ -808,6 +886,7 @@ class TestLongitudinalReduction:
                              reference, front, seed, dict(zip(_SHEAR_LONGITUDINAL.names, amps)))
 
 
+@pytest.mark.bits
 class TestTransverseReduction:
     """The 5-row transverse layout is the 10-row one on data at Pi_bar = 0
     whose only non-uniform rows are v2 and Pi12, bit for bit, for every law:

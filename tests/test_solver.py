@@ -117,22 +117,22 @@ class TestInitScenario:
         sim = solver.init_scenario(cfg)
         assert np.allclose(sim.fields.get("rho"), 1.0)
         assert np.allclose(sim.fields.get("u"), 0.0)
-        assert sim.initial.f0 == 0.0 and sim.initial.g0 == 0.0
+        assert diagnostics.radial_momentum(sim) == 0.0 and diagnostics.stress_integral(sim) == 0.0
 
     def test_density_bump_only(self):
         cfg = ScenarioConfig(system="bulk", geometry="spherical", n_cells=256,
                              x_max=4.0, t_end=0.5, A=0.5, a=0.2)
         sim = solver.init_scenario(cfg)
-        assert sim.initial.dm0 > 0.0
-        assert sim.initial.f0 == 0.0
-        assert sim.initial.g0 == 0.0
-        assert sim.initial.max_rho0 == pytest.approx(1.2, abs=1e-3)
+        assert diagnostics.relative_mass(sim) > 0.0
+        assert diagnostics.radial_momentum(sim) == 0.0
+        assert diagnostics.stress_integral(sim) == 0.0
+        assert np.max(sim.fields.get("rho")) == pytest.approx(1.2, abs=1e-3)
 
     def test_velocity_bump_gives_positive_momentum(self):
         cfg = ScenarioConfig(system="bulk", geometry="spherical", n_cells=256,
                              x_max=4.0, t_end=0.5, A=0.5, b=1.0)
         sim = solver.init_scenario(cfg)
-        assert sim.initial.f0 > 0.0
+        assert diagnostics.radial_momentum(sim) > 0.0
 
     def test_momentum_quadrature_refines_quadratically(self):
         # Richardson cross-check of the F(0) quadrature on refined grids
@@ -140,7 +140,7 @@ class TestInitScenario:
         for n in (128, 256, 512):
             cfg = ScenarioConfig(system="bulk", geometry="spherical", n_cells=n,
                                  x_max=4.0, t_end=0.5, A=0.5, b=1.0)
-            values[n] = solver.init_scenario(cfg).initial.f0
+            values[n] = diagnostics.radial_momentum(solver.init_scenario(cfg))
         err1 = abs(values[256] - values[128])
         err2 = abs(values[512] - values[256])
         assert err2 < 0.3 * err1  # midpoint quadrature: factor ~4 per refinement
@@ -160,7 +160,7 @@ class TestInitScenario:
         cfg = ScenarioConfig(system="bulk", geometry="spherical", n_cells=256,
                              x_max=4.0, t_end=0.5, A=0.5, b_from_f0=target)
         sim = solver.init_scenario(cfg)
-        assert sim.initial.f0 == pytest.approx(target, rel=1e-13)
+        assert diagnostics.radial_momentum(sim) == pytest.approx(target, rel=1e-13)
 
     def test_set_up_builds_no_workspace(self):
         sim = solver.init_scenario(ScenarioConfig(n_cells=64, x_max=3.0, a=0.1, b=0.1))
@@ -455,7 +455,6 @@ class TestMonitorsAndOutcomes:
                          tolerances={"grad_factor": 1e-6})
         x = grid.centers_interior
         sim.fields.set("u", 0.01 * np.sin(x))
-        sim.refresh_initial_report()
         out = solver.step(sim)
         assert out.status == "breakdown"
         assert "gradient" in out.message
